@@ -26,6 +26,7 @@ from .errors import ValidationError
 from .model import (
     FullJoint,
     ReducedModel,
+    _require_prob,
     conditional_prob,
     gaps_from_joint,
 )
@@ -44,13 +45,6 @@ __all__ = [
     "bound_report_from_params",
     "independence_diagnostics",
 ]
-
-
-def _require_unit(value: float, field: str) -> float:
-    value = float(value)
-    if math.isnan(value) or not (0.0 <= value <= 1.0):
-        raise ValidationError(f"{field} must lie in [0, 1], got {value!r}")
-    return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,7 +68,7 @@ class StructureParams:
 
     def __post_init__(self) -> None:
         for field in ("gamma_A", "gamma_B1", "gamma_B2", "eps_B1", "eps_B2"):
-            object.__setattr__(self, field, _require_unit(getattr(self, field), field))
+            object.__setattr__(self, field, _require_prob(getattr(self, field), field))
         g = float(self.g_star)
         if math.isnan(g) or not (-1.0 <= g <= 1.0):
             raise ValidationError(f"g_star must lie in [-1, 1], got {g!r}")
@@ -120,10 +114,10 @@ def classifier_structure_params(
     parameters while the closeness budgets are supplied (defaulting to the
     vacuous 1.0).
     """
-    p0 = _require_unit(p0, "p0")
-    r0 = _require_unit(r0, "r0")
-    p1 = _require_unit(p1, "p1")
-    r1 = _require_unit(r1, "r1")
+    p0 = _require_prob(p0, "p0")
+    r0 = _require_prob(r0, "r0")
+    p1 = _require_prob(p1, "p1")
+    r1 = _require_prob(r1, "r1")
     return StructureParams(
         gamma_A=max(p0, r0, p1, r1),
         gamma_B1=max(abs(p0 - r0), abs(p1 - r1)),

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import __version__
 from .bounds import independence_diagnostics, bound_report, structure_params
@@ -36,16 +37,11 @@ from .errors import (
     ZeroMassCondition,
 )
 from .files import (
-    bound_report_dict,
-    diagnostics_dict,
     dumps_json,
-    estimate_report_dict,
-    gap_report_dict,
     load_model_file,
     load_sampler_config,
+    result_dict,
     sampler_config_to_dict,
-    structure_params_dict,
-    summary_dict,
     write_errors_csv,
     write_histogram_csv,
     write_json,
@@ -70,17 +66,6 @@ class RunManifest:
     inputs: dict
     outputs: tuple
     duration_seconds: float
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "seed": self.seed,
-            "version": self.version,
-            "inputs": self.inputs,
-            "outputs": list(self.outputs),
-            "duration_seconds": self.duration_seconds,
-        }
 
 
 def _digest(path: str) -> str:
@@ -109,7 +94,7 @@ def _write_manifest(
         outputs=tuple(outputs),
         duration_seconds=time.monotonic() - started,
     )
-    write_json(out + ".manifest.json", manifest.to_dict())
+    write_json(out + ".manifest.json", asdict(manifest))
 
 
 def parse_grid(spec: str) -> list[float]:
@@ -121,6 +106,8 @@ def parse_grid(spec: str) -> list[float]:
         start, stop, step = (float(part) for part in parts)
     except ValueError:
         raise ValidationError(f"grid has non-numeric parts: {spec!r}") from None
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ValidationError(f"grid parts must be finite, got {spec!r}")
     if step <= 0.0:
         raise ValidationError(f"grid step must be positive, got {step!r}")
     if stop < start:
@@ -175,15 +162,15 @@ def _cmd_analyze(args, seed: int) -> int:
         # the reduction guarantees positive mass everywhere except the
         # (v=0, vhat=0) cells, which only the diagnostics condition on
         if all(float(table[l, 0, 0, :].sum()) > 0.0 for l in (0, 1)):
-            independence = diagnostics_dict(independence_diagnostics(joint, tol=args.tol))
+            independence = independence_diagnostics(joint, tol=args.tol)
     else:
         reduced = model
-    report = {
-        "gap": gap_report_dict(compute_gaps(reduced)),
-        "structure": structure_params_dict(structure_params(reduced)),
-        "bounds": bound_report_dict(bound_report(reduced)),
+    report = result_dict({
+        "gap": compute_gaps(reduced),
+        "structure": structure_params(reduced),
+        "bounds": bound_report(reduced),
         "independence": independence,
-    }
+    })
     _emit(_render(report, args.format), args.out)
     if args.out is not None:
         config = {"model": args.model, "tol": args.tol, "format": args.format}
@@ -204,7 +191,7 @@ def _cmd_simulate(args, seed: int) -> int:
         "errors": args.out + ".errors.csv",
         "histogram": args.out + ".hist.csv",
     }
-    write_json(outputs["summary"], summary_dict(result))
+    write_json(outputs["summary"], result_dict(result))
     write_errors_csv(outputs["errors"], result.errors)
     write_histogram_csv(outputs["histogram"], result.histogram)
     manifest_config = {
@@ -257,7 +244,7 @@ def _cmd_estimate(args, seed: int) -> int:
         level=args.level,
         seed=seed,
     )
-    _emit(_render(estimate_report_dict(report), args.format), args.out)
+    _emit(_render(result_dict(report), args.format), args.out)
     if args.out is not None:
         config = {
             "data": args.data,
@@ -363,7 +350,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "workers", None) is None:
-        args.workers = os.cpu_count() or 1
+        args.workers = (
+            len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1
+        )
     try:
         seed = _resolve_seed(args)
         return args.func(args, seed)

@@ -214,7 +214,10 @@ def parse_records(stream) -> RecordDataset:
 def read_records_csv(path) -> RecordDataset:
     """Parse a records CSV file from disk."""
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-        return parse_records(handle)
+        try:
+            return parse_records(handle)
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def sample_dataset(joint: FullJoint, n: int, seed: int) -> RecordDataset:

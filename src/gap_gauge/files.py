@@ -10,30 +10,25 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import asdict, fields, is_dataclass
 from typing import Any
 
 import numpy as np
 
-from .bounds import BoundReport, IndependenceDiagnostics, StructureParams
-from .empirical import BootstrapResult, EstimateReport
+from .empirical import EstimateReport
 from .errors import ValidationError
-from .model import FullJoint, GapReport, ReducedModel, SliceParams
-from .simulation import Histogram, SamplerConfig, SimulationResult, SweepResult
+from .model import FullJoint, ReducedModel, SliceParams
+from .simulation import Histogram, SamplerConfig, SimulationResult, SweepPoint, SweepResult
 
 __all__ = [
     "dumps_json",
     "write_json",
+    "result_dict",
     "model_from_dict",
     "load_model_file",
     "model_to_dict",
     "sampler_config_from_dict",
     "load_sampler_config",
-    "gap_report_dict",
-    "structure_params_dict",
-    "bound_report_dict",
-    "diagnostics_dict",
-    "estimate_report_dict",
-    "summary_dict",
     "write_errors_csv",
     "write_histogram_csv",
     "write_sweep_csv",
@@ -43,8 +38,41 @@ __all__ = [
     "read_sweep_csv",
 ]
 
-SWEEP_HEADER = ("grid_value", "p95", "bound_a", "bound_combined_stated",
-                "bound_combined_proof")
+#: Output keys that differ from the dataclass field names; ``None`` drops the
+#: field. Every other field is written under its own name, in declaration order.
+OUTPUT_KEYS: dict[tuple[type, str], str | None] = {
+    (EstimateReport, "bootstrap"): "bootstrap_ci",
+    # written to <out>.errors.csv and <out>.hist.csv, not to the summary
+    (SimulationResult, "errors"): None,
+    (SimulationResult, "histogram"): None,
+}
+
+
+def _output_fields(cls: type) -> list[tuple[str, str]]:
+    """(attribute, output key) pairs of a result dataclass, in declaration order."""
+    pairs = [(f.name, OUTPUT_KEYS.get((cls, f.name), f.name)) for f in fields(cls)]
+    return [(name, key) for name, key in pairs if key is not None]
+
+
+def result_dict(obj: Any) -> Any:
+    """JSON-ready form of a result: dataclasses become dicts, tuples lists.
+
+    Dropped fields are skipped before they are read, so large arrays such as
+    ``SimulationResult.errors`` are never copied.
+    """
+    if is_dataclass(obj):
+        return {
+            key: result_dict(getattr(obj, name)) for name, key in _output_fields(type(obj))
+        }
+    if isinstance(obj, dict):
+        return {key: result_dict(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [result_dict(item) for item in obj]
+    return obj
+
+
+SWEEP_HEADER = tuple(key for _, key in _output_fields(SweepPoint))
+SUMMARY_KEYS = tuple(key for _, key in _output_fields(SimulationResult))
 
 
 def dumps_json(obj: Any) -> str:
@@ -62,6 +90,8 @@ def _load_json(path) -> Any:
             return json.load(handle)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def _require_mapping(obj: Any, where: str) -> dict:
@@ -132,22 +162,15 @@ def load_model_file(path) -> FullJoint | ReducedModel:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def _slice_to_dict(params: SliceParams) -> dict:
-    out = {"p": params.p, "r": params.r, "a": params.a, "b": params.b, "c": params.c}
-    if params.d is not None:
-        out["d"] = params.d
-    return out
+def _without_none(items) -> dict:
+    return {key: value for key, value in items if value is not None}
 
 
 def model_to_dict(model: FullJoint | ReducedModel) -> dict:
+    """Model-file payload; a slice's ``d`` is left out when it is unknown."""
     if isinstance(model, FullJoint):
-        return {"joint": {"cells": [float(x) for x in model.cells]}}
-    return {
-        "reduced": {
-            "slice0": _slice_to_dict(model.slice0),
-            "slice1": _slice_to_dict(model.slice1),
-        }
-    }
+        return {"joint": {"cells": model.cells.tolist()}}
+    return {"reduced": asdict(model, dict_factory=_without_none)}
 
 
 def sampler_config_from_dict(obj: Any) -> SamplerConfig:
@@ -185,101 +208,8 @@ def load_sampler_config(path) -> SamplerConfig:
 
 
 def sampler_config_to_dict(config: SamplerConfig) -> dict:
-    out: dict[str, Any] = {
-        "p0": config.p0,
-        "r0": config.r0,
-        "p1": config.p1,
-        "r1": config.r1,
-        "mode": config.mode,
-        "max_rejections": config.max_rejections,
-    }
-    if config.mode == "constrained":
-        out["eps_b1"] = config.eps_b1
-        out["eps_b2"] = config.eps_b2
-    return out
-
-
-def gap_report_dict(gap: GapReport) -> dict:
-    return {
-        "G": gap.G,
-        "G_hat": gap.G_hat,
-        "delta0": gap.delta0,
-        "delta1": gap.delta1,
-        "error": gap.error,
-    }
-
-
-def structure_params_dict(params: StructureParams) -> dict:
-    return {
-        "gamma_A": params.gamma_A,
-        "gamma_B1": params.gamma_B1,
-        "gamma_B2": params.gamma_B2,
-        "eps_B1": params.eps_B1,
-        "eps_B2": params.eps_B2,
-        "g_star": params.g_star,
-    }
-
-
-def bound_report_dict(report: BoundReport) -> dict:
-    return {
-        "bound_A": report.bound_A,
-        "bound_B1": report.bound_B1,
-        "bound_B2": report.bound_B2,
-        "bound_combined_stated": report.bound_combined_stated,
-        "bound_combined_proof": report.bound_combined_proof,
-        "best": report.best,
-    }
-
-
-def diagnostics_dict(diag: IndependenceDiagnostics) -> dict:
-    return {
-        "tol": diag.tol,
-        "case1_deviation": diag.case1_deviation,
-        "case2_deviation": diag.case2_deviation,
-        "case3_deviation": diag.case3_deviation,
-        "case1_holds": diag.case1_holds,
-        "case2_holds": diag.case2_holds,
-        "case3_holds": diag.case3_holds,
-        "bound_case2": diag.bound_case2,
-        "bound_case3": diag.bound_case3,
-        "gap_error": diag.gap_error,
-    }
-
-
-def _bootstrap_dict(result: BootstrapResult) -> dict:
-    return {
-        "intervals": {key: [lo, hi] for key, (lo, hi) in result.intervals.items()},
-        "replicates": result.replicates,
-        "skipped": result.skipped,
-        "level": result.level,
-        "seed": result.seed,
-    }
-
-
-def estimate_report_dict(report: EstimateReport) -> dict:
-    return {
-        "n": report.n,
-        "counts": list(report.counts),
-        "counts_index": report.counts_index,
-        "g_hat": report.g_hat,
-        "smoothing": report.smoothing,
-        "gap": None if report.gap is None else gap_report_dict(report.gap),
-        "structure": None if report.structure is None
-        else structure_params_dict(report.structure),
-        "bounds": None if report.bounds is None else bound_report_dict(report.bounds),
-        "bootstrap_ci": None if report.bootstrap is None
-        else _bootstrap_dict(report.bootstrap),
-    }
-
-
-def summary_dict(result: SimulationResult) -> dict:
-    return {
-        "n_trials": result.n_trials,
-        "p95": result.p95,
-        "bounds": bound_report_dict(result.bounds),
-        "rejection_rate": result.rejection_rate,
-        "seed": result.seed,
-    }
+    """Config payload; the eps budgets are left out in unconstrained mode."""
+    return asdict(config, dict_factory=_without_none)
 
 
 def write_errors_csv(path, errors) -> None:
@@ -302,15 +232,12 @@ def write_sweep_csv(path, result: SweepResult) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(SWEEP_HEADER) + "\n")
         for point in result.points:
-            handle.write(
-                f"{point.grid_value!r},{point.p95!r},{point.bound_a!r},"
-                f"{point.bound_combined_stated!r},{point.bound_combined_proof!r}\n"
-            )
+            handle.write(",".join(repr(v) for v in result_dict(point).values()) + "\n")
 
 
 def read_summary_json(path) -> dict:
     obj = _require_mapping(_load_json(path), "summary")
-    _check_keys(obj, ("n_trials", "p95", "bounds", "rejection_rate", "seed"), (), "summary")
+    _check_keys(obj, SUMMARY_KEYS, (), "summary")
     return obj
 
 

@@ -24,7 +24,7 @@ from .errors import (
     RejectionBudgetExhausted,
     ValidationError,
 )
-from .model import ReducedModel, SliceParams, compute_gaps
+from .model import ReducedModel, SliceParams, _require_prob, compute_gaps
 
 __all__ = [
     "SamplerConfig",
@@ -81,8 +81,10 @@ def derive_trial_stream(seed: int, trial_index: int) -> np.random.Generator:
     across runs, platforms, and worker counts.
     """
     seed = _require_seed(seed)
-    if not isinstance(trial_index, (int, np.integer)) or int(trial_index) < 0:
-        raise ValidationError(f"trial_index must be a non-negative integer, got {trial_index!r}")
+    if not isinstance(trial_index, (int, np.integer)) or not 0 <= int(trial_index) <= _MASK64:
+        raise ValidationError(
+            f"trial_index must be a 64-bit unsigned integer, got {trial_index!r}"
+        )
     lo = _mix64(seed, int(trial_index))
     hi = _splitmix64(lo)
     return np.random.Generator(np.random.Philox(key=(hi << 64) | lo))
@@ -118,10 +120,7 @@ class SamplerConfig:
 
     def __post_init__(self) -> None:
         for field in ("p0", "r0", "p1", "r1"):
-            value = float(getattr(self, field))
-            if math.isnan(value) or not (0.0 <= value <= 1.0):
-                raise ValidationError(f"{field} must lie in [0, 1], got {value!r}")
-            object.__setattr__(self, field, value)
+            object.__setattr__(self, field, _require_prob(getattr(self, field), field))
         if self.mode not in _MODES:
             raise ValidationError(
                 f"mode must be one of {_MODES}, got {self.mode!r}"
@@ -131,10 +130,7 @@ class SamplerConfig:
                 value = getattr(self, field)
                 if value is None:
                     raise ValidationError(f"constrained mode requires {field}")
-                value = float(value)
-                if math.isnan(value) or not (0.0 <= value <= 1.0):
-                    raise ValidationError(f"{field} must lie in [0, 1], got {value!r}")
-                object.__setattr__(self, field, value)
+                object.__setattr__(self, field, _require_prob(value, field))
         else:
             for field in ("eps_b1", "eps_b2"):
                 if getattr(self, field) is not None:
@@ -353,7 +349,8 @@ def run_monte_carlo(
     if workers == 1 or len(chunks) == 1:
         outcomes = [_run_chunk(spec) for spec in chunks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # fork starts every worker up front, so never ask for idle ones
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             outcomes = list(pool.map(_run_chunk, chunks))
 
     exhausted = [out[1] for out in outcomes if out[0] == "exhausted"]

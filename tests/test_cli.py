@@ -12,6 +12,39 @@ from conftest import M1, M1_WITH_D
 
 CLASSIFIER = {"p0": 0.05, "r0": 0.1, "p1": 0.07, "r1": 0.09}
 
+# The --format csv row order of each report section; pinned because the
+# JSON files are key-sorted and would not show a reordering.
+GAP_FIELDS = ["G", "G_hat", "delta0", "delta1", "error"]
+STRUCTURE_FIELDS = ["gamma_A", "gamma_B1", "gamma_B2", "eps_B1", "eps_B2", "g_star"]
+BOUND_FIELDS = [
+    "bound_A", "bound_B1", "bound_B2",
+    "bound_combined_stated", "bound_combined_proof", "best",
+]
+INDEPENDENCE_FIELDS = [
+    "tol", "case1_deviation", "case2_deviation", "case3_deviation",
+    "case1_holds", "case2_holds", "case3_holds",
+    "bound_case2", "bound_case3", "gap_error",
+]
+BOOTSTRAP_TAIL = [
+    "bootstrap_ci.replicates", "bootstrap_ci.skipped",
+    "bootstrap_ci.level", "bootstrap_ci.seed",
+]
+
+
+def prefixed(prefix: str, names: list[str]) -> list[str]:
+    return [f"{prefix}.{name}" for name in names]
+
+
+def interval_fields(*names: str) -> list[str]:
+    return [f"bootstrap_ci.intervals.{name}[{i}]" for name in names for i in (0, 1)]
+
+
+def field_column(out: str) -> list[str]:
+    return [line.split(",", 1)[0] for line in out.splitlines()]
+
+
+NOT_UTF8 = b"\xff\xfe\x00not utf-8\n"
+
 
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
@@ -71,6 +104,12 @@ class TestParseGrid:
             parse_grid("0,1,0.1")
         with pytest.raises(ValidationError, match="numeric"):
             parse_grid("a:b:c")
+
+    @pytest.mark.parametrize("spec", ["0:nan:0.1", "nan:1:0.1", "0:1:nan", "0:inf:0.1",
+                                      "-inf:1:0.1", "0:1:inf"])
+    def test_rejects_non_finite(self, spec):
+        with pytest.raises(ValidationError, match="finite"):
+            parse_grid(spec)
 
 
 class TestAnalyze:
@@ -139,6 +178,24 @@ class TestAnalyze:
         fields = dict(line.split(",", 1) for line in lines[1:])
         assert float(fields["gap.error"]) == pytest.approx(0.001, abs=1e-12)
         assert fields["independence"] == ""
+
+    def test_csv_field_order_with_diagnostics(self, capsys, m1_joint, tmp_path):
+        path = tmp_path / "joint.json"
+        write_json(path, model_to_dict(m1_joint))
+        code, out, _ = run(capsys, "analyze", str(path), "--format", "csv")
+        assert code == 0
+        assert field_column(out) == (
+            ["field"] + prefixed("gap", GAP_FIELDS)
+            + prefixed("structure", STRUCTURE_FIELDS) + prefixed("bounds", BOUND_FIELDS)
+            + prefixed("independence", INDEPENDENCE_FIELDS)
+        )
+
+    def test_non_utf8_model_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(NOT_UTF8)
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert "model.json" in err and "UTF-8" in err
 
     def test_out_file_and_manifest(self, capsys, m1_model_file, tmp_path):
         out_path = tmp_path / "report.json"
@@ -254,6 +311,14 @@ class TestSimulate:
         assert code == 4
         assert "no valid sample" in err
 
+    def test_non_utf8_config_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(NOT_UTF8)
+        code, _, err = run(capsys, "simulate", str(path), "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert "config.json" in err and "UTF-8" in err
+        assert not list(tmp_path.glob("r.*"))
+
     def test_unconstrained_config(self, capsys, tmp_path):
         config = tmp_path / "plain.json"
         write_json(config, {**CLASSIFIER, "mode": "unconstrained"})
@@ -310,6 +375,16 @@ class TestSweep:
         )
         assert code == 2
         assert "step" in err
+
+    @pytest.mark.parametrize("grid", ["0:nan:0.1", "0:inf:0.1", "0:1:inf"])
+    def test_non_finite_grid_exits_2(self, capsys, constrained_config_file, tmp_path, grid):
+        code, _, err = run(
+            capsys, "sweep", constrained_config_file,
+            "--varied", "eps_b2", "--grid", grid,
+            "--trials", "10", "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == 2
+        assert "finite" in err
 
     def test_unconstrained_config_exits_2(self, capsys, tmp_path):
         config = tmp_path / "plain.json"
@@ -407,6 +482,40 @@ class TestEstimate:
         code, _, err = run(capsys, "estimate", str(path))
         assert code == 2
         assert "line 2" in err
+
+    def test_non_utf8_records_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_bytes(b"l,v,vhat,y\n0,1,1,1\n\xff,1,1,1\n")
+        code, _, err = run(capsys, "estimate", str(path))
+        assert code == 2
+        assert "records.csv" in err and "UTF-8" in err
+
+    def test_csv_field_order_with_v(self, capsys, records_file):
+        code, out, _ = run(
+            capsys, "estimate", records_file, "--bootstrap", "5", "--format", "csv"
+        )
+        assert code == 0
+        assert field_column(out) == (
+            ["field", "n"] + [f"counts[{i}]" for i in range(16)]
+            + ["counts_index", "g_hat", "smoothing"]
+            + prefixed("gap", GAP_FIELDS) + prefixed("structure", STRUCTURE_FIELDS)
+            + prefixed("bounds", BOUND_FIELDS)
+            + interval_fields("G", "G_hat", "best_bound", "delta0", "delta1", "error")
+            + BOOTSTRAP_TAIL
+        )
+
+    def test_csv_field_order_without_v(self, capsys, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text("l,v,vhat,y\n0,,1,1\n0,,1,0\n1,,1,1\n1,,1,1\n1,,1,0\n0,,0,0\n")
+        code, out, _ = run(
+            capsys, "estimate", str(path), "--bootstrap", "5", "--format", "csv"
+        )
+        assert code == 0
+        assert field_column(out) == (
+            ["field", "n"] + [f"counts[{i}]" for i in range(8)]
+            + ["counts_index", "g_hat", "smoothing", "gap", "structure", "bounds"]
+            + interval_fields("G_hat") + BOOTSTRAP_TAIL
+        )
 
     def test_header_only_exits_3(self, capsys, tmp_path):
         path = tmp_path / "records.csv"

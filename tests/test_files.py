@@ -16,9 +16,9 @@ from gap_gauge import (
     sweep,
 )
 from gap_gauge.files import (
-    bound_report_dict,
+    SUMMARY_KEYS,
+    SWEEP_HEADER,
     dumps_json,
-    gap_report_dict,
     load_model_file,
     load_sampler_config,
     model_from_dict,
@@ -27,10 +27,9 @@ from gap_gauge.files import (
     read_histogram_csv,
     read_summary_json,
     read_sweep_csv,
+    result_dict,
     sampler_config_from_dict,
     sampler_config_to_dict,
-    structure_params_dict,
-    summary_dict,
     write_errors_csv,
     write_histogram_csv,
     write_json,
@@ -169,21 +168,90 @@ class TestSamplerConfigFiles:
 
 class TestReportDicts:
     def test_gap_report_keys(self, m1):
-        payload = gap_report_dict(compute_gaps(m1))
+        payload = result_dict(compute_gaps(m1))
         assert set(payload) == {"G", "G_hat", "delta0", "delta1", "error"}
         assert payload["error"] == pytest.approx(0.001, abs=1e-12)
 
     def test_structure_keys(self, m1):
-        payload = structure_params_dict(structure_params(m1))
+        payload = result_dict(structure_params(m1))
         assert set(payload) == {
             "gamma_A", "gamma_B1", "gamma_B2", "eps_B1", "eps_B2", "g_star",
         }
 
     def test_bound_keys(self, m1):
-        payload = bound_report_dict(bound_report(m1))
+        payload = result_dict(bound_report(m1))
         assert set(payload) == {
             "bound_A", "bound_B1", "bound_B2",
             "bound_combined_stated", "bound_combined_proof", "best",
+        }
+
+
+class TestResultDict:
+    def test_estimate_report_renames_bootstrap(self, m1_joint):
+        from gap_gauge import estimate_with_bootstrap, sample_dataset
+
+        report = estimate_with_bootstrap(
+            sample_dataset(m1_joint, 2000, seed=3), replicates=5, seed=1
+        )
+        payload = result_dict(report)
+        assert list(payload) == [
+            "n", "counts", "counts_index", "g_hat", "smoothing",
+            "gap", "structure", "bounds", "bootstrap_ci",
+        ]
+        assert payload["counts"] == list(report.counts)
+        assert payload["bootstrap_ci"]["intervals"]["G_hat"] == list(
+            report.bootstrap.intervals["G_hat"]
+        )
+
+    def test_absent_parts_stay_null(self, m1_joint):
+        from gap_gauge import estimate, sample_dataset
+
+        report = estimate(sample_dataset(m1_joint, 500, seed=3))
+        assert result_dict(report)["bootstrap_ci"] is None
+
+    def test_summary_drops_per_trial_fields(self, result):
+        payload = result_dict(result)
+        assert tuple(payload) == SUMMARY_KEYS
+        assert SUMMARY_KEYS == ("n_trials", "p95", "bounds", "rejection_rate", "seed")
+        assert payload["bounds"] == result_dict(result.bounds)
+
+    def test_dropped_field_is_never_read(self, monkeypatch):
+        from dataclasses import dataclass
+
+        from gap_gauge import files
+
+        @dataclass
+        class Probe:
+            kept: int
+            huge: object
+
+            def __getattribute__(self, name):
+                if name == "huge":
+                    raise AssertionError("dropped field was read")
+                return object.__getattribute__(self, name)
+
+        monkeypatch.setitem(files.OUTPUT_KEYS, (Probe, "huge"), None)
+        assert result_dict(Probe(kept=1, huge=None)) == {"kept": 1}
+
+    def test_sweep_header_follows_sweep_point(self):
+        assert SWEEP_HEADER == (
+            "grid_value", "p95", "bound_a", "bound_combined_stated", "bound_combined_proof",
+        )
+
+
+class TestInputPayloads:
+    def test_unknown_d_is_left_out(self, m1, m1_with_d):
+        assert set(model_to_dict(m1)["reduced"]["slice0"]) == {"p", "r", "a", "b", "c"}
+        assert model_to_dict(m1_with_d)["reduced"]["slice1"]["d"] == 0.2
+
+    def test_joint_cells_are_plain_floats(self, m1_joint):
+        cells = model_to_dict(m1_joint)["joint"]["cells"]
+        assert len(cells) == 16 and all(type(x) is float for x in cells)
+
+    def test_unconstrained_config_has_no_eps(self):
+        config = SamplerConfig(p0=0.05, r0=0.1, p1=0.07, r1=0.09, mode="unconstrained")
+        assert set(sampler_config_to_dict(config)) == {
+            "p0", "r0", "p1", "r1", "mode", "max_rejections",
         }
 
 
@@ -208,7 +276,7 @@ def sweep_result():
 class TestResultFiles:
     def test_summary_round_trip(self, result, tmp_path):
         path = tmp_path / "summary.json"
-        write_json(path, summary_dict(result))
+        write_json(path, result_dict(result))
         loaded = read_summary_json(path)
         assert loaded["n_trials"] == 300
         assert loaded["p95"] == result.p95
@@ -216,7 +284,7 @@ class TestResultFiles:
         assert loaded["bounds"]["best"] == result.bounds.best
 
     def test_summary_rejects_extra_keys(self, result, tmp_path):
-        payload = summary_dict(result)
+        payload = result_dict(result)
         payload["extra"] = 1
         path = tmp_path / "summary.json"
         write_json(path, payload)

@@ -62,6 +62,15 @@ class TestStreams:
             derive_trial_stream(2**64, 0)
         derive_trial_stream(2**64 - 1, 0)
 
+    def test_trial_index_range_enforced(self):
+        # _mix64 keeps 64 bits, so 2**64 would silently alias trial 0
+        with pytest.raises(ValidationError, match="trial_index"):
+            derive_trial_stream(7, 2**64)
+        with pytest.raises(ValidationError, match="trial_index"):
+            derive_trial_stream(7, -1)
+        last = derive_trial_stream(7, 2**64 - 1).random(3)
+        assert not np.array_equal(last, derive_trial_stream(7, 0).random(3))
+
     def test_point_seed_in_range_and_deterministic(self):
         seen = set()
         for k in range(16):
@@ -277,6 +286,33 @@ class TestRunMonteCarlo:
         assert np.array_equal(serial.errors, parallel.errors)
         assert serial.p95 == parallel.p95
         assert serial.rejection_rate == parallel.rejection_rate
+
+    def test_pool_never_larger_than_chunk_count(self, monkeypatch):
+        from gap_gauge import simulation
+
+        requested = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        config = constrained()
+        serial = run_monte_carlo(config, n_trials=30, seed=42, workers=1)
+        monkeypatch.setattr(simulation, "_CHUNK", 10)
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", SerialPool)
+        pooled = run_monte_carlo(config, n_trials=30, seed=42, workers=64)
+        assert requested == [3]
+        assert np.array_equal(serial.errors, pooled.errors)
+        assert serial.rejection_rate == pooled.rejection_rate
 
     def test_histogram_accounts_for_every_trial(self):
         result = run_monte_carlo(unconstrained(), n_trials=250, seed=5, bins=20)
