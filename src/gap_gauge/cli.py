@@ -268,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes (default: available parallelism); never affects results",
+        help="accepted and recorded in the manifest; never affects results",
     )
     common.add_argument(
         "--format", choices=("json", "csv"), default="json",
@@ -346,6 +346,19 @@ def _resolve_seed(args) -> int:
     return seed
 
 
+def _require_out_dir(out: str) -> None:
+    """Refuse an ``--out`` whose directory is missing or unwritable.
+
+    Every file a command writes (results and manifest) lies next to
+    ``--out``, so one check before any computation covers them all.
+    """
+    directory = os.path.dirname(out) or os.curdir
+    if not os.path.isdir(directory):
+        raise ValidationError(f"--out {out}: directory {directory} does not exist")
+    if not os.access(directory, os.W_OK | os.X_OK):
+        raise ValidationError(f"--out {out}: directory {directory} is not writable")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -356,6 +369,8 @@ def main(argv=None) -> int:
         )
     try:
         seed = _resolve_seed(args)
+        if args.out is not None:
+            _require_out_dir(args.out)
         return args.func(args, seed)
     except RejectionBudgetExhausted as exc:
         print(f"gap-gauge: {exc}", file=sys.stderr)

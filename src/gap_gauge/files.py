@@ -156,8 +156,9 @@ def model_from_dict(obj: Any) -> FullJoint | ReducedModel:
 
 
 def load_model_file(path) -> FullJoint | ReducedModel:
+    payload = _load_json(path)  # its errors already name the path
     try:
-        return model_from_dict(_load_json(path))
+        return model_from_dict(payload)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
@@ -201,8 +202,9 @@ def sampler_config_from_dict(obj: Any) -> SamplerConfig:
 
 
 def load_sampler_config(path) -> SamplerConfig:
+    payload = _load_json(path)  # its errors already name the path
     try:
-        return sampler_config_from_dict(_load_json(path))
+        return sampler_config_from_dict(payload)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 

@@ -6,14 +6,21 @@ aggregates the error distribution against the theoretical bounds.
 
 Reproducibility contract: trial i of a run with master seed s consumes the
 dedicated stream ``derive_trial_stream(s, i)`` and nothing else, so results
-are independent of execution order and of how trials are distributed across
-worker processes, and identical runs are bit-identical.
+are independent of execution order and identical runs are bit-identical.
+
+``run_monte_carlo`` does not build those streams one by one. Philox is
+counter-based, so double j of trial i is a pure function of (s, i, j): the
+engine below computes it for a whole block of trials at once with numpy
+array arithmetic, and repeats the float operations of the scalar samplers
+and of ``compute_gaps`` in the same order, so its results are bit-identical
+to running ``derive_trial_stream``, ``sample_*`` and ``compute_gaps`` per
+trial. Those scalar functions stay as the reference the engine is tested
+against.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,8 +52,10 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-#: Trials per unit of parallel work; fixed so chunking never affects results.
-_CHUNK = 8192
+#: Trials per block of the vectorized engine. A block's temporaries are a few
+#: dozen arrays of this length, so memory stays bounded whatever the trial
+#: count; results never depend on it.
+_BLOCK = 4096
 
 
 def _splitmix64(z: int) -> int:
@@ -296,28 +305,144 @@ class SimulationResult:
         object.__setattr__(self, "errors", arr)
 
 
-def _trial_error(config: SamplerConfig, seed: int, index: int) -> tuple[float, int]:
-    stream = derive_trial_stream(seed, index)
-    if config.mode == "constrained":
-        model, attempts = sample_constrained(config, stream)
-    else:
-        model, attempts = sample_unconstrained(config, stream), 1
-    return compute_gaps(model).error, attempts
+_U64 = np.uint64
+_LOW32 = _U64(0xFFFFFFFF)
+#: Philox4x64-10 multipliers and key increments (Salmon et al., SC'11).
+_PHILOX_M0 = 0xD2E7470EE14C6C93
+_PHILOX_M1 = 0xCA5A826395121157
+_PHILOX_W0 = _U64(0x9E3779B97F4A7C15)
+_PHILOX_W1 = _U64(0xBB67AE8584CAA73B)
 
 
-def _run_chunk(args: tuple[SamplerConfig, int, int, int]):
-    """Errors for trials [start, stop); picklable unit of parallel work."""
-    config, seed, start, stop = args
-    errors = []
-    attempts = 0
-    for i in range(start, stop):
-        try:
-            err, tries = _trial_error(config, seed, i)
-        except RejectionBudgetExhausted:
-            return ("exhausted", i)
-        errors.append(err)
-        attempts += tries
-    return ("ok", errors, attempts)
+def _splitmix64_array(z: np.ndarray) -> np.ndarray:
+    """``_splitmix64`` over a uint64 array; numpy wraps modulo 2**64."""
+    z = z + _U64(_GOLDEN)
+    z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
+    return z ^ (z >> _U64(31))
+
+
+def _trial_keys(seed: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Philox key words (lo, hi) of trials [start, stop), as in derive_trial_stream."""
+    index = np.arange(start, stop, dtype=np.uint64)
+    lo = _splitmix64_array(_U64(seed) ^ _splitmix64_array(index + _U64(_GOLDEN)))
+    return lo, _splitmix64_array(lo)
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products ``m * x``.
+
+    numpy has no 128-bit integers, so the high word is assembled from the
+    32-bit limbs of both factors; no partial sum below can overflow 64 bits.
+    """
+    m_lo, m_hi = _U64(m & 0xFFFFFFFF), _U64(m >> 32)
+    x_lo, x_hi = x & _LOW32, x >> _U64(32)
+    lh = m_lo * x_hi
+    hl = m_hi * x_lo
+    mid = ((m_lo * x_lo) >> _U64(32)) + (lh & _LOW32) + (hl & _LOW32)
+    hi = m_hi * x_hi + (lh >> _U64(32)) + (hl >> _U64(32)) + (mid >> _U64(32))
+    return hi, x * _U64(m)
+
+
+def _philox4x64(counter, k0, k1) -> list[np.ndarray]:
+    """The four output words of Philox4x64-10 at counter ``(counter, 0, 0, 0)``.
+
+    ``counter`` and the key words ``k0`` (low) and ``k1`` (high) are uint64
+    arrays that broadcast against each other, e.g. counters as a column and
+    one trial's key per column.
+    """
+    zero = _U64(0)
+    c0, c1, c2, c3 = counter, zero, zero, zero
+    for r in range(10):
+        if r:
+            k0 = k0 + _PHILOX_W0
+            k1 = k1 + _PHILOX_W1
+        hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return [c0, c1, c2, c3]
+
+
+def _stream_doubles(k0: np.ndarray, k1: np.ndarray, first: int, count: int) -> np.ndarray:
+    """Doubles ``first .. first+count-1`` of each trial's stream, shape (count, n).
+
+    ``np.random.Philox`` fills its buffer from counter 1 upwards, so double j
+    is word ``j % 4`` of the block at counter ``j // 4 + 1``, turned into a
+    double the way ``Generator.random`` does it: ``(word >> 11) * 2**-53``.
+    """
+    counters = np.arange(first // 4 + 1, (first + count - 1) // 4 + 2, dtype=np.uint64)
+    words = np.stack(_philox4x64(counters[:, None], k0, k1), axis=1)
+    words = words.reshape(-1, k0.size)[first % 4:first % 4 + count]
+    return (words >> _U64(11)) * (1.0 / 9007199254740992.0)
+
+
+def _uniform(low, high, u):
+    """``Generator.uniform(low, high)`` given its double ``u``."""
+    return low + (high - low) * u
+
+
+def _constrained_cells(
+    u: np.ndarray, eps_b1: float, eps_b2: float
+) -> tuple[np.ndarray, ...]:
+    """``_constrained_attempt`` over arrays, from its seven doubles ``u``."""
+    g = _uniform(-1.0, 1.0, u[0])
+    negative = g < 0.0
+    lo = np.where(negative, -g, 0.0)
+    hi = np.where(negative, 1.0, 1.0 - g)
+    a0 = _uniform(lo, hi, u[1])
+    b0 = _uniform(lo, hi, u[2])
+    c0 = b0 + _uniform(-eps_b1, eps_b1, u[3])
+    return (
+        a0, b0, c0,
+        a0 + g + _uniform(-eps_b2, eps_b2, u[4]),
+        b0 + g + _uniform(-eps_b2, eps_b2, u[5]),
+        c0 + g + _uniform(-eps_b2, eps_b2, u[6]),
+    )
+
+
+def _gap_errors(config: SamplerConfig, cells: np.ndarray) -> np.ndarray:
+    """``compute_gaps(model).error`` over arrays, in its operation order."""
+    a0, b0, c0, a1, b1, c1 = cells
+    p0, r0, p1, r1 = config.p0, config.r0, config.p1, config.r1
+    g = ((1.0 - r1) * a1 + r1 * b1) - ((1.0 - r0) * a0 + r0 * b0)
+    g_hat = ((1.0 - p1) * a1 + p1 * c1) - ((1.0 - p0) * a0 + p0 * c0)
+    return np.abs(g - g_hat)
+
+
+def _block_errors(
+    config: SamplerConfig, seed: int, start: int, stop: int
+) -> tuple[np.ndarray, int]:
+    """Errors of trials [start, stop) and the attempts they consumed.
+
+    Attempt k + 1 of ``sample_constrained`` reads doubles ``7k .. 7k+6`` of
+    its trial's stream. Each rejection pass gives every pending trial the
+    next m attempts at once and keeps the first that is accepted; m grows as
+    trials leave, so a pass never covers more than about ``_BLOCK`` attempts
+    and the last stragglers do not cost one pass per attempt.
+    """
+    k0, k1 = _trial_keys(seed, start, stop)
+    if config.mode != "constrained":
+        return _gap_errors(config, _stream_doubles(k0, k1, 0, 6)), stop - start
+    cells = np.empty((6, stop - start))
+    pending = np.arange(stop - start)
+    attempts = tried = 0
+    while pending.size:
+        if tried == config.max_rejections:
+            raise RejectionBudgetExhausted(
+                config.max_rejections, trial_index=start + int(pending[0])
+            )
+        m = min(max(1, _BLOCK // pending.size), config.max_rejections - tried)
+        u = _stream_doubles(k0, k1, 7 * tried, 7 * m).reshape(m, 7, -1).swapaxes(0, 1)
+        drawn = np.stack(_constrained_cells(u, config.eps_b1, config.eps_b2))
+        ok = ((drawn >= 0.0) & (drawn <= 1.0)).all(axis=0)
+        first, accepted = ok.argmax(axis=0), ok.any(axis=0)
+        done = np.flatnonzero(accepted)
+        cells[:, pending[done]] = drawn[:, first[done], done]
+        attempts += int(np.where(accepted, first + 1, m).sum())
+        left = ~accepted
+        pending, k0, k1 = pending[left], k0[left], k1[left]
+        tried += m
+    return _gap_errors(config, cells), attempts
 
 
 def run_monte_carlo(
@@ -329,9 +454,11 @@ def run_monte_carlo(
 ) -> SimulationResult:
     """Run ``n_trials`` independent trials and aggregate the error distribution.
 
-    ``workers`` only distributes the work; any worker count produces the
-    identical result. The rejection rate is the fraction of constrained
-    attempts discarded (0.0 for unconstrained runs).
+    Trials run in one process, ``_BLOCK`` at a time; ``workers`` is validated
+    but never changes how they run or what they produce. The rejection rate
+    is the fraction of constrained attempts discarded (0.0 for unconstrained
+    runs). When a trial exhausts its rejection budget, the error names the
+    earliest such trial.
     """
     seed = _require_seed(seed)
     if not isinstance(n_trials, (int, np.integer)) or n_trials < 1:
@@ -340,29 +467,15 @@ def run_monte_carlo(
         raise ValidationError(f"bins must be a positive integer, got {bins!r}")
     if not isinstance(workers, (int, np.integer)) or workers < 1:
         raise ValidationError(f"workers must be a positive integer, got {workers!r}")
-    n_trials, bins, workers = int(n_trials), int(bins), int(workers)
+    n_trials, bins = int(n_trials), int(bins)
 
-    chunks = [
-        (config, seed, start, min(start + _CHUNK, n_trials))
-        for start in range(0, n_trials, _CHUNK)
-    ]
-    if workers == 1 or len(chunks) == 1:
-        outcomes = [_run_chunk(spec) for spec in chunks]
-    else:
-        # fork starts every worker up front, so never ask for idle ones
-        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-            outcomes = list(pool.map(_run_chunk, chunks))
-
-    exhausted = [out[1] for out in outcomes if out[0] == "exhausted"]
-    if exhausted:
-        # report the earliest failing trial regardless of scheduling
-        raise RejectionBudgetExhausted(config.max_rejections, trial_index=min(exhausted))
-
-    errors = np.array(
-        [err for out in outcomes for err in out[1]], dtype=float
-    )
-    attempts = sum(out[2] for out in outcomes)
-    rejection_rate = (attempts - n_trials) / attempts if attempts else 0.0
+    errors = np.empty(n_trials)
+    attempts = 0
+    for start in range(0, n_trials, _BLOCK):
+        stop = min(start + _BLOCK, n_trials)
+        errors[start:stop], tries = _block_errors(config, seed, start, stop)
+        attempts += tries
+    rejection_rate = (attempts - n_trials) / attempts
     return SimulationResult(
         n_trials=n_trials,
         errors=errors,

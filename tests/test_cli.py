@@ -541,6 +541,60 @@ class TestEstimate:
         assert manifest["config"]["bootstrap"] == 0
 
 
+class TestOutputDirectory:
+    @pytest.fixture
+    def no_monte_carlo(self, monkeypatch):
+        from gap_gauge import cli, simulation
+
+        calls = []
+
+        def record(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("run_monte_carlo must not run")
+
+        monkeypatch.setattr(cli, "run_monte_carlo", record)
+        monkeypatch.setattr(simulation, "run_monte_carlo", record)
+        return calls
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_missing_directory_fails_before_sampling(
+        self, capsys, no_monte_carlo, constrained_config_file, tmp_path, command
+    ):
+        out = str(tmp_path / "no" / "such" / "x")
+        extra = ["--varied", "eps_b2", "--grid", "0:0.2:0.1"] if command == "sweep" else []
+        code, _, err = run(
+            capsys, command, constrained_config_file, *extra, "--trials", "50", "--out", out
+        )
+        assert code == 2
+        assert out in err and "does not exist" in err
+        assert no_monte_carlo == []
+
+    def test_analyze_and_estimate_check_out(self, capsys, m1_model_file, tmp_path):
+        records = tmp_path / "records.csv"
+        # too few rows to estimate from (exit 3), so only a check made
+        # before estimating can give exit 2
+        records.write_text("l,v,vhat,y\n0,1,1,1\n1,1,1,0\n")
+        blocker = tmp_path / "file.txt"
+        blocker.write_text("")
+        out = str(blocker / "report.json")
+        for argv in (["analyze", m1_model_file], ["estimate", str(records)]):
+            code, stdout, err = run(capsys, *argv, "--out", out)
+            assert code == 2
+            assert out in err and stdout == ""
+
+    def test_unwritable_directory_exits_2(
+        self, capsys, monkeypatch, no_monte_carlo, constrained_config_file, tmp_path
+    ):
+        # permission bits do not stop a superuser, so deny through os.access
+        monkeypatch.setattr("os.access", lambda path, mode: False)
+        out = str(tmp_path / "run")
+        code, _, err = run(capsys, "simulate", constrained_config_file, "--out", out)
+        assert code == 2
+        assert out in err and "not writable" in err
+        assert no_monte_carlo == []
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
 class TestTopLevel:
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:

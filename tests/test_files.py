@@ -115,6 +115,19 @@ class TestModelFiles:
             load_model_file(path)
 
 
+@pytest.mark.parametrize("loader", [load_model_file, load_sampler_config])
+@pytest.mark.parametrize(
+    "content, reason",
+    [(b"{bad", "not valid JSON"), (b"\xff\xfe\x00not utf-8\n", "not UTF-8")],
+)
+def test_load_error_names_path_once(tmp_path, loader, content, reason):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(ValidationError, match=reason) as err:
+        loader(path)
+    assert str(err.value).count(str(path)) == 1
+
+
 class TestSamplerConfigFiles:
     def test_unconstrained_round_trip(self, tmp_path):
         config = SamplerConfig(p0=0.05, r0=0.1, p1=0.07, r1=0.09, mode="unconstrained")

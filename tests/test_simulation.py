@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gap_gauge import (
     EmptySample,
@@ -15,10 +17,11 @@ from gap_gauge import (
     run_monte_carlo,
     sample_constrained,
     sample_unconstrained,
+    simulation,
     structure_params,
     sweep,
 )
-from gap_gauge.simulation import _constrained_attempt
+from gap_gauge.simulation import _constrained_attempt, _philox4x64
 
 CLASSIFIER = dict(p0=0.05, r0=0.1, p1=0.07, r1=0.09)
 
@@ -79,6 +82,24 @@ class TestStreams:
             assert derived == derive_point_seed(42, k)
             seen.add(derived)
         assert len(seen) == 16
+
+
+_WORD = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
+
+
+class TestPhiloxKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_WORD, _WORD), min_size=1, max_size=8))
+    def test_matches_numpy_philox(self, keys):
+        # all-ones and zero key words drive the carries of the 32-bit-limb
+        # multiply-high; the first two counters give the first eight words
+        k0 = np.array([lo for lo, _ in keys], dtype=np.uint64)
+        k1 = np.array([hi for _, hi in keys], dtype=np.uint64)
+        counters = np.array([[1], [2]], dtype=np.uint64)
+        words = np.stack(_philox4x64(counters, k0, k1), axis=1).reshape(8, -1)
+        for j, (lo, hi) in enumerate(keys):
+            expected = np.random.Philox(key=(hi << 64) | lo).random_raw(8)
+            assert words[:, j].tolist() == expected.tolist()
 
 
 class TestSamplerConfig:
@@ -279,40 +300,30 @@ class TestRunMonteCarlo:
         model = sample_unconstrained(config, derive_trial_stream(7, 31))
         assert result.errors[31] == compute_gaps(model).error
 
-    def test_worker_count_does_not_change_output(self):
-        config = constrained()
-        serial = run_monte_carlo(config, n_trials=300, seed=42, workers=1)
-        parallel = run_monte_carlo(config, n_trials=300, seed=42, workers=4)
-        assert np.array_equal(serial.errors, parallel.errors)
-        assert serial.p95 == parallel.p95
-        assert serial.rejection_rate == parallel.rejection_rate
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    @pytest.mark.parametrize("mode", ["unconstrained", "constrained"])
+    def test_engine_matches_scalar_oracle(self, mode, seed):
+        # one trial at a time through the scalar samplers, across a block
+        # boundary: the block engine must reproduce every bit
+        config = constrained() if mode == "constrained" else unconstrained()
+        n = simulation._BLOCK + 17
+        expected = np.empty(n)
+        attempts = 0
+        for i in range(n):
+            stream = derive_trial_stream(seed, i)
+            if mode == "constrained":
+                model, tries = sample_constrained(config, stream)
+            else:
+                model, tries = sample_unconstrained(config, stream), 1
+            expected[i] = compute_gaps(model).error
+            attempts += tries
+        result = run_monte_carlo(config, n_trials=n, seed=seed)
+        assert result.errors.tobytes() == expected.tobytes()
+        assert result.rejection_rate == (attempts - n) / attempts
 
-    def test_pool_never_larger_than_chunk_count(self, monkeypatch):
-        from gap_gauge import simulation
-
-        requested = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        config = constrained()
-        serial = run_monte_carlo(config, n_trials=30, seed=42, workers=1)
-        monkeypatch.setattr(simulation, "_CHUNK", 10)
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", SerialPool)
-        pooled = run_monte_carlo(config, n_trials=30, seed=42, workers=64)
-        assert requested == [3]
-        assert np.array_equal(serial.errors, pooled.errors)
-        assert serial.rejection_rate == pooled.rejection_rate
+    def test_rejects_bad_worker_count(self):
+        with pytest.raises(ValidationError, match="workers"):
+            run_monte_carlo(unconstrained(), n_trials=10, seed=1, workers=0)
 
     def test_histogram_accounts_for_every_trial(self):
         result = run_monte_carlo(unconstrained(), n_trials=250, seed=5, bins=20)
@@ -359,6 +370,19 @@ class TestRunMonteCarlo:
             sample_constrained(config, derive_trial_stream(42, i))
         with pytest.raises(RejectionBudgetExhausted):
             sample_constrained(config, derive_trial_stream(42, first))
+
+    def test_exhaustion_beyond_first_block(self):
+        # tiny budgets reject rarely: at seed 2 the first one-attempt failure
+        # lies past the first block, which must finish without failing
+        config = constrained(eps_b1=5e-5, eps_b2=5e-5, max_rejections=1)
+        with pytest.raises(RejectionBudgetExhausted) as err:
+            run_monte_carlo(config, n_trials=4 * simulation._BLOCK, seed=2)
+        first = err.value.trial_index
+        assert first is not None and first >= simulation._BLOCK
+        for i in range(first):
+            sample_constrained(config, derive_trial_stream(2, i))
+        with pytest.raises(RejectionBudgetExhausted):
+            sample_constrained(config, derive_trial_stream(2, first))
 
     def test_rejects_bad_trial_count(self):
         with pytest.raises(ValidationError, match="n_trials"):
