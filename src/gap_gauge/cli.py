@@ -37,6 +37,7 @@ from .errors import (
     ZeroMassCondition,
 )
 from .files import (
+    atomic_open,
     dumps_json,
     load_model_file,
     load_sampler_config,
@@ -53,6 +54,9 @@ from .simulation import run_monte_carlo, sweep
 __all__ = ["main", "RunManifest", "parse_grid"]
 
 _DEFAULT_SEED = 42
+
+#: Most points a ``--grid`` may have: a step of 1e-4 across [0, 1].
+GRID_MAX_POINTS = 10_001
 
 
 @dataclass(frozen=True)
@@ -112,12 +116,20 @@ def parse_grid(spec: str) -> list[float]:
         raise ValidationError(f"grid step must be positive, got {step!r}")
     if stop < start:
         raise ValidationError(f"grid stop must be >= start, got {spec!r}")
-    count = int((stop - start) / step + 1e-9) + 1
+    for value in (start, stop):
+        if not (0.0 <= value <= 1.0):
+            raise ValidationError(f"grid values must lie in [0, 1], got {value!r}")
+    # the span may be huge or inf, so it is bounded before it is enumerated
+    steps = (stop - start) / step + 1e-9
+    if not steps < GRID_MAX_POINTS:
+        raise ValidationError(f"grid {spec!r} has more than {GRID_MAX_POINTS} points")
     # normalize accumulated float error so grid values print cleanly
-    values = [round(start + k * step, 12) for k in range(count)]
+    values = [round(start + k * step, 12) for k in range(int(steps) + 1)]
     for value in values:
         if not (0.0 <= value <= 1.0):
             raise ValidationError(f"grid values must lie in [0, 1], got {value!r}")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValidationError(f"grid step {step!r} is finer than the grid's 1e-12 rounding")
     return values
 
 
@@ -147,7 +159,7 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="\n") as handle:
+        with atomic_open(out) as handle:
             handle.write(text)
 
 

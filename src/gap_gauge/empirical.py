@@ -211,8 +211,53 @@ def parse_records(stream) -> RecordDataset:
     )
 
 
+def _parse_layout(data: bytes) -> RecordDataset | None:
+    """Columns of a file in the canonical layout, or None for anything else.
+
+    The canonical layout is an optional UTF-8 BOM, the header ``l,v,vhat,y``
+    or ``l,v,vhat,y,ystar`` and at least one row, every row being
+    single-character ``0``/``1`` cells separated by commas and ended by
+    ``\\n``. Such a file is a fixed-width byte matrix, so it needs no
+    per-row parsing; every other file goes through :func:`parse_records`.
+    """
+    start = 3 if data.startswith(b"\xef\xbb\xbf") else 0
+    for header in (_HEADER, _HEADER_YSTAR):
+        head = (",".join(header) + "\n").encode()
+        if data.startswith(head, start):
+            break
+    else:
+        return None
+    start += len(head)
+    width = 2 * len(header)
+    if len(data) == start or (len(data) - start) % width:
+        return None
+    rows = np.frombuffer(data, dtype=np.uint8, offset=start).reshape(-1, width)
+    separators = rows[:, 1::2]
+    if not ((separators[:, :-1] == ord(",")).all() and (separators[:, -1] == ord("\n")).all()):
+        return None
+    cells = rows[:, 0::2] - np.uint8(ord("0"))  # anything but 0/1 wraps above 1
+    if not (cells <= 1).all():
+        return None
+    return RecordDataset(
+        l=cells[:, 0],
+        v=cells[:, 1],
+        vhat=cells[:, 2],
+        y=cells[:, 3],
+        ystar=cells[:, 4] if header == _HEADER_YSTAR else None,
+    )
+
+
 def read_records_csv(path) -> RecordDataset:
-    """Parse a records CSV file from disk."""
+    """Parse a records CSV file from disk.
+
+    A file in the canonical layout (see :func:`_parse_layout`) is read as a
+    byte matrix; any other file is reopened and parsed by
+    :func:`parse_records`, so every error it reports is the text parser's.
+    """
+    with open(path, "rb") as handle:
+        dataset = _parse_layout(handle.read())
+    if dataset is not None:
+        return dataset
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         try:
             return parse_records(handle)
@@ -259,23 +304,23 @@ def _require_smoothing(smoothing: float) -> float:
     return smoothing
 
 
-def _counts16(dataset: RecordDataset) -> np.ndarray:
-    idx = (
-        8 * dataset.l.astype(np.int64)
-        + 4 * dataset.v.astype(np.int64)
-        + 2 * dataset.vhat.astype(np.int64)
-        + dataset.y.astype(np.int64)
-    )
-    return np.bincount(idx, minlength=16)
+def _codes(dataset: RecordDataset) -> np.ndarray:
+    """Each row's cell index as uint8: 8l + 4v + 2vhat + y, or 4l + 2vhat + y without v."""
+    columns = (dataset.l, dataset.v, dataset.vhat, dataset.y)
+    codes = np.zeros(dataset.n, dtype=np.uint8)
+    for column in columns:
+        if column is not None:
+            codes <<= 1
+            codes |= column.view(np.uint8)
+    return codes
 
 
-def _counts8(dataset: RecordDataset) -> np.ndarray:
-    idx = (
-        4 * dataset.l.astype(np.int64)
-        + 2 * dataset.vhat.astype(np.int64)
-        + dataset.y.astype(np.int64)
-    )
-    return np.bincount(idx, minlength=8)
+def _cell_counts(codes: np.ndarray, v_present: bool) -> np.ndarray:
+    return np.bincount(codes, minlength=16 if v_present else 8)
+
+
+def _joint_from_counts(counts: np.ndarray, n: int, smoothing: float) -> FullJoint:
+    return FullJoint(cells=(counts + smoothing) / (n + 16.0 * smoothing))
 
 
 def fit_joint(dataset: RecordDataset, smoothing: float = 0.0) -> FullJoint:
@@ -291,9 +336,7 @@ def fit_joint(dataset: RecordDataset, smoothing: float = 0.0) -> FullJoint:
     if dataset.n == 0:
         raise EmptyInput("cannot fit a joint to zero rows")
     smoothing = _require_smoothing(smoothing)
-    counts = _counts16(dataset)
-    cells = (counts + smoothing) / (dataset.n + 16.0 * smoothing)
-    return FullJoint(cells=cells)
+    return _joint_from_counts(_cell_counts(_codes(dataset), True), dataset.n, smoothing)
 
 
 @dataclass(frozen=True)
@@ -338,6 +381,30 @@ def _g_hat_from_counts8(counts: np.ndarray, smoothing: float) -> float:
     return rates[1] - rates[0]
 
 
+def _report_from_counts(counts: np.ndarray, n: int, smoothing: float) -> EstimateReport:
+    """Point estimates from a cell count table (16 cells with v, 8 without)."""
+    if counts.size == 16:
+        model = reduce(_joint_from_counts(counts, n, smoothing))
+        gap = compute_gaps(model)
+        return EstimateReport(
+            n=n,
+            counts=tuple(int(c) for c in counts),
+            counts_index="8*l + 4*v + 2*vhat + y",
+            g_hat=gap.G_hat,
+            smoothing=smoothing,
+            gap=gap,
+            structure=structure_params(model),
+            bounds=bound_report(model),
+        )
+    return EstimateReport(
+        n=n,
+        counts=tuple(int(c) for c in counts),
+        counts_index="4*l + 2*vhat + y",
+        g_hat=_g_hat_from_counts8(counts, smoothing),
+        smoothing=smoothing,
+    )
+
+
 def estimate(dataset: RecordDataset, smoothing: float = 0.0) -> EstimateReport:
     """Point estimates for one dataset (no confidence intervals).
 
@@ -347,29 +414,8 @@ def estimate(dataset: RecordDataset, smoothing: float = 0.0) -> EstimateReport:
     smoothing = _require_smoothing(smoothing)
     if dataset.n == 0:
         raise EmptyInput("cannot estimate from zero rows")
-    if dataset.v_present:
-        joint = fit_joint(dataset, smoothing)
-        model = reduce(joint)
-        gap = compute_gaps(model)
-        params = structure_params(model)
-        return EstimateReport(
-            n=dataset.n,
-            counts=tuple(int(c) for c in _counts16(dataset)),
-            counts_index="8*l + 4*v + 2*vhat + y",
-            g_hat=gap.G_hat,
-            smoothing=smoothing,
-            gap=gap,
-            structure=params,
-            bounds=bound_report(model),
-        )
-    counts = _counts8(dataset)
-    return EstimateReport(
-        n=dataset.n,
-        counts=tuple(int(c) for c in counts),
-        counts_index="4*l + 2*vhat + y",
-        g_hat=_g_hat_from_counts8(counts, smoothing),
-        smoothing=smoothing,
-    )
+    counts = _cell_counts(_codes(dataset), dataset.v_present)
+    return _report_from_counts(counts, dataset.n, smoothing)
 
 
 def _replicate_quantities(report: EstimateReport) -> dict[str, float]:
@@ -396,8 +442,10 @@ def bootstrap(
 
     Replicate i resamples ``n`` rows with replacement using the dedicated
     stream ``derive_trial_stream(seed, i)`` (one ``integers`` call), then
-    re-estimates. Replicates whose resample makes a needed conditioning event
-    empty are skipped and counted; if every replicate degenerates,
+    re-estimates from the resample's cell counts, which are all an estimate
+    reads: one gather and one ``bincount`` over the rows' cell codes.
+    Replicates whose resample makes a needed conditioning event empty are
+    skipped and counted; if every replicate degenerates,
     :class:`AllReplicatesDegenerate` is raised. Interval endpoints follow
     the same nearest-rank rule as the simulation percentiles.
     """
@@ -411,13 +459,14 @@ def bootstrap(
     smoothing = _require_smoothing(smoothing)
 
     n = dataset.n
+    codes = _codes(dataset)
     values: dict[str, list[float]] = {}
     skipped = 0
     for i in range(int(replicates)):
-        stream = derive_trial_stream(seed, i)
-        idx = stream.integers(0, n, size=n)
+        idx = derive_trial_stream(seed, i).integers(0, n, size=n)
+        counts = _cell_counts(codes[idx], dataset.v_present)
         try:
-            report = estimate(dataset.take(idx), smoothing)
+            report = _report_from_counts(counts, n, smoothing)
         except ZeroMassCondition:
             skipped += 1
             continue

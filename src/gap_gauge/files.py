@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import asdict, fields, is_dataclass
 from typing import Any
 
@@ -21,6 +23,7 @@ from .model import FullJoint, ReducedModel, SliceParams
 from .simulation import Histogram, SamplerConfig, SimulationResult, SweepPoint, SweepResult
 
 __all__ = [
+    "atomic_open",
     "dumps_json",
     "write_json",
     "result_dict",
@@ -79,8 +82,26 @@ def dumps_json(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+@contextmanager
+def atomic_open(path):
+    """Text handle onto ``<path>.tmp``, renamed to ``path`` once the block ends.
+
+    A block that raises removes the temporary file, so ``path`` either keeps
+    its previous state or holds the complete output, never part of it.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_json(path, obj: Any) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with atomic_open(path) as handle:
         handle.write(dumps_json(obj))
 
 
@@ -215,14 +236,14 @@ def sampler_config_to_dict(config: SamplerConfig) -> dict:
 
 
 def write_errors_csv(path, errors) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with atomic_open(path) as handle:
         handle.write("error\n")
         for value in np.asarray(errors, dtype=float).reshape(-1):
             handle.write(repr(float(value)) + "\n")
 
 
 def write_histogram_csv(path, histogram: Histogram) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with atomic_open(path) as handle:
         handle.write("bin_lo,bin_hi,count\n")
         for lo, hi, count in zip(
             histogram.bin_edges, histogram.bin_edges[1:], histogram.counts
@@ -231,7 +252,7 @@ def write_histogram_csv(path, histogram: Histogram) -> None:
 
 
 def write_sweep_csv(path, result: SweepResult) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with atomic_open(path) as handle:
         handle.write(",".join(SWEEP_HEADER) + "\n")
         for point in result.points:
             handle.write(",".join(repr(v) for v in result_dict(point).values()) + "\n")

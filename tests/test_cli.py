@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from gap_gauge import FullJoint
-from gap_gauge.cli import main, parse_grid
+from gap_gauge import FullJoint, cli
+from gap_gauge.cli import GRID_MAX_POINTS, main, parse_grid
 from gap_gauge.errors import ValidationError
 from gap_gauge.files import model_to_dict, write_json
 
@@ -111,6 +113,49 @@ class TestParseGrid:
         with pytest.raises(ValidationError, match="finite"):
             parse_grid(spec)
 
+    def test_cap_is_a_step_of_1e_4(self):
+        grid = parse_grid("0:1:1e-4")
+        assert len(grid) == GRID_MAX_POINTS
+        assert grid[-1] == 1.0
+
+    @pytest.mark.parametrize("spec", ["0:1:9.99e-5", "0:1:1e-12", "0:1:1e-300",
+                                      "0:1:5e-324", "0.25:0.75:1e-9"])
+    def test_rejects_more_points_than_cap_before_enumerating(self, monkeypatch, spec):
+        def enumerate_grid(*args):
+            raise AssertionError("grid values were enumerated")
+
+        monkeypatch.setattr(cli, "round", enumerate_grid, raising=False)
+        with pytest.raises(ValidationError, match=f"more than {GRID_MAX_POINTS} points"):
+            parse_grid(spec)
+
+    @pytest.mark.parametrize("spec", ["-0.5:1:1e-300", "0:1.5:1e-300"])
+    def test_range_checked_before_enumerating(self, monkeypatch, spec):
+        monkeypatch.setattr(cli, "round", None, raising=False)
+        with pytest.raises(ValidationError, match="\\[0, 1\\]"):
+            parse_grid(spec)
+
+    def test_rejects_step_below_rounding(self):
+        # 1e-14 steps collapse under the 12-digit rounding into repeated values
+        with pytest.raises(ValidationError, match="finer"):
+            parse_grid("0.5:0.5000000001:1e-14")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        start=st.integers(0, 10**6).map(lambda k: k / 10**6),
+        stop=st.floats(0.0, 1.0),
+        step=st.floats(1e-4, 1.0),
+    )
+    def test_steps_not_dividing_the_range(self, start, stop, step):
+        assume(stop >= start)
+        steps = (stop - start) / step
+        # at least 1e-6 of a step away from dividing the range
+        assume(1e-6 < steps - int(steps) < 1 - 1e-6)
+        grid = parse_grid(f"{start!r}:{stop!r}:{step!r}")
+        assert grid[0] == start
+        assert len(grid) == int(steps) + 1
+        assert all(b > a for a, b in zip(grid, grid[1:]))
+        assert 0.0 <= grid[0] and grid[-1] <= stop <= 1.0
+
 
 class TestAnalyze:
     def test_reduced_model_report(self, capsys, m1_model_file):
@@ -210,6 +255,9 @@ class TestAnalyze:
         assert list(manifest["inputs"]) == [m1_model_file]
         assert manifest["inputs"][m1_model_file].startswith("sha256:")
         assert manifest["outputs"] == [str(out_path)]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "m1.json", "report.json", "report.json.manifest.json",
+        ]
 
     def test_stdout_run_writes_no_manifest(self, capsys, m1_model_file, tmp_path):
         code, _, _ = run(capsys, "analyze", m1_model_file)
@@ -294,6 +342,32 @@ class TestSimulate:
         )
         assert code == 2
         assert "GAPGAUGE_SEED" in err
+
+    def test_largest_env_seed_accepted(
+        self, capsys, monkeypatch, constrained_config_file, tmp_path
+    ):
+        monkeypatch.setenv("GAPGAUGE_SEED", str(2**64 - 1))
+        code, _, _ = run(
+            capsys, "simulate", constrained_config_file,
+            "--trials", "20", "--out", str(tmp_path / "top"),
+        )
+        assert code == 0
+        summary = json.loads((tmp_path / "top.summary.json").read_text())
+        assert summary["seed"] == 2**64 - 1
+
+    @pytest.mark.parametrize("value", [str(2**64), "-1", "true", ""])
+    def test_env_seed_outside_contract_exits_2(
+        self, capsys, monkeypatch, constrained_config_file, tmp_path, value
+    ):
+        monkeypatch.setenv("GAPGAUGE_SEED", value)
+        code, out, err = run(
+            capsys, "simulate", constrained_config_file,
+            "--trials", "20", "--out", str(tmp_path / "x"),
+        )
+        assert code == 2
+        assert err.startswith("gap-gauge: ") and "Traceback" not in err
+        assert "seed" in err.lower()
+        assert list(tmp_path.glob("x*")) == []
 
     def test_budget_exhaustion_exits_4(self, capsys, tmp_path):
         config = tmp_path / "tight.json"

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from gap_gauge import empirical
 from gap_gauge import (
     AllReplicatesDegenerate,
     EmptyInput,
@@ -14,11 +15,13 @@ from gap_gauge import (
     ValidationError,
     ZeroMassCondition,
     bootstrap,
+    derive_trial_stream,
     estimate,
     estimate_with_bootstrap,
     filter_ystar,
     fit_joint,
     parse_records,
+    percentile,
     read_records_csv,
     sample_dataset,
 )
@@ -122,6 +125,96 @@ class TestParseRecords:
     def test_header_only(self):
         with pytest.raises(EmptyInput):
             parse_records("l,v,vhat,y\n")
+
+
+def text_parser_read(path) -> RecordDataset:
+    """Reading a records file through the line-by-line text parser alone."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+        try:
+            return parse_records(handle)
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
+GOOD_ROWS = b"".join(
+    f"{i >> 3 & 1},{i >> 2 & 1},{i >> 1 & 1},{i & 1}\n".encode() for i in range(100)
+)
+GOOD_ROWS_YSTAR = b"".join(
+    f"{i >> 4 & 1},{i >> 3 & 1},{i >> 2 & 1},{i >> 1 & 1},{i & 1}\n".encode()
+    for i in range(32)
+)
+
+#: (file bytes, whether the byte-matrix layout applies)
+LAYOUT_CASES = {
+    "clean 4 columns": (b"l,v,vhat,y\n" + GOOD_ROWS, True),
+    "clean 5 columns": (b"l,v,vhat,y,ystar\n" + GOOD_ROWS_YSTAR, True),
+    "BOM": (b"\xef\xbb\xbfl,v,vhat,y\n" + GOOD_ROWS, True),
+    "one row": (b"l,v,vhat,y\n1,0,1,0\n", True),
+    "CRLF": (b"l,v,vhat,y\r\n" + GOOD_ROWS.replace(b"\n", b"\r\n"), False),
+    "CRLF rows only": (b"l,v,vhat,y\n" + GOOD_ROWS.replace(b"\n", b"\r\n"), False),
+    "no final newline": (b"l,v,vhat,y\n" + GOOD_ROWS[:-1], False),
+    "cell 2": (b"l,v,vhat,y\n" + GOOD_ROWS + b"0,1,2,1\n", False),
+    "cell 01": (b"l,v,vhat,y\n" + GOOD_ROWS + b"0,01,1\n", False),
+    "extra column": (b"l,v,vhat,y\n" + GOOD_ROWS + b"0,1,1,1,0\n", False),
+    "two rows on one line": (b"l,v,vhat,y\n" + GOOD_ROWS + b"0,1,1,1,0,1,1,1\n", False),
+    "semicolons": (b"l,v,vhat,y\n" + GOOD_ROWS + b"0;1;1;1\n", False),
+    "v uniformly empty": (b"l,v,vhat,y\n0,,1,1\n1,,0,0\n", False),
+    "v empty on one row": (b"l,v,vhat,y\n" + GOOD_ROWS + b"0,,1,1\n" + GOOD_ROWS, False),
+    "ystar uniformly empty": (b"l,v,vhat,y,ystar\n0,1,1,1,\n1,0,0,0,\n", False),
+    "blank last line": (b"l,v,vhat,y\n" + GOOD_ROWS + b"\n", False),
+    "header only": (b"l,v,vhat,y\n", False),
+    "empty file": (b"", False),
+    "wrong header": (b"l,vhat,v,y\n" + GOOD_ROWS, False),
+    "quoted header": (b'"l",v,vhat,y\n' + GOOD_ROWS, False),
+    "not UTF-8 after 100 rows": (b"l,v,vhat,y\n" + GOOD_ROWS + b"0,1,\xff,1\n", False),
+}
+
+
+class TestReadRecordsLayout:
+    """``read_records_csv`` agrees with the text parser on every file."""
+
+    @pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+    def test_same_outcome_as_text_parser(self, tmp_path, monkeypatch, case):
+        content, fast = LAYOUT_CASES[case]
+        path = tmp_path / "records.csv"
+        path.write_bytes(content)
+        try:
+            expected = text_parser_read(path)
+        except Exception as exc:  # the outcome compared may be any error
+            expected = exc
+
+        calls = []
+        text_parse = empirical.parse_records
+        monkeypatch.setattr(
+            empirical, "parse_records", lambda s: calls.append(s) or text_parse(s)
+        )
+        if isinstance(expected, Exception):
+            with pytest.raises(type(expected)) as err:
+                read_records_csv(path)
+            assert str(err.value) == str(expected)
+            assert getattr(err.value, "line", None) == getattr(expected, "line", None)
+        else:
+            got = read_records_csv(path)
+            for name in ("l", "v", "vhat", "y", "ystar"):
+                want, have = getattr(expected, name), getattr(got, name)
+                assert (want is None) == (have is None), name
+                if want is not None:
+                    assert have.dtype == want.dtype, name
+                    assert np.array_equal(have, want), name
+        assert (not calls) == fast
+
+    def test_mixed_schema_line_number(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_bytes(LAYOUT_CASES["v empty on one row"][0])
+        with pytest.raises(MixedSchema) as err:
+            read_records_csv(path)
+        assert err.value.line == 102
+
+    def test_non_utf8_names_path(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_bytes(LAYOUT_CASES["not UTF-8 after 100 rows"][0])
+        with pytest.raises(ValidationError, match="not UTF-8"):
+            read_records_csv(path)
 
 
 class TestRecordDataset:
@@ -374,6 +467,116 @@ class TestBootstrap:
             bootstrap(data, replicates=0)
         with pytest.raises(ValidationError, match="level"):
             bootstrap(data, replicates=5, level=1.0)
+
+
+def row_resample_bootstrap(dataset, replicates, level, seed, smoothing):
+    """Reference bootstrap: resample whole rows, then re-estimate each replicate.
+
+    Returns ``(intervals, skipped)`` and raises what the bootstrap raises.
+    """
+    values: dict[str, list[float]] = {}
+    skipped = 0
+    for i in range(replicates):
+        idx = derive_trial_stream(seed, i).integers(0, dataset.n, size=dataset.n)
+        try:
+            report = estimate(dataset.take(idx), smoothing)
+        except ZeroMassCondition:
+            skipped += 1
+            continue
+        quantities = {"G_hat": report.g_hat}
+        if report.gap is not None:
+            quantities = {
+                "G": report.gap.G,
+                "G_hat": report.gap.G_hat,
+                "delta0": report.gap.delta0,
+                "delta1": report.gap.delta1,
+                "error": report.gap.error,
+                "best_bound": report.bounds.best,
+            }
+        for key, value in quantities.items():
+            values.setdefault(key, []).append(value)
+    if not values:
+        raise AllReplicatesDegenerate(
+            f"all {replicates} bootstrap replicates hit zero-mass conditions"
+        )
+    lo_q, hi_q = (1.0 - level) / 2.0, (1.0 + level) / 2.0
+    intervals = {
+        key: (percentile(vals, lo_q), percentile(vals, hi_q))
+        for key, vals in sorted(values.items())
+    }
+    return intervals, skipped
+
+
+def hex_intervals(intervals):
+    return {key: (lo.hex(), hi.hex()) for key, (lo, hi) in intervals.items()}
+
+
+def without_v(dataset: RecordDataset) -> RecordDataset:
+    return RecordDataset(l=dataset.l, vhat=dataset.vhat, y=dataset.y)
+
+
+class TestCountsBootstrap:
+    """The counts bootstrap equals the row-resampling reference exactly."""
+
+    def assert_matches_reference(self, data, replicates, level, seed, smoothing):
+        want, want_skipped = row_resample_bootstrap(data, replicates, level, seed, smoothing)
+        got = bootstrap(data, replicates, level=level, seed=seed, smoothing=smoothing)
+        assert hex_intervals(got.intervals) == hex_intervals(want)
+        assert list(got.intervals) == list(want)
+        assert got.skipped == want_skipped
+        return got
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    @pytest.mark.parametrize("smoothing", [0.0, 1.0])
+    @pytest.mark.parametrize("v_present", [True, False])
+    def test_matches_reference(self, m1_joint, seed, smoothing, v_present):
+        data = sample_dataset(m1_joint, 400, seed=17)
+        if not v_present:
+            data = without_v(data)
+        self.assert_matches_reference(data, 25, 0.9, seed, smoothing)
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    def test_matches_reference_with_skipped_replicates(self, seed):
+        got = self.assert_matches_reference(all_combinations_dataset(), 40, 0.95, seed, 0.0)
+        assert 0 < got.skipped < 40
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    def test_matches_reference_without_v_with_skipped_replicates(self, seed):
+        # a single (l=0, vhat=1) row: resamples that miss it are skipped
+        data = RecordDataset(l=[0, 0, 0, 1, 1, 1], vhat=[1, 0, 0, 1, 1, 0], y=[1, 0, 1, 0, 1, 1])
+        got = self.assert_matches_reference(data, 40, 0.95, seed, 0.0)
+        assert 0 < got.skipped < 40
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    def test_all_degenerate_matches_reference(self, seed):
+        keep = [i for i in range(16) if not (i >> 3 & 1 and i >> 2 & 1 and not (i >> 1 & 1))]
+        data = all_combinations_dataset().take(keep)
+        with pytest.raises(AllReplicatesDegenerate) as want:
+            row_resample_bootstrap(data, 10, 0.95, seed, 0.0)
+        with pytest.raises(AllReplicatesDegenerate) as got:
+            bootstrap(data, 10, seed=seed)
+        assert str(got.value) == str(want.value)
+
+    def test_never_resamples_rows(self, m1_joint, monkeypatch):
+        data = sample_dataset(m1_joint, 200, seed=3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the counts bootstrap must not resample rows")
+
+        monkeypatch.setattr(RecordDataset, "take", refuse)
+        monkeypatch.setattr(empirical, "estimate", refuse)
+        assert bootstrap(data, 5, seed=1).intervals
+
+    @pytest.mark.parametrize("v_present", [True, False])
+    def test_estimate_counts_follow_the_cell_index(self, m1_joint, v_present):
+        data = sample_dataset(m1_joint, 3000, seed=8)
+        l, v, vhat, y = (col.astype(np.int64) for col in (data.l, data.v, data.vhat, data.y))
+        if v_present:
+            want = np.bincount(8 * l + 4 * v + 2 * vhat + y, minlength=16)
+        else:
+            data = without_v(data)
+            want = np.bincount(4 * l + 2 * vhat + y, minlength=8)
+        assert estimate(data).counts == tuple(int(c) for c in want)
 
 
 class TestEstimateWithBootstrap:

@@ -18,6 +18,7 @@ from gap_gauge import (
 from gap_gauge.files import (
     SUMMARY_KEYS,
     SWEEP_HEADER,
+    atomic_open,
     dumps_json,
     load_model_file,
     load_sampler_config,
@@ -340,6 +341,43 @@ class TestResultFiles:
         path = tmp_path / "errors.csv"
         write_errors_csv(path, values)
         assert list(read_errors_csv(path)) == values
+
+
+class TestAtomicWrites:
+    def test_block_that_raises_leaves_nothing(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            with atomic_open(tmp_path / "out.csv") as handle:
+                handle.write("partial\n")
+                raise RuntimeError("interrupted")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_writer_failing_mid_write_leaves_nothing(self, tmp_path):
+        # the header is written before the bad value is reached
+        with pytest.raises(ValueError):
+            write_errors_csv(tmp_path / "errors.csv", [0.1, "not a number"])
+        with pytest.raises(TypeError):
+            write_json(tmp_path / "summary.json", {"value": object()})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rewrite_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "summary.json"
+        write_json(path, {"value": 1})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_json(path, {"value": object()})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
+
+    def test_output_bytes_and_no_temporaries(self, result, tmp_path):
+        write_errors_csv(tmp_path / "errors.csv", result.errors)
+        write_histogram_csv(tmp_path / "hist.csv", result.histogram)
+        write_json(tmp_path / "summary.json", {"b": 0.1, "a": [1, 2]})
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "errors.csv", "hist.csv", "summary.json",
+        ]
+        expected = "error\n" + "".join(f"{float(e)!r}\n" for e in result.errors)
+        assert (tmp_path / "errors.csv").read_bytes() == expected.encode()
+        assert (tmp_path / "summary.json").read_text() == dumps_json({"a": [1, 2], "b": 0.1})
 
 
 class TestSweepFiles:
