@@ -125,9 +125,8 @@ def parse_grid(spec: str) -> list[float]:
         raise ValidationError(f"grid {spec!r} has more than {GRID_MAX_POINTS} points")
     # normalize accumulated float error so grid values print cleanly
     values = [round(start + k * step, 12) for k in range(int(steps) + 1)]
-    for value in values:
-        if not (0.0 <= value <= 1.0):
-            raise ValidationError(f"grid values must lie in [0, 1], got {value!r}")
+    # the 1e-9 slack may add a last point up to 1e-9 steps past stop
+    values[-1] = min(values[-1], stop)
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValidationError(f"grid step {step!r} is finer than the grid's 1e-12 rounding")
     return values
@@ -195,9 +194,7 @@ def _cmd_analyze(args, seed: int) -> int:
 def _cmd_simulate(args, seed: int) -> int:
     started = time.monotonic()
     config = load_sampler_config(args.config)
-    result = run_monte_carlo(
-        config, args.trials, seed, bins=args.bins, workers=args.workers
-    )
+    result = run_monte_carlo(config, args.trials, seed, bins=args.bins)
     outputs = {
         "summary": args.out + ".summary.json",
         "errors": args.out + ".errors.csv",
@@ -224,10 +221,7 @@ def _cmd_sweep(args, seed: int) -> int:
     started = time.monotonic()
     config = load_sampler_config(args.config)
     grid = parse_grid(args.grid)
-    result = sweep(
-        config, args.varied, grid, args.trials, seed,
-        bins=args.bins, workers=args.workers,
-    )
+    result = sweep(config, args.varied, grid, args.trials, seed)
     write_sweep_csv(args.out, result)
     manifest_config = {
         "config_file": args.config,
@@ -235,7 +229,6 @@ def _cmd_sweep(args, seed: int) -> int:
         "varied": args.varied,
         "grid": args.grid,
         "trials": args.trials,
-        "bins": args.bins,
         "workers": args.workers,
     }
     _write_manifest(
@@ -282,9 +275,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=None,
         help="accepted and recorded in the manifest; never affects results",
     )
-    common.add_argument(
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument(
         "--format", choices=("json", "csv"), default="json",
-        help="report format for analyze/estimate (default json)",
+        help="report format (default json)",
     )
 
     parser = argparse.ArgumentParser(
@@ -295,7 +289,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_analyze = sub.add_parser(
-        "analyze", parents=[common], help="report gaps, structure, and bounds for a model file"
+        "analyze", parents=[common, report],
+        help="report gaps, structure, and bounds for a model file",
     )
     p_analyze.add_argument("model", help="model file (JSON, 'reduced' or 'joint')")
     p_analyze.add_argument("--tol", type=float, default=1e-9,
@@ -320,12 +315,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--varied", required=True, choices=("eps_b1", "eps_b2"))
     p_sweep.add_argument("--grid", required=True, help="inclusive grid start:stop:step")
     p_sweep.add_argument("--trials", type=int, default=100000)
-    p_sweep.add_argument("--bins", type=int, default=50)
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_est = sub.add_parser(
-        "estimate", parents=[common], help="estimate gaps and bounds from records CSV"
+        "estimate", parents=[common, report], help="estimate gaps and bounds from records CSV"
     )
     p_est.add_argument("data", help="records CSV (header l,v,vhat,y[,ystar])")
     p_est.add_argument("--smoothing", type=float, default=0.0)
@@ -374,12 +368,14 @@ def _require_out_dir(out: str) -> None:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "workers", None) is None:
+    if args.workers is None:
         args.workers = (
             len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1
         )
     try:
+        if args.workers < 1:
+            raise ValidationError(f"--workers must be at least 1, got {args.workers}")
         seed = _resolve_seed(args)
         if args.out is not None:
             _require_out_dir(args.out)

@@ -12,14 +12,14 @@ import csv
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import asdict, fields, is_dataclass
-from typing import Any
+from dataclasses import MISSING, asdict, fields, is_dataclass
+from typing import Any, get_args, get_type_hints
 
 import numpy as np
 
 from .empirical import EstimateReport
 from .errors import ValidationError
-from .model import FullJoint, ReducedModel, SliceParams
+from .model import FullJoint, ReducedModel
 from .simulation import Histogram, SamplerConfig, SimulationResult, SweepPoint, SweepResult
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "dumps_json",
     "write_json",
     "result_dict",
+    "from_dict",
     "model_from_dict",
     "load_model_file",
     "model_to_dict",
@@ -109,10 +110,10 @@ def _load_json(path) -> Any:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
+        except ValueError as exc:  # also an integer past Python's digit limit
+            raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
 
 
 def _require_mapping(obj: Any, where: str) -> dict:
@@ -121,30 +122,67 @@ def _require_mapping(obj: Any, where: str) -> dict:
     return obj
 
 
-def _check_keys(obj: dict, required: tuple, optional: tuple, where: str) -> None:
+def _check_keys(obj: dict, required: tuple, allowed: tuple, where: str) -> None:
     for key in required:
         if key not in obj:
             raise ValidationError(f"{where} is missing required field {key!r}")
     for key in obj:
-        if key not in required and key not in optional:
+        if key not in allowed:
             raise ValidationError(f"{where} has unknown field {key!r}")
 
 
-def _require_number(obj: dict, key: str, where: str) -> float:
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{where}.{key} must be a number, got {value!r}")
-    return float(value)
+#: JSON types accepted for each scalar field type, and their name in errors.
+_SCALARS = {float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "a string")}
 
 
-def _slice_from_dict(obj: Any, where: str) -> SliceParams:
-    obj = _require_mapping(obj, where)
-    _check_keys(obj, ("p", "r", "a", "b", "c"), ("d",), where)
-    kwargs = {key: _require_number(obj, key, where) for key in ("p", "r", "a", "b", "c")}
-    if "d" in obj and obj["d"] is not None:
-        kwargs["d"] = _require_number(obj, "d", where)
+def _decode(hint: Any, value: Any, where: str) -> Any:
+    """One JSON value as a field of type ``hint``; ``where`` names it in errors."""
+    if is_dataclass(hint):
+        return from_dict(hint, value, where)
+    if hint is np.ndarray:
+        if not isinstance(value, list):
+            raise ValidationError(f"{where} must be a list of numbers, got {value!r}")
+        items = [_decode(float, item, f"{where}[{i}]") for i, item in enumerate(value)]
+        return np.array(items, dtype=float)
+    accepted, kind = _SCALARS[hint]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValidationError(f"{where} must be {kind}, got {value!r}")
+    if hint is not float:
+        return value
     try:
-        return SliceParams(**kwargs)
+        return float(value)
+    except OverflowError:  # an integer past 1.8e308; its digits are not shown
+        raise ValidationError(f"{where} is an integer too large for a float") from None
+
+
+def from_dict(cls: type, obj: Any, where: str) -> Any:
+    """Dataclass ``cls`` from a JSON object; the fields are the schema.
+
+    A field without a default is required, a key that is not a field is
+    rejected, and an ``X | None`` field also takes ``null``, meaning absent.
+    Checks run in order: missing fields, unknown keys, value types (nested
+    dataclasses at ``<where>.<field>``), then ``cls.__post_init__``, whose
+    errors are prefixed with ``where``.
+    """
+    obj = _require_mapping(obj, where)
+    specs = fields(cls)
+    required = tuple(
+        f.name for f in specs if f.default is MISSING and f.default_factory is MISSING
+    )
+    _check_keys(obj, required, tuple(f.name for f in specs), where)
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in specs:
+        if f.name not in obj:
+            continue
+        hint, value = hints[f.name], obj[f.name]
+        if type(None) in get_args(hint):  # X | None
+            if value is None:
+                continue
+            (hint,) = (arg for arg in get_args(hint) if arg is not type(None))
+        kwargs[f.name] = _decode(hint, value, f"{where}.{f.name}")
+    try:
+        return cls(**kwargs)
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from exc
 
@@ -153,23 +191,9 @@ def model_from_dict(obj: Any) -> FullJoint | ReducedModel:
     """Parse the model-file payload: exactly one of ``reduced``/``joint``."""
     obj = _require_mapping(obj, "model file")
     keys = set(obj)
-    if keys == {"reduced"}:
-        body = _require_mapping(obj["reduced"], "reduced")
-        _check_keys(body, ("slice0", "slice1"), (), "reduced")
-        return ReducedModel(
-            slice0=_slice_from_dict(body["slice0"], "reduced.slice0"),
-            slice1=_slice_from_dict(body["slice1"], "reduced.slice1"),
-        )
-    if keys == {"joint"}:
-        body = _require_mapping(obj["joint"], "joint")
-        _check_keys(body, ("cells",), (), "joint")
-        cells = body["cells"]
-        if not isinstance(cells, list):
-            raise ValidationError("joint.cells must be a list of 16 numbers")
-        for i, value in enumerate(cells):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValidationError(f"joint.cells[{i}] must be a number, got {value!r}")
-        return FullJoint(cells=np.array(cells, dtype=float))
+    for key, cls in (("reduced", ReducedModel), ("joint", FullJoint)):
+        if keys == {key}:
+            return from_dict(cls, obj[key], key)
     raise ValidationError(
         "model file must have exactly one of the fields 'reduced' or 'joint', "
         f"got {sorted(keys)}"
@@ -196,30 +220,7 @@ def model_to_dict(model: FullJoint | ReducedModel) -> dict:
 
 
 def sampler_config_from_dict(obj: Any) -> SamplerConfig:
-    obj = _require_mapping(obj, "sampler config")
-    _check_keys(
-        obj,
-        ("p0", "r0", "p1", "r1", "mode"),
-        ("eps_b1", "eps_b2", "max_rejections"),
-        "sampler config",
-    )
-    if not isinstance(obj["mode"], str):
-        raise ValidationError(f"sampler config mode must be a string, got {obj['mode']!r}")
-    kwargs: dict[str, Any] = {
-        key: _require_number(obj, key, "sampler config") for key in ("p0", "r0", "p1", "r1")
-    }
-    kwargs["mode"] = obj["mode"]
-    for key in ("eps_b1", "eps_b2"):
-        if key in obj:
-            kwargs[key] = _require_number(obj, key, "sampler config")
-    if "max_rejections" in obj:
-        value = obj["max_rejections"]
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValidationError(
-                f"sampler config max_rejections must be an integer, got {value!r}"
-            )
-        kwargs["max_rejections"] = value
-    return SamplerConfig(**kwargs)
+    return from_dict(SamplerConfig, obj, "sampler config")
 
 
 def load_sampler_config(path) -> SamplerConfig:
@@ -260,7 +261,7 @@ def write_sweep_csv(path, result: SweepResult) -> None:
 
 def read_summary_json(path) -> dict:
     obj = _require_mapping(_load_json(path), "summary")
-    _check_keys(obj, SUMMARY_KEYS, (), "summary")
+    _check_keys(obj, SUMMARY_KEYS, SUMMARY_KEYS, "summary")
     return obj
 
 

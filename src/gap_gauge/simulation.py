@@ -57,6 +57,10 @@ _GOLDEN = 0x9E3779B97F4A7C15
 #: count; results never depend on it.
 _BLOCK = 4096
 
+#: Most trials one run may have: its errors array takes 800 MB, its
+#: ``errors.csv`` about 2 GB.
+MAX_TRIALS = 10**8
+
 
 def _splitmix64(z: int) -> int:
     """One output of the splitmix64 generator for state ``z`` (64-bit)."""
@@ -450,23 +454,22 @@ def run_monte_carlo(
     n_trials: int,
     seed: int,
     bins: int = 50,
-    workers: int = 1,
 ) -> SimulationResult:
     """Run ``n_trials`` independent trials and aggregate the error distribution.
 
-    Trials run in one process, ``_BLOCK`` at a time; ``workers`` is validated
-    but never changes how they run or what they produce. The rejection rate
-    is the fraction of constrained attempts discarded (0.0 for unconstrained
+    Trials run in one process, ``_BLOCK`` at a time. The rejection rate is
+    the fraction of constrained attempts discarded (0.0 for unconstrained
     runs). When a trial exhausts its rejection budget, the error names the
-    earliest such trial.
+    earliest such trial. At most ``MAX_TRIALS`` trials run, checked before
+    anything is allocated.
     """
     seed = _require_seed(seed)
     if not isinstance(n_trials, (int, np.integer)) or n_trials < 1:
         raise ValidationError(f"n_trials must be a positive integer, got {n_trials!r}")
+    if n_trials > MAX_TRIALS:
+        raise ValidationError(f"n_trials must be at most {MAX_TRIALS}, got {n_trials}")
     if not isinstance(bins, (int, np.integer)) or bins < 1:
         raise ValidationError(f"bins must be a positive integer, got {bins!r}")
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise ValidationError(f"workers must be a positive integer, got {workers!r}")
     n_trials, bins = int(n_trials), int(bins)
 
     errors = np.empty(n_trials)
@@ -516,8 +519,6 @@ def sweep(
     grid,
     n_trials: int,
     seed: int,
-    bins: int = 50,
-    workers: int = 1,
 ) -> SweepResult:
     """Rerun the constrained study at each grid value of one eps budget.
 
@@ -542,9 +543,7 @@ def sweep(
     points = []
     for k, value in enumerate(grid):
         config = replace(base, **{varied: value})
-        result = run_monte_carlo(
-            config, n_trials, derive_point_seed(seed, k), bins=bins, workers=workers
-        )
+        result = run_monte_carlo(config, n_trials, derive_point_seed(seed, k))
         points.append(
             SweepPoint(
                 grid_value=value,

@@ -9,6 +9,7 @@ from gap_gauge import FullJoint, cli
 from gap_gauge.cli import GRID_MAX_POINTS, main, parse_grid
 from gap_gauge.errors import ValidationError
 from gap_gauge.files import model_to_dict, write_json
+from gap_gauge.simulation import MAX_TRIALS
 
 from conftest import M1, M1_WITH_D
 
@@ -134,6 +135,15 @@ class TestParseGrid:
         with pytest.raises(ValidationError, match="\\[0, 1\\]"):
             parse_grid(spec)
 
+    @pytest.mark.parametrize("spec, expected", [
+        ("0:0.5:0.1666666666683", [0.0, 0.166666666668, 0.333333333337, 0.5]),
+        ("0:1:0.3333333333433333", [0.0, 0.333333333343, 0.666666666687, 1.0]),
+    ])
+    def test_last_point_never_passes_stop(self, spec, expected):
+        # the steps fall just short of dividing the range, so the point-count
+        # slack adds a last point a hair past stop, which lands on stop
+        assert parse_grid(spec) == expected
+
     def test_rejects_step_below_rounding(self):
         # 1e-14 steps collapse under the 12-digit rounding into repeated values
         with pytest.raises(ValidationError, match="finer"):
@@ -155,6 +165,23 @@ class TestParseGrid:
         assert len(grid) == int(steps) + 1
         assert all(b > a for a, b in zip(grid, grid[1:]))
         assert 0.0 <= grid[0] and grid[-1] <= stop <= 1.0
+        assert all(start <= value <= stop for value in grid)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        start=st.integers(0, 10**6).map(lambda k: k / 10**6),
+        stop=st.floats(0.0, 1.0),
+        points=st.integers(1, 1000),
+        shortfall=st.floats(0.0, 2e-9),
+    )
+    def test_steps_just_short_of_dividing_the_range(self, start, stop, points, shortfall):
+        assume(stop > start)
+        step = (stop - start) / (points - shortfall)
+        assume(step >= 1e-4)  # finer steps may collide under the 12-digit rounding
+        grid = parse_grid(f"{start!r}:{stop!r}:{step!r}")
+        assert len(grid) in (points, points + 1)
+        assert all(b > a for a, b in zip(grid, grid[1:]))
+        assert all(start <= value <= stop for value in grid)
 
 
 class TestAnalyze:
@@ -369,6 +396,31 @@ class TestSimulate:
         assert "seed" in err.lower()
         assert list(tmp_path.glob("x*")) == []
 
+    @pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**20])
+    def test_trials_above_cap_exit_2_before_allocating(
+        self, capsys, monkeypatch, constrained_config_file, tmp_path, trials
+    ):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("an array was allocated")
+
+        monkeypatch.setattr(np, "empty", no_allocation)
+        code, _, err = run(
+            capsys, "simulate", constrained_config_file,
+            "--trials", str(trials), "--out", str(tmp_path / "x"),
+        )
+        assert code == 2
+        assert err == f"gap-gauge: n_trials must be at most {MAX_TRIALS}, got {trials}\n"
+        assert list(tmp_path.glob("x*")) == []
+
+    def test_format_is_not_an_option(self, capsys, constrained_config_file, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main([
+                "simulate", constrained_config_file, "--trials", "10",
+                "--out", str(tmp_path / "x"), "--format", "csv",
+            ])
+        assert err.value.code == 2
+        assert list(tmp_path.glob("x*")) == []
+
     def test_budget_exhaustion_exits_4(self, capsys, tmp_path):
         config = tmp_path / "tight.json"
         write_json(
@@ -471,6 +523,18 @@ class TestSweep:
         assert code == 2
         assert "constrained" in err
 
+    @pytest.mark.parametrize("option", [["--bins", "7"], ["--format", "csv"]])
+    def test_rejects_options_it_does_not_read(
+        self, capsys, constrained_config_file, tmp_path, option
+    ):
+        with pytest.raises(SystemExit) as err:
+            main([
+                "sweep", constrained_config_file, "--varied", "eps_b2", "--grid", "0:0.2:0.1",
+                "--trials", "10", "--out", str(tmp_path / "s.csv"), *option,
+            ])
+        assert err.value.code == 2
+        assert not list(tmp_path.glob("s.csv*"))
+
     def test_manifest_records_grid(self, capsys, constrained_config_file, tmp_path):
         out = tmp_path / "sweep.csv"
         run(
@@ -481,6 +545,7 @@ class TestSweep:
         manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
         assert manifest["config"]["varied"] == "eps_b2"
         assert manifest["config"]["grid"] == "0:0.2:0.1"
+        assert "bins" not in manifest["config"]
 
 
 class TestEstimate:
@@ -685,6 +750,22 @@ class TestTopLevel:
             main(["--version"])
         assert err.value.code == 0
         assert "gap-gauge" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "sweep", "estimate"])
+    def test_workers_below_one_exits_2(
+        self, capsys, m1_model_file, constrained_config_file, tmp_path, command
+    ):
+        argv = {
+            "analyze": [m1_model_file],
+            "simulate": [constrained_config_file, "--trials", "10"],
+            "sweep": [constrained_config_file, "--varied", "eps_b2", "--grid", "0:0.2:0.1"],
+            "estimate": [str(tmp_path / "missing.csv")],
+        }[command]
+        out = str(tmp_path / "out")
+        code, stdout, err = run(capsys, command, *argv, "--workers", "0", "--out", out)
+        assert code == 2
+        assert err == "gap-gauge: --workers must be at least 1, got 0\n" and stdout == ""
+        assert not list(tmp_path.glob("out*"))
 
     def test_out_of_range_seed_exits_2(self, capsys, m1_model_file):
         code, _, err = run(capsys, "analyze", m1_model_file, "--seed", "-1")

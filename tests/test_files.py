@@ -1,4 +1,5 @@
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -15,11 +16,13 @@ from gap_gauge import (
     structure_params,
     sweep,
 )
+from gap_gauge.cli import main
 from gap_gauge.files import (
     SUMMARY_KEYS,
     SWEEP_HEADER,
     atomic_open,
     dumps_json,
+    from_dict,
     load_model_file,
     load_sampler_config,
     model_from_dict,
@@ -36,6 +39,9 @@ from gap_gauge.files import (
     write_json,
     write_sweep_csv,
 )
+
+CLASSIFIER = {"p0": 0.05, "r0": 0.1, "p1": 0.07, "r1": 0.09}
+HUGE = 10**400  # a JSON integer too large for a float
 
 
 class TestDumpsJson:
@@ -169,6 +175,17 @@ class TestSamplerConfigFiles:
                 }
             )
 
+    @pytest.mark.parametrize("key", ["eps_b1", "eps_b2"])
+    def test_null_eps_means_absent(self, key):
+        plain = {**CLASSIFIER, "mode": "unconstrained"}
+        assert sampler_config_from_dict({**plain, key: None}) == sampler_config_from_dict(
+            plain
+        )
+
+    def test_own_errors_name_the_config(self):
+        with pytest.raises(ValidationError, match="^sampler config: constrained mode requires"):
+            sampler_config_from_dict({**CLASSIFIER, "mode": "constrained"})
+
     def test_rejects_non_integer_budget(self):
         with pytest.raises(ValidationError, match="max_rejections"):
             sampler_config_from_dict(
@@ -178,6 +195,135 @@ class TestSamplerConfigFiles:
                     "max_rejections": 10.5,
                 }
             )
+
+
+@dataclass(frozen=True)
+class Inner:
+    x: float
+
+    def __post_init__(self):
+        if self.x < 0.0:
+            raise ValidationError(f"x must be non-negative, got {self.x!r}")
+
+
+@dataclass(frozen=True)
+class Probe:
+    rate: float
+    label: str
+    inner: Inner
+    count: int = 3
+    limit: float | None = None
+
+
+def probe_payload(**changes):
+    return {"rate": 0.5, "label": "a", "inner": {"x": 1.0}, **changes}
+
+
+class TestFromDict:
+    def test_fields_are_the_schema(self):
+        probe = from_dict(Probe, probe_payload(rate=1, count=4, limit=2), "probe")
+        assert probe == Probe(rate=1.0, label="a", inner=Inner(x=1.0), count=4, limit=2.0)
+        assert type(probe.rate) is float and type(probe.limit) is float
+
+    def test_defaults_and_null_mean_absent(self):
+        assert from_dict(Probe, probe_payload(limit=None), "probe") == from_dict(
+            Probe, probe_payload(), "probe"
+        ) == Probe(rate=0.5, label="a", inner=Inner(x=1.0), count=3, limit=None)
+
+    def test_missing_fields_in_declared_order_before_unknown_keys(self):
+        with pytest.raises(ValidationError, match="^probe is missing required field 'rate'$"):
+            from_dict(Probe, {"zz": 1, "inner": {}, "label": "a"}, "probe")
+
+    def test_unknown_keys_in_file_order_before_types(self):
+        with pytest.raises(ValidationError, match="^probe has unknown field 'zz'$"):
+            from_dict(Probe, probe_payload(rate="x", zz=1, yy=2), "probe")
+
+    def test_types_in_declared_order(self):
+        with pytest.raises(ValidationError, match="^probe.rate must be a number, got 'x'$"):
+            from_dict(Probe, probe_payload(label=1, rate="x"), "probe")
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("rate", True, "probe.rate must be a number, got True"),
+        ("rate", None, "probe.rate must be a number, got None"),
+        ("label", 1, "probe.label must be a string, got 1"),
+        ("count", True, "probe.count must be an integer, got True"),
+        ("count", 4.0, "probe.count must be an integer, got 4.0"),
+        ("count", None, "probe.count must be an integer, got None"),
+        ("limit", False, "probe.limit must be a number, got False"),
+        ("rate", HUGE, "probe.rate is an integer too large for a float"),
+    ], ids=["bool", "null", "int-as-str", "bool-as-int", "float-as-int", "null-as-int",
+            "bool-as-optional", "overflow"])
+    def test_rejects_wrong_json_types(self, key, value, message):
+        with pytest.raises(ValidationError) as err:
+            from_dict(Probe, probe_payload(**{key: value}), "probe")
+        assert str(err.value) == message
+
+    def test_nested_dataclass_errors_carry_the_dotted_location(self):
+        for inner, message in (
+            ("x", "probe.inner must be a JSON object"),
+            ({}, "probe.inner is missing required field 'x'"),
+            ({"x": 1.0, "q": 2}, "probe.inner has unknown field 'q'"),
+            ({"x": "1"}, "probe.inner.x must be a number, got '1'"),
+            ({"x": -1}, "probe.inner: x must be non-negative, got -1.0"),
+        ):
+            with pytest.raises(ValidationError) as err:
+                from_dict(Probe, probe_payload(inner=inner), "probe")
+            assert str(err.value) == message
+
+
+def overflowing_sampler_config(m1, m1_joint):
+    return {**CLASSIFIER, "p0": HUGE, "mode": "unconstrained"}
+
+
+def overflowing_reduced_model(m1, m1_joint):
+    payload = model_to_dict(m1)
+    payload["reduced"]["slice1"]["b"] = HUGE
+    return payload
+
+
+def overflowing_joint_cell(m1, m1_joint):
+    payload = model_to_dict(m1_joint)
+    payload["joint"]["cells"][3] = HUGE
+    return payload
+
+
+@pytest.mark.parametrize("build, field, loader, command", [
+    (overflowing_sampler_config, "sampler config.p0", load_sampler_config, "simulate"),
+    (overflowing_reduced_model, "reduced.slice1.b", load_model_file, "analyze"),
+    (overflowing_joint_cell, "joint.cells[3]", load_model_file, "analyze"),
+], ids=["config-field", "reduced-field", "joint-cell"])
+class TestOverflowingNumbers:
+    @pytest.fixture
+    def path(self, tmp_path, m1, m1_joint, build):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(build(m1, m1_joint)))
+        return path
+
+    def test_loader_names_the_field(self, path, field, loader, command):
+        with pytest.raises(ValidationError) as err:
+            loader(path)
+        assert str(err.value) == f"{path}: {field} is an integer too large for a float"
+
+    def test_cli_exits_2_without_traceback(
+        self, capsys, tmp_path, path, field, loader, command
+    ):
+        argv = [command, str(path)]
+        if command == "simulate":
+            argv += ["--trials", "10", "--out", str(tmp_path / "run")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"gap-gauge: {path}: {field} is an integer too large for a float\n"
+
+
+def test_integer_past_the_digit_limit_exits_2(capsys, tmp_path):
+    # json.load itself refuses integers of more than 4300 digits
+    path = tmp_path / "config.json"
+    path.write_text('{"p0": 1' + "0" * 5000 + "}")
+    with pytest.raises(ValidationError, match="not valid JSON"):
+        load_sampler_config(path)
+    assert main(["simulate", str(path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"gap-gauge: {path}: not valid JSON") and err.count("\n") == 1
 
 
 class TestReportDicts:

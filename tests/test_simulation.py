@@ -321,9 +321,13 @@ class TestRunMonteCarlo:
         assert result.errors.tobytes() == expected.tobytes()
         assert result.rejection_rate == (attempts - n) / attempts
 
-    def test_rejects_bad_worker_count(self):
-        with pytest.raises(ValidationError, match="workers"):
-            run_monte_carlo(unconstrained(), n_trials=10, seed=1, workers=0)
+    def test_rejects_more_than_max_trials_before_allocating(self, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("an array was allocated")
+
+        monkeypatch.setattr(simulation.np, "empty", no_allocation)
+        with pytest.raises(ValidationError, match=f"at most {simulation.MAX_TRIALS}"):
+            run_monte_carlo(unconstrained(), n_trials=simulation.MAX_TRIALS + 1, seed=1)
 
     def test_histogram_accounts_for_every_trial(self):
         result = run_monte_carlo(unconstrained(), n_trials=250, seed=5, bins=20)
