@@ -248,6 +248,7 @@ def _cmd_estimate(args, seed: int) -> int:
         replicates=args.bootstrap,
         level=args.level,
         seed=seed,
+        workers=args.workers,
     )
     _emit(_render(result_dict(report), args.format), args.out)
     if args.out is not None:
@@ -258,6 +259,7 @@ def _cmd_estimate(args, seed: int) -> int:
             "level": args.level,
             "condition_ystar": args.condition_ystar,
             "format": args.format,
+            "workers": args.workers,
         }
         _write_manifest(
             "estimate", args.out, config, seed, [args.data], [args.out], started
@@ -273,7 +275,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--workers", type=int, default=None,
-        help="accepted and recorded in the manifest; never affects results",
+        help="threads for estimate's bootstrap (default: the granted cores); "
+        "recorded in the manifest; never affects results",
     )
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument(

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,7 +39,7 @@ from .errors import (
     ZeroMassCondition,
 )
 from .model import FullJoint, GapReport, compute_gaps, reduce
-from .simulation import derive_trial_stream, percentile
+from .simulation import _require_seed, derive_trial_stream, percentile
 
 __all__ = [
     "RecordDataset",
@@ -53,6 +54,13 @@ __all__ = [
     "bootstrap",
     "estimate_with_bootstrap",
 ]
+
+#: Rows a bootstrap replicate draws and counts per step: 512 KiB of indices,
+#: small enough to stay in cache. Results never depend on it.
+_CHUNK = 1 << 16
+
+#: Most replicates one bootstrap may run: its counts table takes 128 MB.
+MAX_REPLICATES = 10**6
 
 _HEADER = ("l", "v", "vhat", "y")
 _HEADER_YSTAR = ("l", "v", "vhat", "y", "ystar")
@@ -431,40 +439,78 @@ def _replicate_quantities(report: EstimateReport) -> dict[str, float]:
     }
 
 
+def _fill_counts(table: np.ndarray, codes: np.ndarray, seed: int, first: int, step: int) -> None:
+    """Write the cell counts of replicates ``first``, ``first + step``, ... into ``table``."""
+    n, width = codes.size, table.shape[1]
+    for i in range(first, len(table), step):
+        stream = derive_trial_stream(seed, i)
+        table[i] = sum(
+            np.bincount(codes[stream.integers(0, n, size=min(_CHUNK, n - start))], minlength=width)
+            for start in range(0, n, _CHUNK)
+        )
+
+
 def bootstrap(
     dataset: RecordDataset,
     replicates: int,
     level: float = 0.95,
     seed: int = 0,
     smoothing: float = 0.0,
+    workers: int = 1,
 ) -> BootstrapResult:
     """Percentile bootstrap over whole rows.
 
     Replicate i resamples ``n`` rows with replacement using the dedicated
-    stream ``derive_trial_stream(seed, i)`` (one ``integers`` call), then
-    re-estimates from the resample's cell counts, which are all an estimate
-    reads: one gather and one ``bincount`` over the rows' cell codes.
+    stream ``derive_trial_stream(seed, i)``, then re-estimates from the
+    resample's cell counts, which are all an estimate reads. The ``n``
+    indices are drawn ``_CHUNK`` at a time from that one stream, and each
+    chunk's codes are gathered and counted with one ``bincount``, so the
+    working set stays in cache whatever ``n``. The chunks, joined, are
+    exactly one ``integers(0, n, size=n)`` call: numpy fills a bounded
+    array one draw after another, and the half of a 64-bit Philox output
+    that a 32-bit draw leaves over is kept in the generator, not in the
+    call. Up to ``workers`` threads (at most one per CPU) count the
+    replicates, thread w taking replicates w, w + W, ...; ``workers=1``
+    counts in the calling thread. Reports are then built serially in
+    replicate order, so the result never depends on ``workers``.
     Replicates whose resample makes a needed conditioning event empty are
     skipped and counted; if every replicate degenerates,
     :class:`AllReplicatesDegenerate` is raised. Interval endpoints follow
-    the same nearest-rank rule as the simulation percentiles.
+    the same nearest-rank rule as the simulation percentiles. At most
+    ``MAX_REPLICATES`` replicates run, checked before anything is allocated.
     """
     if not isinstance(replicates, (int, np.integer)) or replicates < 1:
         raise ValidationError(f"replicates must be a positive integer, got {replicates!r}")
+    if replicates > MAX_REPLICATES:
+        raise ValidationError(f"replicates must be at most {MAX_REPLICATES}, got {replicates}")
+    if not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ValidationError(f"workers must be a positive integer, got {workers!r}")
     level = float(level)
     if math.isnan(level) or not (0.0 < level < 1.0):
         raise ValidationError(f"level must lie in (0, 1), got {level!r}")
     if dataset.n < 2:
         raise ValidationError("bootstrap needs at least 2 rows")
     smoothing = _require_smoothing(smoothing)
+    seed = _require_seed(seed)
 
-    n = dataset.n
+    n, replicates = dataset.n, int(replicates)
     codes = _codes(dataset)
+    table = np.empty((replicates, 16 if dataset.v_present else 8), dtype=np.int64)
+    threads = min(int(workers), replicates, os.cpu_count() or 1)
+    if threads == 1:
+        _fill_counts(table, codes, seed, 0, 1)
+    else:
+        # imported here so that no other command pays for it at start-up
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(threads) as pool:
+            done = [pool.submit(_fill_counts, table, codes, seed, w, threads) for w in range(threads)]
+        for future in done:
+            future.result()
+
     values: dict[str, list[float]] = {}
     skipped = 0
-    for i in range(int(replicates)):
-        idx = derive_trial_stream(seed, i).integers(0, n, size=n)
-        counts = _cell_counts(codes[idx], dataset.v_present)
+    for counts in table:
         try:
             report = _report_from_counts(counts, n, smoothing)
         except ZeroMassCondition:
@@ -485,10 +531,10 @@ def bootstrap(
     }
     return BootstrapResult(
         intervals=intervals,
-        replicates=int(replicates),
+        replicates=replicates,
         skipped=skipped,
         level=level,
-        seed=int(seed),
+        seed=seed,
     )
 
 
@@ -498,10 +544,13 @@ def estimate_with_bootstrap(
     replicates: int = 0,
     level: float = 0.95,
     seed: int = 0,
+    workers: int = 1,
 ) -> EstimateReport:
     """Point estimates plus, when ``replicates`` > 0, bootstrap intervals."""
     report = estimate(dataset, smoothing)
     if replicates:
-        ci = bootstrap(dataset, replicates, level=level, seed=seed, smoothing=smoothing)
+        ci = bootstrap(
+            dataset, replicates, level=level, seed=seed, smoothing=smoothing, workers=workers
+        )
         report = replace(report, bootstrap=ci)
     return report

@@ -61,6 +61,9 @@ _BLOCK = 4096
 #: ``errors.csv`` about 2 GB.
 MAX_TRIALS = 10**8
 
+#: Most histogram bins one run may have: its edges and counts take 16 MB.
+MAX_BINS = 10**6
+
 
 def _splitmix64(z: int) -> int:
     """One output of the splitmix64 generator for state ``z`` (64-bit)."""
@@ -460,8 +463,8 @@ def run_monte_carlo(
     Trials run in one process, ``_BLOCK`` at a time. The rejection rate is
     the fraction of constrained attempts discarded (0.0 for unconstrained
     runs). When a trial exhausts its rejection budget, the error names the
-    earliest such trial. At most ``MAX_TRIALS`` trials run, checked before
-    anything is allocated.
+    earliest such trial. At most ``MAX_TRIALS`` trials run and at most
+    ``MAX_BINS`` bins are counted, both checked before anything is allocated.
     """
     seed = _require_seed(seed)
     if not isinstance(n_trials, (int, np.integer)) or n_trials < 1:
@@ -470,6 +473,8 @@ def run_monte_carlo(
         raise ValidationError(f"n_trials must be at most {MAX_TRIALS}, got {n_trials}")
     if not isinstance(bins, (int, np.integer)) or bins < 1:
         raise ValidationError(f"bins must be a positive integer, got {bins!r}")
+    if bins > MAX_BINS:
+        raise ValidationError(f"bins must be at most {MAX_BINS}, got {bins}")
     n_trials, bins = int(n_trials), int(bins)
 
     errors = np.empty(n_trials)

@@ -38,6 +38,7 @@ from gap_gauge import (
     structure_params,
     sweep,
 )
+from gap_gauge import empirical
 from gap_gauge.files import write_json
 
 from conftest import M1_WITH_D, record_criterion
@@ -390,20 +391,29 @@ def test_criterion_10_cli_determinism(tmp_path):
         config_path,
         {**CLASSIFIER, "mode": "constrained", "eps_b1": 0.2, "eps_b2": 0.2},
     )
+    # rows enough for three bootstrap draw chunks, the last one partial
+    records = sample_dataset(
+        expand(M1_WITH_D, consistent_marginals(M1_WITH_D)), 2 * empirical._CHUNK + 1, seed=10
+    )
+    records_path = tmp_path / "records.csv"
+    rows = zip(records.l, records.v, records.vhat, records.y)
+    records_path.write_text("l,v,vhat,y\n" + "".join(f"{l},{v},{vh},{y}\n" for l, v, vh, y in rows))
     env = {k: v for k, v in os.environ.items() if k != "GAPGAUGE_SEED"}
 
     def run_once(tag: str, workers: int) -> dict[str, bytes]:
         prefix = tmp_path / tag
-        cmd = [
-            sys.executable, "-m", "gap_gauge", "simulate", str(config_path),
-            "--trials", "12000", "--seed", "42",
-            "--workers", str(workers), "--out", str(prefix),
+        common = ["--seed", "42", "--workers", str(workers)]
+        cmds = [
+            ["simulate", str(config_path), "--trials", "12000", "--out", str(prefix), *common],
+            ["estimate", str(records_path), "--bootstrap", "30",
+             "--out", str(tmp_path / (tag + ".estimate.json")), *common],
         ]
-        proc = subprocess.run(cmd, capture_output=True, env=env)
-        assert proc.returncode == 0, proc.stderr.decode()
+        for cmd in cmds:
+            proc = subprocess.run([sys.executable, "-m", "gap_gauge", *cmd], capture_output=True, env=env)
+            assert proc.returncode == 0, proc.stderr.decode()
         return {
             suffix: (tmp_path / (tag + suffix)).read_bytes()
-            for suffix in (".summary.json", ".errors.csv", ".hist.csv")
+            for suffix in (".summary.json", ".errors.csv", ".hist.csv", ".estimate.json")
         }
 
     baseline = run_once("w1a", workers=1)
@@ -414,7 +424,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     workers_ok = baseline == w4 == w8
     ok = rerun_ok and workers_ok
     record_criterion(
-        f"CRITERION 10: {'PASS' if ok else 'FAIL'} - simulate outputs "
+        f"CRITERION 10: {'PASS' if ok else 'FAIL'} - simulate and estimate --bootstrap outputs "
         f"byte-identical across reruns ({'yes' if rerun_ok else 'NO'}) and "
         f"across workers 1/4/8 ({'yes' if workers_ok else 'NO'})"
     )

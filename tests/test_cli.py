@@ -5,11 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gap_gauge import FullJoint, cli
+from gap_gauge import FullJoint, cli, simulation
 from gap_gauge.cli import GRID_MAX_POINTS, main, parse_grid
+from gap_gauge.empirical import MAX_REPLICATES
 from gap_gauge.errors import ValidationError
 from gap_gauge.files import model_to_dict, write_json
-from gap_gauge.simulation import MAX_TRIALS
+from gap_gauge.simulation import MAX_BINS, MAX_TRIALS
 
 from conftest import M1, M1_WITH_D
 
@@ -412,6 +413,22 @@ class TestSimulate:
         assert err == f"gap-gauge: n_trials must be at most {MAX_TRIALS}, got {trials}\n"
         assert list(tmp_path.glob("x*")) == []
 
+    @pytest.mark.parametrize("bins", [MAX_BINS + 1, 10**20])
+    def test_bins_above_cap_exit_2_before_any_trial(
+        self, capsys, monkeypatch, constrained_config_file, tmp_path, bins
+    ):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(simulation, "_block_errors", no_trial)
+        code, _, err = run(
+            capsys, "simulate", constrained_config_file,
+            "--trials", "100", "--bins", str(bins), "--out", str(tmp_path / "x"),
+        )
+        assert code == 2
+        assert err == f"gap-gauge: bins must be at most {MAX_BINS}, got {bins}\n"
+        assert list(tmp_path.glob("x*")) == []
+
     def test_format_is_not_an_option(self, capsys, constrained_config_file, tmp_path):
         with pytest.raises(SystemExit) as err:
             main([
@@ -678,6 +695,35 @@ class TestEstimate:
         manifest = json.loads((tmp_path / "estimate.json.manifest.json").read_text())
         assert manifest["command"] == "estimate"
         assert manifest["config"]["bootstrap"] == 0
+        assert manifest["config"]["workers"] >= 1
+
+    def test_manifest_records_workers(self, capsys, records_file, tmp_path):
+        out_path = tmp_path / "estimate.json"
+        code, _, err = run(
+            capsys, "estimate", records_file, "--bootstrap", "5", "--workers", "3",
+            "--out", str(out_path),
+        )
+        assert code == 0, err
+        manifest = json.loads((tmp_path / "estimate.json.manifest.json").read_text())
+        assert manifest["config"]["workers"] == 3
+
+    @pytest.mark.parametrize("replicates", [MAX_REPLICATES + 1, 10**20])
+    def test_bootstrap_above_cap_exits_2_before_allocating(
+        self, capsys, monkeypatch, records_file, tmp_path, replicates
+    ):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("an array was allocated")
+
+        monkeypatch.setattr(np, "empty", no_allocation)
+        code, _, err = run(
+            capsys, "estimate", records_file, "--bootstrap", str(replicates),
+            "--out", str(tmp_path / "estimate.json"),
+        )
+        assert code == 2
+        assert err == (
+            f"gap-gauge: replicates must be at most {MAX_REPLICATES}, got {replicates}\n"
+        )
+        assert list(tmp_path.glob("estimate*")) == []
 
 
 class TestOutputDirectory:

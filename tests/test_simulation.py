@@ -329,6 +329,20 @@ class TestRunMonteCarlo:
         with pytest.raises(ValidationError, match=f"at most {simulation.MAX_TRIALS}"):
             run_monte_carlo(unconstrained(), n_trials=simulation.MAX_TRIALS + 1, seed=1)
 
+    @pytest.mark.parametrize("bins", [simulation.MAX_BINS + 1, 10**20])
+    def test_rejects_more_than_max_bins_before_any_trial(self, monkeypatch, bins):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(simulation, "_block_errors", no_trial)
+        with pytest.raises(ValidationError) as err:
+            run_monte_carlo(unconstrained(), n_trials=100, seed=1, bins=bins)
+        assert str(err.value) == f"bins must be at most {simulation.MAX_BINS}, got {bins}"
+
+    def test_max_bins_is_accepted(self):
+        result = run_monte_carlo(unconstrained(), n_trials=10, seed=1, bins=simulation.MAX_BINS)
+        assert sum(result.histogram.counts) == 10
+
     def test_histogram_accounts_for_every_trial(self):
         result = run_monte_carlo(unconstrained(), n_trials=250, seed=5, bins=20)
         hist = result.histogram
