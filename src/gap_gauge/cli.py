@@ -248,7 +248,6 @@ def _cmd_estimate(args, seed: int) -> int:
         replicates=args.bootstrap,
         level=args.level,
         seed=seed,
-        workers=args.workers,
     )
     _emit(_render(result_dict(report), args.format), args.out)
     if args.out is not None:
@@ -275,8 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--workers", type=int, default=None,
-        help="threads for estimate's bootstrap (default: the granted cores); "
-        "recorded in the manifest; never affects results",
+        help="accepted and recorded in the manifest; never affects results",
     )
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument(

@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,7 +58,7 @@ __all__ = [
 #: small enough to stay in cache. Results never depend on it.
 _CHUNK = 1 << 16
 
-#: Most replicates one bootstrap may run: its counts table takes 128 MB.
+#: Most replicates one bootstrap may run: a million take over an hour on 5e5 rows.
 MAX_REPLICATES = 10**6
 
 _HEADER = ("l", "v", "vhat", "y")
@@ -439,15 +438,13 @@ def _replicate_quantities(report: EstimateReport) -> dict[str, float]:
     }
 
 
-def _fill_counts(table: np.ndarray, codes: np.ndarray, seed: int, first: int, step: int) -> None:
-    """Write the cell counts of replicates ``first``, ``first + step``, ... into ``table``."""
-    n, width = codes.size, table.shape[1]
-    for i in range(first, len(table), step):
-        stream = derive_trial_stream(seed, i)
-        table[i] = sum(
-            np.bincount(codes[stream.integers(0, n, size=min(_CHUNK, n - start))], minlength=width)
-            for start in range(0, n, _CHUNK)
-        )
+def _resample_counts(codes: np.ndarray, stream: np.random.Generator, width: int) -> np.ndarray:
+    """Cell counts of the rows ``stream.integers(0, n, size=n)`` draws, ``_CHUNK`` rows at a time."""
+    n = codes.size
+    return sum(
+        np.bincount(codes[stream.integers(0, n, size=min(_CHUNK, n - start))], minlength=width)
+        for start in range(0, n, _CHUNK)
+    )
 
 
 def bootstrap(
@@ -456,7 +453,6 @@ def bootstrap(
     level: float = 0.95,
     seed: int = 0,
     smoothing: float = 0.0,
-    workers: int = 1,
 ) -> BootstrapResult:
     """Percentile bootstrap over whole rows.
 
@@ -469,22 +465,17 @@ def bootstrap(
     exactly one ``integers(0, n, size=n)`` call: numpy fills a bounded
     array one draw after another, and the half of a 64-bit Philox output
     that a 32-bit draw leaves over is kept in the generator, not in the
-    call. Up to ``workers`` threads (at most one per CPU) count the
-    replicates, thread w taking replicates w, w + W, ...; ``workers=1``
-    counts in the calling thread. Reports are then built serially in
-    replicate order, so the result never depends on ``workers``.
+    call. Replicates run one after another in the calling thread.
     Replicates whose resample makes a needed conditioning event empty are
     skipped and counted; if every replicate degenerates,
     :class:`AllReplicatesDegenerate` is raised. Interval endpoints follow
     the same nearest-rank rule as the simulation percentiles. At most
-    ``MAX_REPLICATES`` replicates run, checked before anything is allocated.
+    ``MAX_REPLICATES`` replicates run, checked before the first is drawn.
     """
     if not isinstance(replicates, (int, np.integer)) or replicates < 1:
         raise ValidationError(f"replicates must be a positive integer, got {replicates!r}")
     if replicates > MAX_REPLICATES:
         raise ValidationError(f"replicates must be at most {MAX_REPLICATES}, got {replicates}")
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise ValidationError(f"workers must be a positive integer, got {workers!r}")
     level = float(level)
     if math.isnan(level) or not (0.0 < level < 1.0):
         raise ValidationError(f"level must lie in (0, 1), got {level!r}")
@@ -495,22 +486,11 @@ def bootstrap(
 
     n, replicates = dataset.n, int(replicates)
     codes = _codes(dataset)
-    table = np.empty((replicates, 16 if dataset.v_present else 8), dtype=np.int64)
-    threads = min(int(workers), replicates, os.cpu_count() or 1)
-    if threads == 1:
-        _fill_counts(table, codes, seed, 0, 1)
-    else:
-        # imported here so that no other command pays for it at start-up
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(threads) as pool:
-            done = [pool.submit(_fill_counts, table, codes, seed, w, threads) for w in range(threads)]
-        for future in done:
-            future.result()
-
+    width = 16 if dataset.v_present else 8
     values: dict[str, list[float]] = {}
     skipped = 0
-    for counts in table:
+    for i in range(replicates):
+        counts = _resample_counts(codes, derive_trial_stream(seed, i), width)
         try:
             report = _report_from_counts(counts, n, smoothing)
         except ZeroMassCondition:
@@ -544,13 +524,10 @@ def estimate_with_bootstrap(
     replicates: int = 0,
     level: float = 0.95,
     seed: int = 0,
-    workers: int = 1,
 ) -> EstimateReport:
     """Point estimates plus, when ``replicates`` > 0, bootstrap intervals."""
     report = estimate(dataset, smoothing)
     if replicates:
-        ci = bootstrap(
-            dataset, replicates, level=level, seed=seed, smoothing=smoothing, workers=workers
-        )
+        ci = bootstrap(dataset, replicates, level=level, seed=seed, smoothing=smoothing)
         report = replace(report, bootstrap=ci)
     return report

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gap_gauge import FullJoint, cli, simulation
+from gap_gauge import FullJoint, cli, empirical, simulation
 from gap_gauge.cli import GRID_MAX_POINTS, main, parse_grid
 from gap_gauge.empirical import MAX_REPLICATES
 from gap_gauge.errors import ValidationError
@@ -708,13 +708,13 @@ class TestEstimate:
         assert manifest["config"]["workers"] == 3
 
     @pytest.mark.parametrize("replicates", [MAX_REPLICATES + 1, 10**20])
-    def test_bootstrap_above_cap_exits_2_before_allocating(
+    def test_bootstrap_above_cap_exits_2_before_drawing(
         self, capsys, monkeypatch, records_file, tmp_path, replicates
     ):
-        def no_allocation(*args, **kwargs):
-            raise AssertionError("an array was allocated")
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a replicate was drawn")
 
-        monkeypatch.setattr(np, "empty", no_allocation)
+        monkeypatch.setattr(empirical, "_resample_counts", no_draw)
         code, _, err = run(
             capsys, "estimate", records_file, "--bootstrap", str(replicates),
             "--out", str(tmp_path / "estimate.json"),

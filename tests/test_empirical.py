@@ -1,6 +1,4 @@
-import concurrent.futures
 import io
-import sys
 import threading
 
 import numpy as np
@@ -470,24 +468,21 @@ class TestBootstrap:
             bootstrap(data, replicates=0)
         with pytest.raises(ValidationError, match="level"):
             bootstrap(data, replicates=5, level=1.0)
-        with pytest.raises(ValidationError, match="workers"):
-            bootstrap(data, replicates=5, workers=0)
         with pytest.raises(ValidationError, match="seed"):
-            bootstrap(data, replicates=5, seed=-1, workers=4)
+            bootstrap(data, replicates=5, seed=-1)
 
     @pytest.mark.parametrize("replicates", [empirical.MAX_REPLICATES + 1, 10**20])
-    def test_rejects_more_than_max_replicates_before_allocating(
+    def test_rejects_more_than_max_replicates_before_drawing(
         self, m1_joint, monkeypatch, replicates
     ):
         data = sample_dataset(m1_joint, 100, seed=1)
 
-        def no_allocation(*args, **kwargs):
-            raise AssertionError("an array was allocated")
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a replicate was drawn")
 
-        monkeypatch.setattr(empirical.np, "empty", no_allocation)
-        monkeypatch.setattr(empirical, "_fill_counts", no_allocation)
+        monkeypatch.setattr(empirical, "_resample_counts", no_draw)
         with pytest.raises(ValidationError) as err:
-            bootstrap(data, replicates=replicates, workers=4)
+            bootstrap(data, replicates=replicates)
         assert str(err.value) == (
             f"replicates must be at most {empirical.MAX_REPLICATES}, got {replicates}"
         )
@@ -592,81 +587,18 @@ class TestCountsBootstrap:
         monkeypatch.setattr(empirical, "_CHUNK", chunk)
         self.assert_matches_reference(data, 6, 0.9, 5, 0.0)
 
-    @staticmethod
-    def worker_datasets(m1_joint):
+    def test_draws_every_replicate_in_order_in_the_calling_thread(self, m1_joint, monkeypatch):
+        # perfbench/tracer.py keeps one span stack, which only one thread may use
         data = sample_dataset(m1_joint, 400, seed=17)
-        keep = [i for i in range(16) if not (i >> 3 & 1 and i >> 2 & 1 and not (i >> 1 & 1))]
-        return {
-            "with_v": data,
-            "without_v": without_v(data),
-            "skipped": all_combinations_dataset(),
-            "all_degenerate": all_combinations_dataset().take(keep),
-        }
-
-    @staticmethod
-    def outcome(data, workers):
-        try:
-            got = bootstrap(data, 12, level=0.9, seed=42, workers=workers)
-        except AllReplicatesDegenerate as exc:
-            return str(exc)
-        return hex_intervals(got.intervals), list(got.intervals), got.skipped
-
-    @pytest.mark.parametrize("name", ["with_v", "without_v", "skipped", "all_degenerate"])
-    def test_workers_never_change_results(self, m1_joint, monkeypatch, name):
-        # many CPUs, so no thread count below is cut to this machine's CPU count
-        monkeypatch.setattr(empirical.os, "cpu_count", lambda: 64)
-        data = self.worker_datasets(m1_joint)[name]
-        want = self.outcome(data, 1)
-        for workers in (2, 3, 12, 50):
-            assert self.outcome(data, workers) == want
-        if name == "skipped":
-            assert 0 < want[2] < 12
-
-    def test_threads_under_frequent_switching(self, m1_joint, monkeypatch):
-        # more threads than cores, switching every microsecond: a count that
-        # landed in the wrong row or was lost would change the intervals
-        monkeypatch.setattr(empirical.os, "cpu_count", lambda: 64)
-        monkeypatch.setattr(empirical, "_CHUNK", 50)
-        data = sample_dataset(m1_joint, 1001, seed=4)
-        want = bootstrap(data, 40, seed=9, workers=1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = bootstrap(data, 40, seed=9, workers=16)
-        finally:
-            sys.setswitchinterval(interval)
-        assert hex_intervals(got.intervals) == hex_intervals(want.intervals)
-
-    def test_threads_take_strided_replicates(self, m1_joint, monkeypatch):
-        monkeypatch.setattr(empirical.os, "cpu_count", lambda: 64)
-        drawn_by: dict[int, int] = {}
+        drawn: list[tuple[int, int]] = []
 
         def recording_stream(seed, i):
-            drawn_by[i] = threading.get_ident()
+            drawn.append((i, threading.get_ident()))
             return derive_trial_stream(seed, i)
 
         monkeypatch.setattr(empirical, "derive_trial_stream", recording_stream)
-        bootstrap(sample_dataset(m1_joint, 400, seed=17), 10, seed=1, workers=3)
-        assert sorted(drawn_by) == list(range(10))
-        assert threading.get_ident() not in drawn_by.values()
-        for w in range(3):
-            assert len({drawn_by[i] for i in range(w, 10, 3)}) == 1
-
-    @staticmethod
-    def no_thread(*args, **kwargs):
-        raise AssertionError("a thread was started")
-
-    def test_one_worker_starts_no_thread(self, m1_joint, monkeypatch):
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", self.no_thread)
-        monkeypatch.setattr(threading, "Thread", self.no_thread)
-        data = sample_dataset(m1_joint, 400, seed=17)
-        assert bootstrap(data, 5, seed=1, workers=1).intervals
-
-    def test_threads_capped_by_cpus(self, m1_joint, monkeypatch):
-        monkeypatch.setattr(empirical.os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", self.no_thread)
-        data = sample_dataset(m1_joint, 400, seed=17)
-        assert bootstrap(data, 5, seed=1, workers=8).intervals
+        bootstrap(data, 10, seed=1)
+        assert drawn == [(i, threading.get_ident()) for i in range(10)]
 
     def test_never_resamples_rows(self, m1_joint, monkeypatch):
         data = sample_dataset(m1_joint, 200, seed=3)
