@@ -19,8 +19,11 @@ smallest budget the model actually satisfies.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ValidationError
 from .model import (
@@ -35,6 +38,9 @@ __all__ = [
     "StructureParams",
     "BoundReport",
     "IndependenceDiagnostics",
+    "gamma_terms",
+    "closeness_terms",
+    "bound_terms",
     "structure_params",
     "classifier_structure_params",
     "bound_A",
@@ -75,8 +81,35 @@ class StructureParams:
         object.__setattr__(self, "g_star", g)
 
 
-def structure_params(model: ReducedModel) -> StructureParams:
-    """Extract every structure parameter at its tightest value.
+def _first_max(*values):
+    """``max(*values)``, elementwise if the first value is an array.
+
+    Of tied values the first wins, 0.0 and -0.0 included, as in ``max``;
+    ``np.maximum`` would return the second.
+    """
+    if not isinstance(values[0], np.ndarray):
+        return max(values)
+    return functools.reduce(lambda m, x: np.where(x > m, x, m), values)
+
+
+def _first_min(*values):
+    """``min(*values)``, elementwise if the first value is an array; ties as in ``min``."""
+    if not isinstance(values[0], np.ndarray):
+        return min(values)
+    return functools.reduce(lambda m, x: np.where(x < m, x, m), values)
+
+
+def gamma_terms(p0, r0, p1, r1) -> tuple:
+    """gamma_A, gamma_B1 and gamma_B2 of two slices' error rates (floats or arrays)."""
+    return (
+        _first_max(p0, r0, p1, r1),
+        _first_max(abs(p0 - r0), abs(p1 - r1)),
+        _first_max(abs(p1 - p0), abs(r1 - r0)),
+    )
+
+
+def closeness_terms(a0, b0, c0, a1, b1, c1) -> tuple:
+    """eps_B1, eps_B2 and g_star of two slices' outcome rates (floats or arrays).
 
     The translation parameters solve the minimax problem
 
@@ -86,16 +119,17 @@ def structure_params(model: ReducedModel) -> StructureParams:
     half their range. No smaller eps_B2 admits any shift, and no other shift
     achieves eps_B2.
     """
+    deltas = (a1 - a0, b1 - b0, c1 - c0)
+    hi, lo = _first_max(*deltas), _first_min(*deltas)
+    return _first_max(abs(b0 - c0), abs(b1 - c1)), (hi - lo) / 2.0, (hi + lo) / 2.0
+
+
+def structure_params(model: ReducedModel) -> StructureParams:
+    """Every structure parameter at its tightest value (see :func:`closeness_terms`)."""
     s0, s1 = model.slices()
-    deltas = (s1.a - s0.a, s1.b - s0.b, s1.c - s0.c)
-    hi, lo = max(deltas), min(deltas)
     return StructureParams(
-        gamma_A=max(s0.p, s0.r, s1.p, s1.r),
-        gamma_B1=max(abs(s0.p - s0.r), abs(s1.p - s1.r)),
-        gamma_B2=max(abs(s1.p - s0.p), abs(s1.r - s0.r)),
-        eps_B1=max(abs(s0.b - s0.c), abs(s1.b - s1.c)),
-        eps_B2=(hi - lo) / 2.0,
-        g_star=(hi + lo) / 2.0,
+        *gamma_terms(s0.p, s0.r, s1.p, s1.r),
+        *closeness_terms(s0.a, s0.b, s0.c, s1.a, s1.b, s1.c),
     )
 
 
@@ -119,28 +153,44 @@ def classifier_structure_params(
     p1 = _require_prob(p1, "p1")
     r1 = _require_prob(r1, "r1")
     return StructureParams(
-        gamma_A=max(p0, r0, p1, r1),
-        gamma_B1=max(abs(p0 - r0), abs(p1 - r1)),
-        gamma_B2=max(abs(p1 - p0), abs(r1 - r0)),
-        eps_B1=eps_b1,
-        eps_B2=eps_b2,
-        g_star=g_star,
+        *gamma_terms(p0, r0, p1, r1), eps_B1=eps_b1, eps_B2=eps_b2, g_star=g_star
+    )
+
+
+def bound_terms(gamma_A, gamma_B1, gamma_B2, eps_B1, eps_B2) -> tuple:
+    """Bounds A, B1, B2, combined stated and proof, and best (floats or arrays).
+
+    ``best`` is the smallest sound bound, min(A, B1, B2, proof); the stated
+    variant can undershoot the error (see :func:`bound_combined`).
+    """
+    bound_a = 2.0 * gamma_A
+    bound_b1 = 2.0 * (gamma_B1 + eps_B1)
+    bound_b2 = 2.0 * gamma_B2 + 3.0 * eps_B2
+    shared = 2.0 * _first_min(gamma_A, gamma_B1, gamma_B2) + eps_B2 * (2.0 * gamma_A + gamma_B1)
+    stated, proof = shared + eps_B1 * gamma_B1, shared + eps_B1 * gamma_B2
+    best = _first_min(bound_a, bound_b1, bound_b2, proof)
+    return bound_a, bound_b1, bound_b2, stated, proof, best
+
+
+def _bounds(params: StructureParams) -> tuple:
+    return bound_terms(
+        params.gamma_A, params.gamma_B1, params.gamma_B2, params.eps_B1, params.eps_B2
     )
 
 
 def bound_A(params: StructureParams) -> float:
     """2 gamma_A: valid for every model."""
-    return 2.0 * params.gamma_A
+    return _bounds(params)[0]
 
 
 def bound_B1(params: StructureParams) -> float:
     """2 (gamma_B1 + eps_B1): valid for every model."""
-    return 2.0 * (params.gamma_B1 + params.eps_B1)
+    return _bounds(params)[1]
 
 
 def bound_B2(params: StructureParams) -> float:
     """2 gamma_B2 + 3 eps_B2: valid for every model."""
-    return 2.0 * params.gamma_B2 + 3.0 * params.eps_B2
+    return _bounds(params)[2]
 
 
 def bound_combined(params: StructureParams) -> tuple[float, float]:
@@ -154,17 +204,12 @@ def bound_combined(params: StructureParams) -> tuple[float, float]:
     every model; the stated variant can be violated when gamma_B1 <
     gamma_B2. Both are reported so either convention can be compared.
     """
-    shared = 2.0 * min(params.gamma_A, params.gamma_B1, params.gamma_B2)
-    shared += params.eps_B2 * (2.0 * params.gamma_A + params.gamma_B1)
-    return (
-        shared + params.eps_B1 * params.gamma_B1,
-        shared + params.eps_B1 * params.gamma_B2,
-    )
+    return _bounds(params)[3:5]
 
 
 @dataclass(frozen=True, slots=True)
 class BoundReport:
-    """All bound values for one parameter set, plus their minimum."""
+    """All bound values for one parameter set, plus the smallest sound one."""
 
     bound_A: float
     bound_B1: float
@@ -174,38 +219,20 @@ class BoundReport:
     best: float
 
     def __post_init__(self) -> None:
-        values = (
-            self.bound_A,
-            self.bound_B1,
-            self.bound_B2,
-            self.bound_combined_stated,
-            self.bound_combined_proof,
-        )
-        for field, value in zip(
-            ("bound_A", "bound_B1", "bound_B2", "bound_combined_stated",
-             "bound_combined_proof", "best"),
-            values + (self.best,),
-        ):
-            value = float(value)
+        for field in ("bound_A", "bound_B1", "bound_B2", "bound_combined_stated",
+                      "bound_combined_proof", "best"):
+            value = float(getattr(self, field))
             if math.isnan(value) or value < 0.0:
                 raise ValidationError(f"{field} must be >= 0, got {value!r}")
             object.__setattr__(self, field, value)
-        if abs(self.best - min(values)) > 1e-12:
-            raise ValidationError("best must be the minimum of the five bounds")
+        sound = min(self.bound_A, self.bound_B1, self.bound_B2, self.bound_combined_proof)
+        if abs(self.best - sound) > 1e-12:
+            raise ValidationError("best must be the minimum of the four sound bounds")
 
 
 def bound_report_from_params(params: StructureParams) -> BoundReport:
     """Evaluate every bound at the given parameters."""
-    stated, proof = bound_combined(params)
-    values = (bound_A(params), bound_B1(params), bound_B2(params), stated, proof)
-    return BoundReport(
-        bound_A=values[0],
-        bound_B1=values[1],
-        bound_B2=values[2],
-        bound_combined_stated=stated,
-        bound_combined_proof=proof,
-        best=min(values),
-    )
+    return BoundReport(*_bounds(params))
 
 
 def bound_report(model: ReducedModel) -> BoundReport:

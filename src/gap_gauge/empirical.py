@@ -26,6 +26,9 @@ from .bounds import (
     BoundReport,
     StructureParams,
     bound_report,
+    bound_terms,
+    closeness_terms,
+    gamma_terms,
     structure_params,
 )
 from .errors import (
@@ -37,7 +40,9 @@ from .errors import (
     ValidationError,
     ZeroMassCondition,
 )
-from .model import FullJoint, GapReport, compute_gaps, reduce
+from .model import (
+    FullJoint, GapReport, compute_gaps, gap_terms, reduce, require_gap_identities, slice_rates,
+)
 from .simulation import _require_seed, derive_trial_stream, percentile
 
 __all__ = [
@@ -155,7 +160,8 @@ def parse_records(stream) -> RecordDataset:
         hasattr(stream, "read") and isinstance(getattr(stream, "mode", ""), str)
         and "b" in getattr(stream, "mode", "")
     ):
-        stream = io.TextIOWrapper(stream, encoding="utf-8-sig", newline="")
+        # no TextIOWrapper: collecting one would close the caller's file
+        stream = io.StringIO(stream.read().decode("utf-8-sig"))
 
     reader = csv.reader(stream)
     try:
@@ -326,8 +332,8 @@ def _cell_counts(codes: np.ndarray, v_present: bool) -> np.ndarray:
     return np.bincount(codes, minlength=16 if v_present else 8)
 
 
-def _joint_from_counts(counts: np.ndarray, n: int, smoothing: float) -> FullJoint:
-    return FullJoint(cells=(counts + smoothing) / (n + 16.0 * smoothing))
+def _joint_cells(counts: np.ndarray, n: int, smoothing: float) -> np.ndarray:
+    return (counts + smoothing) / (n + 16.0 * smoothing)
 
 
 def fit_joint(dataset: RecordDataset, smoothing: float = 0.0) -> FullJoint:
@@ -343,7 +349,8 @@ def fit_joint(dataset: RecordDataset, smoothing: float = 0.0) -> FullJoint:
     if dataset.n == 0:
         raise EmptyInput("cannot fit a joint to zero rows")
     smoothing = _require_smoothing(smoothing)
-    return _joint_from_counts(_cell_counts(_codes(dataset), True), dataset.n, smoothing)
+    counts = _cell_counts(_codes(dataset), True)
+    return FullJoint(cells=_joint_cells(counts, dataset.n, smoothing))
 
 
 @dataclass(frozen=True)
@@ -377,21 +384,19 @@ class EstimateReport:
     bootstrap: BootstrapResult | None = None
 
 
-def _g_hat_from_counts8(counts: np.ndarray, smoothing: float) -> float:
-    rates = []
-    for l in (0, 1):
-        ones = counts[4 * l + 2 * 1 + 1] + smoothing
-        total = counts[4 * l + 2 * 1 + 0] + counts[4 * l + 2 * 1 + 1] + 2.0 * smoothing
-        if total <= 0.0:
-            raise ZeroMassCondition(f"vhat=1, l={l}")
-        rates.append(float(ones / total))
-    return rates[1] - rates[0]
+def _g_hat_from_counts8(counts: np.ndarray, smoothing: float) -> tuple[np.ndarray, np.ndarray]:
+    """G_hat of (l, vhat, y) count tables (..., 8), and whether each slice's vhat=1 has mass."""
+    ones = counts[..., 3::4] + smoothing
+    totals = counts[..., 2::4] + counts[..., 3::4] + 2.0 * smoothing
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rates = ones / totals
+    return rates[..., 1] - rates[..., 0], totals > 0.0
 
 
 def _report_from_counts(counts: np.ndarray, n: int, smoothing: float) -> EstimateReport:
     """Point estimates from a cell count table (16 cells with v, 8 without)."""
     if counts.size == 16:
-        model = reduce(_joint_from_counts(counts, n, smoothing))
+        model = reduce(FullJoint(cells=_joint_cells(counts, n, smoothing)))
         gap = compute_gaps(model)
         return EstimateReport(
             n=n,
@@ -403,11 +408,14 @@ def _report_from_counts(counts: np.ndarray, n: int, smoothing: float) -> Estimat
             structure=structure_params(model),
             bounds=bound_report(model),
         )
+    g_hat, nonempty = _g_hat_from_counts8(counts, smoothing)
+    if not nonempty.all():
+        raise ZeroMassCondition(f"vhat=1, l={int(nonempty.argmin())}")
     return EstimateReport(
         n=n,
         counts=tuple(int(c) for c in counts),
         counts_index="4*l + 2*vhat + y",
-        g_hat=_g_hat_from_counts8(counts, smoothing),
+        g_hat=float(g_hat),
         smoothing=smoothing,
     )
 
@@ -425,17 +433,22 @@ def estimate(dataset: RecordDataset, smoothing: float = 0.0) -> EstimateReport:
     return _report_from_counts(counts, dataset.n, smoothing)
 
 
-def _replicate_quantities(report: EstimateReport) -> dict[str, float]:
-    if report.gap is None:
-        return {"G_hat": report.g_hat}
-    return {
-        "G": report.gap.G,
-        "G_hat": report.gap.G_hat,
-        "delta0": report.gap.delta0,
-        "delta1": report.gap.delta1,
-        "error": report.gap.error,
-        "best_bound": report.bounds.best,
-    }
+def _replicate_values(counts: np.ndarray, n: int, smoothing: float) -> tuple[dict, np.ndarray]:
+    """The bootstrap's quantities of each row of an (R, 16 or 8) count table, by name.
+
+    Also returns the rows ``estimate`` would not raise :class:`ZeroMassCondition` on.
+    """
+    if counts.shape[1] == 8:
+        g_hat, nonempty = _g_hat_from_counts8(counts, smoothing)
+        return {"G_hat": g_hat}, nonempty.all(axis=1)
+    s0, s1, ok = slice_rates(_joint_cells(counts, n, smoothing))
+    gaps = gap_terms(s0, s1)
+    gammas = gamma_terms(s0.p, s0.r, s1.p, s1.r)
+    eps_b1, eps_b2, _ = closeness_terms(s0.a, s0.b, s0.c, s1.a, s1.b, s1.c)
+    best = bound_terms(*gammas, eps_b1, eps_b2)[5]
+    require_gap_identities(*(x[ok] for x in gaps))
+    keys = ("G", "G_hat", "delta0", "delta1", "error", "best_bound")
+    return dict(zip(keys, (*gaps, best))), ok
 
 
 def _resample_counts(codes: np.ndarray, stream: np.random.Generator, width: int) -> np.ndarray:
@@ -465,9 +478,10 @@ def bootstrap(
     exactly one ``integers(0, n, size=n)`` call: numpy fills a bounded
     array one draw after another, and the half of a 64-bit Philox output
     that a 32-bit draw leaves over is kept in the generator, not in the
-    call. Replicates run one after another in the calling thread.
-    Replicates whose resample makes a needed conditioning event empty are
-    skipped and counted; if every replicate degenerates,
+    call. Replicates are drawn one after another in the calling thread,
+    into one table of counts that a single pass of the array algebra
+    re-estimates. Replicates whose resample makes a needed conditioning
+    event empty are skipped and counted; if every replicate degenerates,
     :class:`AllReplicatesDegenerate` is raised. Interval endpoints follow
     the same nearest-rank rule as the simulation percentiles. At most
     ``MAX_REPLICATES`` replicates run, checked before the first is drawn.
@@ -487,32 +501,24 @@ def bootstrap(
     n, replicates = dataset.n, int(replicates)
     codes = _codes(dataset)
     width = 16 if dataset.v_present else 8
-    values: dict[str, list[float]] = {}
-    skipped = 0
+    counts = np.empty((replicates, width), dtype=np.int64)
     for i in range(replicates):
-        counts = _resample_counts(codes, derive_trial_stream(seed, i), width)
-        try:
-            report = _report_from_counts(counts, n, smoothing)
-        except ZeroMassCondition:
-            skipped += 1
-            continue
-        for key, value in _replicate_quantities(report).items():
-            values.setdefault(key, []).append(value)
-
-    if not values:
+        counts[i] = _resample_counts(codes, derive_trial_stream(seed, i), width)
+    values, ok = _replicate_values(counts, n, smoothing)
+    if not ok.any():
         raise AllReplicatesDegenerate(
             f"all {replicates} bootstrap replicates hit zero-mass conditions"
         )
     lo_q = (1.0 - level) / 2.0
     hi_q = (1.0 + level) / 2.0
     intervals = {
-        key: (percentile(vals, lo_q), percentile(vals, hi_q))
+        key: (percentile(vals[ok], lo_q), percentile(vals[ok], hi_q))
         for key, vals in sorted(values.items())
     }
     return BootstrapResult(
         intervals=intervals,
         replicates=replicates,
-        skipped=skipped,
+        skipped=replicates - int(ok.sum()),
         level=level,
         seed=seed,
     )

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -55,9 +55,11 @@ __all__ = [
     "VARIABLES",
     "FullJoint",
     "SliceParams",
+    "SliceRates",
     "ReducedModel",
     "SliceMarginals",
     "GapReport",
+    "require_gap_identities",
     "conditional_prob",
     "reduce",
     "expand",
@@ -65,8 +67,10 @@ __all__ = [
     "prob_y_given_v1",
     "prob_y_given_vhat1",
     "compute_delta",
+    "gap_terms",
     "compute_gaps",
     "gaps_from_joint",
+    "slice_rates",
 ]
 
 #: Variable names in axis order; flat cell index is 8l + 4v + 2vhat + y.
@@ -190,6 +194,16 @@ class SliceParams:
             object.__setattr__(self, "d", _require_prob(self.d, "d"))
 
 
+class SliceRates(NamedTuple):
+    """One slice's p, r, a, b and c, unvalidated: floats or arrays of one shape."""
+
+    p: float | np.ndarray
+    r: float | np.ndarray
+    a: float | np.ndarray
+    b: float | np.ndarray
+    c: float | np.ndarray
+
+
 @dataclass(frozen=True, slots=True)
 class ReducedModel:
     """Per-slice parameters sufficient for every gap quantity."""
@@ -264,39 +278,42 @@ class GapReport:
             if math.isnan(value):
                 raise ValidationError(f"{field} is NaN")
             object.__setattr__(self, field, value)
-        if abs(self.error - abs(self.G - self.G_hat)) > 1e-12:
-            raise ValidationError("error must equal |G - G_hat|")
-        if abs(self.error - abs(self.delta1 - self.delta0)) > 1e-12:
-            raise ValidationError("error must equal |delta1 - delta0|")
+        require_gap_identities(self.G, self.G_hat, self.delta0, self.delta1, self.error)
 
 
-def prob_y_given_v1(params: SliceParams) -> float:
+def require_gap_identities(G, G_hat, delta0, delta1, error) -> None:
+    """Raise unless error = |G - G_hat| = |delta1 - delta0| within 1e-12, for floats or arrays."""
+    for gap, identity in ((G - G_hat, "|G - G_hat|"), (delta1 - delta0, "|delta1 - delta0|")):
+        above = abs(error - abs(gap)) > 1e-12
+        if above.any() if isinstance(above, np.ndarray) else above:
+            raise ValidationError(f"error must equal {identity}")
+
+
+def prob_y_given_v1(params: SliceParams | SliceRates) -> float | np.ndarray:
     """Pr[y=1 | v=1, l] for one slice: (1 - r) a + r b."""
     return (1.0 - params.r) * params.a + params.r * params.b
 
 
-def prob_y_given_vhat1(params: SliceParams) -> float:
+def prob_y_given_vhat1(params: SliceParams | SliceRates) -> float | np.ndarray:
     """Pr[y=1 | vhat=1, l] for one slice: (1 - p) a + p c."""
     return (1.0 - params.p) * params.a + params.p * params.c
 
 
-def compute_delta(params: SliceParams) -> float:
+def compute_delta(params: SliceParams | SliceRates) -> float | np.ndarray:
     """Within-slice discrepancy delta = (p - r) a + r b - p c."""
     return (params.p - params.r) * params.a + params.r * params.b - params.p * params.c
 
 
-def compute_gaps(model: ReducedModel) -> GapReport:
-    """True gap, proxy gap, per-slice deltas, and error for a reduced model."""
-    s0, s1 = model.slice0, model.slice1
+def gap_terms(s0: SliceParams | SliceRates, s1: SliceParams | SliceRates) -> tuple:
+    """G, G_hat, delta0, delta1 and error of two slices, elementwise over arrays."""
     g = prob_y_given_v1(s1) - prob_y_given_v1(s0)
     g_hat = prob_y_given_vhat1(s1) - prob_y_given_vhat1(s0)
-    return GapReport(
-        G=g,
-        G_hat=g_hat,
-        delta0=compute_delta(s0),
-        delta1=compute_delta(s1),
-        error=abs(g - g_hat),
-    )
+    return g, g_hat, compute_delta(s0), compute_delta(s1), abs(g - g_hat)
+
+
+def compute_gaps(model: ReducedModel) -> GapReport:
+    """True gap, proxy gap, per-slice deltas, and error for a reduced model."""
+    return GapReport(*gap_terms(model.slice0, model.slice1))
 
 
 def gaps_from_joint(joint: FullJoint) -> GapReport:
@@ -331,20 +348,55 @@ def reduce(joint: FullJoint) -> ReducedModel:
     not in the data. The d cell alone is optional and is omitted when its
     cell has zero mass.
     """
+    *rates, ok = slice_rates(joint.cells)
     table = joint.table()
+    if not ok:
+        halves = joint.cells.reshape(2, 8)
+        l, event = next(
+            (l, event) for l in (0, 1) for event, _, den in _RATES if halves[l, den].sum() == 0.0
+        )
+        raise ZeroMassCondition(f"l={l}, {event}")
     slices = []
     for l in (0, 1):
-        p = conditional_prob(joint, {"v": 0}, {"vhat": 1, "l": l})
-        r = conditional_prob(joint, {"vhat": 0}, {"v": 1, "l": l})
-        a = conditional_prob(joint, {"y": 1}, {"v": 1, "vhat": 1, "l": l})
-        b = conditional_prob(joint, {"y": 1}, {"v": 1, "vhat": 0, "l": l})
-        c = conditional_prob(joint, {"y": 1}, {"v": 0, "vhat": 1, "l": l})
         if _mass(table, {"v": 0, "vhat": 0, "l": l}) > 0.0:
             d = conditional_prob(joint, {"y": 1}, {"v": 0, "vhat": 0, "l": l})
         else:
             d = None
-        slices.append(SliceParams(p=p, r=r, a=a, b=b, c=c, d=d))
+        slices.append(SliceParams(*rates[l], d=d))
     return ReducedModel(slice0=slices[0], slice1=slices[1])
+
+
+#: p, r, a, b and c as their conditioning event and the slice's cells
+#: (4v + 2vhat + y) in the numerator and in the event, in the order ``_mass``
+#: sums them.
+_RATES = (
+    ("vhat=1", [2, 3], [2, 3, 6, 7]),
+    ("v=1", [4, 5], [4, 5, 6, 7]),
+    ("v=1, vhat=1", [7], [6, 7]),
+    ("v=1, vhat=0", [5], [4, 5]),
+    ("v=0, vhat=1", [3], [2, 3]),
+)
+
+
+def slice_rates(cells) -> tuple[SliceRates, SliceRates, np.ndarray]:
+    """Each slice's p, r, a, b and c from joint tables of shape (..., 16).
+
+    A rate is ``conditional_prob``'s ratio of the same cell sums, so a row's
+    rates equal ``reduce``'s bit for bit. The mask is true on the rows where
+    every conditioning event has nonzero mass; other rows' rates are undefined.
+    """
+    cells = np.asarray(cells, dtype=float)
+    ok = np.ones(cells.shape[:-1], dtype=bool)
+    slices = []
+    for half in (cells[..., :8], cells[..., 8:]):
+        rates = []
+        for _, num, den in _RATES:
+            total = half[..., den].sum(axis=-1)
+            ok &= total != 0.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rates.append(np.clip(half[..., num].sum(axis=-1) / total, 0.0, 1.0))
+        slices.append(SliceRates(*rates))
+    return slices[0], slices[1], ok
 
 
 def _implied_rates(table: tuple[float, ...], l: int) -> tuple[float, float]:

@@ -12,10 +12,11 @@ are independent of execution order and identical runs are bit-identical.
 counter-based, so double j of trial i is a pure function of (s, i, j): the
 engine below computes it for a whole block of trials at once with numpy
 array arithmetic, and repeats the float operations of the scalar samplers
-and of ``compute_gaps`` in the same order, so its results are bit-identical
-to running ``derive_trial_stream``, ``sample_*`` and ``compute_gaps`` per
-trial. Those scalar functions stay as the reference the engine is tested
-against.
+in the same order. The errors come from :func:`model.gap_terms`, the one
+gap formula that ``compute_gaps`` wraps, applied to whole arrays of trials.
+So its results are bit-identical to running ``derive_trial_stream``,
+``sample_*`` and ``compute_gaps`` per trial. Those scalar functions stay as
+the reference the engine is tested against.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
     RejectionBudgetExhausted,
     ValidationError,
 )
-from .model import ReducedModel, SliceParams, _require_prob, compute_gaps
+from .model import ReducedModel, SliceParams, SliceRates, _require_prob, gap_terms
 
 __all__ = [
     "SamplerConfig",
@@ -407,15 +408,6 @@ def _constrained_cells(
     )
 
 
-def _gap_errors(config: SamplerConfig, cells: np.ndarray) -> np.ndarray:
-    """``compute_gaps(model).error`` over arrays, in its operation order."""
-    a0, b0, c0, a1, b1, c1 = cells
-    p0, r0, p1, r1 = config.p0, config.r0, config.p1, config.r1
-    g = ((1.0 - r1) * a1 + r1 * b1) - ((1.0 - r0) * a0 + r0 * b0)
-    g_hat = ((1.0 - p1) * a1 + p1 * c1) - ((1.0 - p0) * a0 + p0 * c0)
-    return np.abs(g - g_hat)
-
-
 def _block_errors(
     config: SamplerConfig, seed: int, start: int, stop: int
 ) -> tuple[np.ndarray, int]:
@@ -429,27 +421,33 @@ def _block_errors(
     """
     k0, k1 = _trial_keys(seed, start, stop)
     if config.mode != "constrained":
-        return _gap_errors(config, _stream_doubles(k0, k1, 0, 6)), stop - start
-    cells = np.empty((6, stop - start))
-    pending = np.arange(stop - start)
-    attempts = tried = 0
-    while pending.size:
-        if tried == config.max_rejections:
-            raise RejectionBudgetExhausted(
-                config.max_rejections, trial_index=start + int(pending[0])
-            )
-        m = min(max(1, _BLOCK // pending.size), config.max_rejections - tried)
-        u = _stream_doubles(k0, k1, 7 * tried, 7 * m).reshape(m, 7, -1).swapaxes(0, 1)
-        drawn = np.stack(_constrained_cells(u, config.eps_b1, config.eps_b2))
-        ok = ((drawn >= 0.0) & (drawn <= 1.0)).all(axis=0)
-        first, accepted = ok.argmax(axis=0), ok.any(axis=0)
-        done = np.flatnonzero(accepted)
-        cells[:, pending[done]] = drawn[:, first[done], done]
-        attempts += int(np.where(accepted, first + 1, m).sum())
-        left = ~accepted
-        pending, k0, k1 = pending[left], k0[left], k1[left]
-        tried += m
-    return _gap_errors(config, cells), attempts
+        cells, attempts = _stream_doubles(k0, k1, 0, 6), stop - start
+    else:
+        cells = np.empty((6, stop - start))
+        pending = np.arange(stop - start)
+        attempts = tried = 0
+        while pending.size:
+            if tried == config.max_rejections:
+                raise RejectionBudgetExhausted(
+                    config.max_rejections, trial_index=start + int(pending[0])
+                )
+            m = min(max(1, _BLOCK // pending.size), config.max_rejections - tried)
+            u = _stream_doubles(k0, k1, 7 * tried, 7 * m).reshape(m, 7, -1).swapaxes(0, 1)
+            drawn = np.stack(_constrained_cells(u, config.eps_b1, config.eps_b2))
+            ok = ((drawn >= 0.0) & (drawn <= 1.0)).all(axis=0)
+            first, accepted = ok.argmax(axis=0), ok.any(axis=0)
+            done = np.flatnonzero(accepted)
+            cells[:, pending[done]] = drawn[:, first[done], done]
+            attempts += int(np.where(accepted, first + 1, m).sum())
+            left = ~accepted
+            pending, k0, k1 = pending[left], k0[left], k1[left]
+            tried += m
+    a0, b0, c0, a1, b1, c1 = cells
+    gaps = gap_terms(
+        SliceRates(config.p0, config.r0, a0, b0, c0),
+        SliceRates(config.p1, config.r1, a1, b1, c1),
+    )
+    return gaps[4], attempts
 
 
 def run_monte_carlo(

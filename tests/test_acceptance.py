@@ -39,23 +39,33 @@ from gap_gauge import (
     sweep,
 )
 from gap_gauge import empirical
+from gap_gauge.bounds import bound_terms, closeness_terms, gamma_terms
 from gap_gauge.files import write_json
+from gap_gauge.model import SliceRates, gap_terms
 
 from conftest import M1_WITH_D, record_criterion
 
 CLASSIFIER = dict(p0=0.05, r0=0.1, p1=0.07, r1=0.09)
 
 
+def _models(rows: np.ndarray):
+    for row in rows.tolist():
+        yield ReducedModel(
+            slice0=SliceParams(p=row[0], r=row[1], a=row[2], b=row[3], c=row[4]),
+            slice1=SliceParams(p=row[5], r=row[6], a=row[7], b=row[8], c=row[9]),
+        )
+
+
 def _random_models(rng: np.random.Generator, count: int, chunk: int = 20_000):
     done = 0
     while done < count:
         block = min(chunk, count - done)
-        for row in rng.random((block, 10)).tolist():
-            yield ReducedModel(
-                slice0=SliceParams(p=row[0], r=row[1], a=row[2], b=row[3], c=row[4]),
-                slice1=SliceParams(p=row[5], r=row[6], a=row[7], b=row[8], c=row[9]),
-            )
+        yield from _models(rng.random((block, 10)))
         done += block
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
 
 
 def test_criterion_01_gap_identity():
@@ -85,22 +95,40 @@ def test_criterion_01_gap_identity():
 
 
 def test_criterion_02_bound_soundness():
+    # the models are evaluated a block at a time on the array path; the first
+    # block also goes through the scalar dataclass path, which must agree to
+    # the bit
     start = time.perf_counter()
     rng = np.random.default_rng(202)
     violations = 0
     stated_violations = 0
     worst_excess = 0.0
-    for model in _random_models(rng, 1_000_000):
-        error = abs(compute_delta(model.slice1) - compute_delta(model.slice0))
-        params = structure_params(model)
-        stated, proof = bound_combined(params)
-        sound = min(bound_A(params), bound_B1(params), bound_B2(params), proof)
+    for done in range(0, 1_000_000, 20_000):
+        rows = rng.random((20_000, 10))
+        s0, s1 = SliceRates(*rows.T[:5]), SliceRates(*rows.T[5:])
+        _, _, delta0, delta1, _ = gap_terms(s0, s1)
+        error = abs(delta1 - delta0)
+        eps_b1, eps_b2, _ = closeness_terms(s0.a, s0.b, s0.c, s1.a, s1.b, s1.c)
+        a, b1, b2, stated, proof, _ = bound_terms(
+            *gamma_terms(s0.p, s0.r, s1.p, s1.r), eps_b1, eps_b2
+        )
+        sound = np.minimum.reduce([a, b1, b2, proof])
+        if done == 0:
+            scalar = []
+            for model in _models(rows):
+                params = structure_params(model)
+                stated_bound, proof_bound = bound_combined(params)
+                scalar.append((
+                    abs(compute_delta(model.slice1) - compute_delta(model.slice0)),
+                    stated_bound,
+                    min(bound_A(params), bound_B1(params), bound_B2(params), proof_bound),
+                ))
+            assert (_bits(scalar) == _bits([error, stated, sound]).T).all()
         excess = error - sound
-        if excess > 1e-12:
-            violations += 1
-            worst_excess = max(worst_excess, excess)
-        if error - stated > 1e-12:
-            stated_violations += 1
+        exceeded = excess > 1e-12
+        violations += int(exceeded.sum())
+        worst_excess = max(worst_excess, float(excess[exceeded].max(initial=0.0)))
+        stated_violations += int((error - stated > 1e-12).sum())
     elapsed = time.perf_counter() - start
     ok = violations == 0 and elapsed < 60.0
     record_criterion(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gap_gauge import (
+    BoundReport,
     FullJoint,
     ReducedModel,
     SliceParams,
@@ -125,19 +126,27 @@ class TestBoundFormulas:
             report.bound_combined_proof,
         )
 
-    def test_best_is_min_of_all_five(self):
-        # best ranges over all five bounds, the stated variant included,
-        # so wherever the stated expression undershoots the error best
-        # inherits that undershoot
+    def test_best_is_min_of_the_four_sound_bounds(self):
+        # the stated variant can undershoot the error, so best leaves it out
+        # even where it is the smallest of the five
         rng = np.random.default_rng(23)
+        below = 0
         for _ in range(200):
             report = bound_report(random_reduced(rng))
             assert report.best == min(
                 report.bound_A,
                 report.bound_B1,
                 report.bound_B2,
-                report.bound_combined_stated,
                 report.bound_combined_proof,
+            )
+            below += report.bound_combined_stated < report.best
+        assert below > 0
+
+    def test_report_rejects_stated_value_as_best(self):
+        with pytest.raises(ValidationError, match="four sound bounds"):
+            BoundReport(
+                bound_A=0.5, bound_B1=0.5, bound_B2=0.5,
+                bound_combined_stated=0.1, bound_combined_proof=0.3, best=0.1,
             )
 
     def test_stated_variant_can_undershoot_error(self):
@@ -154,8 +163,12 @@ class TestBoundFormulas:
         assert gap.error == pytest.approx(0.24, abs=1e-12)
         assert stated == pytest.approx(0.0, abs=1e-12)
         assert proof >= gap.error - 1e-12
-        # and best, which takes the min over all five, undershoots with it
-        assert bound_report(model).best == pytest.approx(0.0, abs=1e-12)
+        # best counts only the sound bounds: here the proof bound, which
+        # equals the error
+        report = bound_report(model)
+        assert report.bound_combined_stated == pytest.approx(0.0, abs=1e-12)
+        assert report.best == report.bound_combined_proof
+        assert report.best == pytest.approx(0.24, abs=1e-12)
 
     def test_soundness_fuzz(self):
         rng = np.random.default_rng(17)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gap_gauge import FullJoint, cli, empirical, simulation
+from gap_gauge import FullJoint, ReducedModel, SliceParams, cli, empirical, simulation
 from gap_gauge.cli import GRID_MAX_POINTS, main, parse_grid
 from gap_gauge.empirical import MAX_REPLICATES
 from gap_gauge.errors import ValidationError
@@ -195,6 +195,22 @@ class TestAnalyze:
         assert report["bounds"]["best"] == pytest.approx(0.04, abs=1e-12)
         assert report["structure"]["eps_B1"] == pytest.approx(0.2, abs=1e-12)
         assert report["independence"] is None
+
+    def test_best_skips_undershooting_stated_bound(self, capsys, tmp_path):
+        # gamma_B1 = 0 < gamma_B2 drives the stated bound to 0 below the error
+        model = ReducedModel(
+            slice0=SliceParams(p=0.5, r=0.5, a=0.5, b=0.9, c=0.1),
+            slice1=SliceParams(p=0.2, r=0.2, a=0.5, b=0.9, c=0.1),
+        )
+        path = tmp_path / "model.json"
+        write_json(path, model_to_dict(model))
+        code, out, _ = run(capsys, "analyze", str(path))
+        assert code == 0
+        report = json.loads(out)
+        assert report["gap"]["error"] == pytest.approx(0.24, abs=1e-12)
+        assert report["bounds"]["bound_combined_stated"] == pytest.approx(0.0, abs=1e-12)
+        assert report["bounds"]["best"] == report["bounds"]["bound_combined_proof"]
+        assert report["bounds"]["best"] == pytest.approx(0.24, abs=1e-12)
 
     def test_joint_model_includes_diagnostics(self, capsys, tmp_path):
         from gap_gauge import consistent_marginals, expand

@@ -1,5 +1,7 @@
+import gc
 import io
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +77,19 @@ class TestParseRecords:
         with open(path, "rb") as handle:
             data = parse_records(handle)
         assert data.n == 4
+
+    def test_binary_file_object_stays_open(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text(BASIC)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with open(path, "rb") as handle:
+                data = parse_records(handle)
+                gc.collect()
+                assert not handle.closed
+            gc.collect()
+        assert data.n == 4
+        assert [str(w.message) for w in caught] == []
 
     def test_read_records_csv(self, tmp_path):
         path = tmp_path / "records.csv"
