@@ -32,6 +32,7 @@ from .model import (
     _require_prob,
     conditional_prob,
     gaps_from_joint,
+    slice_rates,
 )
 
 __all__ = [
@@ -305,15 +306,10 @@ def independence_diagnostics(
     dev3 = max(abs(q - by_vhat[(vhat, l)]) for (_, vhat, l), q in fine.items())
     holds1, holds2, holds3 = dev1 <= tol, dev2 <= tol, dev3 <= tol
 
-    bound2 = bound3 = None
-    if holds2:
-        bound2 = 2.0 * max(
-            conditional_prob(joint, {"v": 0}, {"vhat": 1, "l": l}) for l in (0, 1)
-        )
-    if holds3:
-        bound3 = 2.0 * max(
-            conditional_prob(joint, {"vhat": 0}, {"v": 1, "l": l}) for l in (0, 1)
-        )
+    # every (v, vhat, l) event has mass here, so both slices' rates are defined
+    s0, s1, _ = slice_rates(joint.cells)
+    bound2 = 2.0 * float(max(s0.p, s1.p)) if holds2 else None
+    bound3 = 2.0 * float(max(s0.r, s1.r)) if holds3 else None
 
     gap_error = gaps_from_joint(joint).error
     if holds1 and gap_error > 4.0 * tol + 1e-12:

@@ -38,6 +38,7 @@ from .errors import (
 )
 from .files import (
     atomic_open,
+    atomic_paths,
     dumps_json,
     load_model_file,
     load_sampler_config,
@@ -85,7 +86,7 @@ def _write_manifest(
     out: str,
     config: dict,
     seed: int,
-    inputs: list[str],
+    inputs: dict[str, str],
     outputs: list[str],
     started: float,
 ) -> None:
@@ -94,7 +95,7 @@ def _write_manifest(
         config=config,
         seed=seed,
         version=__version__,
-        inputs={path: _digest(path) for path in inputs},
+        inputs=inputs,
         outputs=tuple(outputs),
         duration_seconds=time.monotonic() - started,
     )
@@ -186,7 +187,8 @@ def _cmd_analyze(args, seed: int) -> int:
     if args.out is not None:
         config = {"model": args.model, "tol": args.tol, "format": args.format}
         _write_manifest(
-            "analyze", args.out, config, seed, [args.model], [args.out], started
+            "analyze", args.out, config, seed,
+            {args.model: _digest(args.model)}, [args.out], started,
         )
     return 0
 
@@ -200,9 +202,10 @@ def _cmd_simulate(args, seed: int) -> int:
         "errors": args.out + ".errors.csv",
         "histogram": args.out + ".hist.csv",
     }
-    write_json(outputs["summary"], result_dict(result))
-    write_errors_csv(outputs["errors"], result.errors)
-    write_histogram_csv(outputs["histogram"], result.histogram)
+    with atomic_paths(*outputs.values()) as (summary, errors, histogram):
+        write_json(summary, result_dict(result))
+        write_errors_csv(errors, result.errors)
+        write_histogram_csv(histogram, result.histogram)
     manifest_config = {
         "config_file": args.config,
         "sampler": sampler_config_to_dict(config),
@@ -212,7 +215,7 @@ def _cmd_simulate(args, seed: int) -> int:
     }
     _write_manifest(
         "simulate", args.out, manifest_config, seed,
-        [args.config], sorted(outputs.values()), started,
+        {args.config: _digest(args.config)}, sorted(outputs.values()), started,
     )
     return 0
 
@@ -232,14 +235,17 @@ def _cmd_sweep(args, seed: int) -> int:
         "workers": args.workers,
     }
     _write_manifest(
-        "sweep", args.out, manifest_config, seed, [args.config], [args.out], started
+        "sweep", args.out, manifest_config, seed,
+        {args.config: _digest(args.config)}, [args.out], started,
     )
     return 0
 
 
 def _cmd_estimate(args, seed: int) -> int:
     started = time.monotonic()
-    dataset = read_records_csv(args.data)
+    # the digest is taken from the bytes parsed, so a pipe is hashed too
+    digest = None if args.out is None else hashlib.sha256()
+    dataset = read_records_csv(args.data, digest)
     if args.condition_ystar:
         dataset = filter_ystar(dataset)
     report = estimate_with_bootstrap(
@@ -261,7 +267,8 @@ def _cmd_estimate(args, seed: int) -> int:
             "workers": args.workers,
         }
         _write_manifest(
-            "estimate", args.out, config, seed, [args.data], [args.out], started
+            "estimate", args.out, config, seed,
+            {args.data: "sha256:" + digest.hexdigest()}, [args.out], started,
         )
     return 0
 

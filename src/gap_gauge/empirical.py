@@ -63,19 +63,27 @@ __all__ = [
 #: small enough to stay in cache. Results never depend on it.
 _CHUNK = 1 << 16
 
+#: Rows ``read_records_csv`` reads and checks per block; its four block-sized
+#: buffers take at most 2.75 MiB (11-byte rows). Results never depend on it.
+_BLOCK_ROWS = 1 << 16
+
 #: Most replicates one bootstrap may run: a million take over an hour on 5e5 rows.
 MAX_REPLICATES = 10**6
 
 _HEADER = ("l", "v", "vhat", "y")
 _HEADER_YSTAR = ("l", "v", "vhat", "y", "ystar")
+_BOM = b"\xef\xbb\xbf"
 
 
 def _require_binary_array(values, name: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be one-dimensional")
-    arr = arr.astype(np.int8, copy=True)
-    if not np.isin(arr, (0, 1)).all():
+    # a read-only int8 array that owns its memory cannot change under the
+    # dataset, so it is kept as is; read_records_csv hands its columns over so
+    if arr.dtype != np.int8 or arr.flags.writeable or not arr.flags.owndata:
+        arr = arr.astype(np.int8)
+    if arr.size and arr.view(np.uint8).max() > 1:
         raise ValidationError(f"{name} must contain only 0/1 values")
     arr.setflags(write=False)
     return arr
@@ -224,58 +232,126 @@ def parse_records(stream) -> RecordDataset:
     )
 
 
-def _parse_layout(data: bytes) -> RecordDataset | None:
-    """Columns of a file in the canonical layout, or None for anything else.
+def _row_layout(first: bytes, width: int) -> tuple[np.ndarray, np.ndarray, list] | None:
+    """The fixed byte pattern of every row of a file whose first row is ``first``.
 
-    The canonical layout is an optional UTF-8 BOM, the header ``l,v,vhat,y``
-    or ``l,v,vhat,y,ystar`` and at least one row, every row being
-    single-character ``0``/``1`` cells separated by commas and ended by
-    ``\\n``. Such a file is a fixed-width byte matrix, so it needs no
-    per-row parsing; every other file goes through :func:`parse_records`.
+    ``first`` is a whole line, ending included. Returns ``(template, mask,
+    offsets)``: a row matches when ``row | mask == template`` byte by byte,
+    which pins every comma and the line ending and leaves only ``0``/``1`` in
+    each cell, and ``offsets`` gives each column's cell byte, None for an
+    optional column that is empty. None when ``first`` is not ``width``
+    single ``0``/``1`` cells (``v`` and ``ystar`` may be empty) ended by
+    ``\\n`` or ``\\r\\n``.
     """
-    start = 3 if data.startswith(b"\xef\xbb\xbf") else 0
-    for header in (_HEADER, _HEADER_YSTAR):
-        head = (",".join(header) + "\n").encode()
-        if data.startswith(head, start):
-            break
-    else:
+    if not first.endswith(b"\n"):
         return None
-    start += len(head)
-    width = 2 * len(header)
-    if len(data) == start or (len(data) - start) % width:
+    eol = b"\r\n" if first.endswith(b"\r\n") else b"\n"
+    cells = first[: -len(eol)].split(b",")
+    if len(cells) != width:
         return None
-    rows = np.frombuffer(data, dtype=np.uint8, offset=start).reshape(-1, width)
-    separators = rows[:, 1::2]
-    if not ((separators[:, :-1] == ord(",")).all() and (separators[:, -1] == ord("\n")).all()):
-        return None
-    cells = rows[:, 0::2] - np.uint8(ord("0"))  # anything but 0/1 wraps above 1
-    if not (cells <= 1).all():
-        return None
-    return RecordDataset(
-        l=cells[:, 0],
-        v=cells[:, 1],
-        vhat=cells[:, 2],
-        y=cells[:, 3],
-        ystar=cells[:, 4] if header == _HEADER_YSTAR else None,
-    )
+    template, mask, offsets = bytearray(), bytearray(), []
+    for name, cell in zip(_HEADER_YSTAR, cells):
+        if cell in (b"0", b"1"):
+            offsets.append(len(template))
+            template += b"1,"
+            mask += b"\x01\x00"
+        elif cell == b"" and name in ("v", "ystar"):
+            offsets.append(None)
+            template += b","
+            mask += b"\x00"
+        else:
+            return None
+    template[-1:] = eol
+    mask[-1:] = bytes(len(eol))
+    return np.frombuffer(template, np.uint8), np.frombuffer(mask, np.uint8), offsets
 
 
-def read_records_csv(path) -> RecordDataset:
-    """Parse a records CSV file from disk.
+def _read_blocks(handle, digest) -> RecordDataset | None:
+    """Columns of a fixed-width records file, or None for any other file.
 
-    A file in the canonical layout (see :func:`_parse_layout`) is read as a
-    byte matrix; any other file is reopened and parsed by
-    :func:`parse_records`, so every error it reports is the text parser's.
+    A fixed-width file is an optional UTF-8 BOM, the header ``l,v,vhat,y``
+    or ``l,v,vhat,y,ystar`` and at least one row, every row laid out like
+    the first (see :func:`_row_layout`); the header and the rows may end in
+    ``\\n`` or ``\\r\\n``. The row count comes from the file size, so the
+    columns are allocated once; ``_BLOCK_ROWS`` rows at a time are then read
+    into one reused buffer, checked against the layout and written into
+    them. ``handle`` must be a seekable binary stream; on None it is left
+    just past the bytes given to ``digest``.
     """
-    with open(path, "rb") as handle:
-        dataset = _parse_layout(handle.read())
-    if dataset is not None:
-        return dataset
-    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+    total = handle.seek(0, io.SEEK_END)
+    handle.seek(0)
+    head = handle.readline(len(_BOM) + len("l,v,vhat,y,ystar\r\n"))
+    if digest is not None:
+        digest.update(head)
+    names = head.removeprefix(_BOM).removesuffix(b"\n").removesuffix(b"\r")
+    if not head.endswith(b"\n") or names not in (b"l,v,vhat,y", b"l,v,vhat,y,ystar"):
+        return None
+    width = names.count(b",") + 1
+    layout = _row_layout(handle.readline(2 * width + 1), width)
+    handle.seek(len(head))
+    if layout is None:
+        return None
+    template, mask, offsets = layout
+    n, rest = divmod(total - len(head), template.size)
+    if n == 0 or rest:
+        return None
+    columns = [None if offset is None else np.empty(n, np.int8) for offset in offsets]
+    # the buffers are reused, since touching fresh pages costs more than the checks
+    block_rows = min(n, _BLOCK_ROWS)
+    buffer = memoryview(bytearray(block_rows * template.size))
+    masks, pattern = np.tile(mask, block_rows), np.tile(template, block_rows)
+    scratch = np.empty_like(pattern)
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        size = (stop - start) * template.size
+        got = handle.readinto(buffer[:size])
+        if digest is not None:
+            digest.update(buffer[:got])
+        if got != size:
+            return None
+        block = np.frombuffer(buffer, np.uint8, count=size)
+        np.bitwise_or(block, masks[:size], out=scratch[:size])
+        np.bitwise_xor(scratch[:size], pattern[:size], out=scratch[:size])
+        if scratch[:size].any():
+            return None
+        rows = block.reshape(-1, template.size)
+        for column, offset in zip(columns, offsets):
+            if column is not None:
+                np.bitwise_and(rows[:, offset], 1, out=column[start:stop].view(np.uint8))
+    for column in columns:
+        if column is not None:
+            column.setflags(write=False)
+    l, v, vhat, y, *ystar = columns
+    return RecordDataset(l=l, v=v, vhat=vhat, y=y, ystar=ystar[0] if ystar else None)
+
+
+def read_records_csv(path, digest=None) -> RecordDataset:
+    """Parse a records CSV file from disk, a pipe or any other readable path.
+
+    The input is read once. A fixed-width file (see :func:`_read_blocks`)
+    goes block by block straight into the dataset's columns; any other
+    file, including one that stops matching in some block, is parsed from
+    its first byte by :func:`parse_records`, so every error it reports is
+    the text parser's. A path that cannot seek, such as a pipe, is read into
+    memory first. ``digest``, a :mod:`hashlib` object, is updated with every
+    byte of the input once.
+    """
+    with open(path, "rb") as file:
+        handle = file if file.seekable() else io.BytesIO(file.read())
+        dataset = _read_blocks(handle, digest)
+        if dataset is not None:
+            return dataset
+        if digest is not None:
+            for block in iter(lambda: handle.read(1 << 16), b""):
+                digest.update(block)
+        handle.seek(0)
+        text = io.TextIOWrapper(handle, encoding="utf-8-sig", newline="")
         try:
-            return parse_records(handle)
+            return parse_records(text)
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
+        finally:
+            text.detach()
 
 
 def sample_dataset(joint: FullJoint, n: int, seed: int) -> RecordDataset:
@@ -329,7 +405,12 @@ def _codes(dataset: RecordDataset) -> np.ndarray:
 
 
 def _cell_counts(codes: np.ndarray, v_present: bool) -> np.ndarray:
-    return np.bincount(codes, minlength=16 if v_present else 8)
+    """Counts of each cell code, ``_CHUNK`` codes at a time: ``bincount`` casts its input to intp."""
+    width = 16 if v_present else 8
+    return sum(
+        np.bincount(codes[start:start + _CHUNK], minlength=width)
+        for start in range(0, codes.size, _CHUNK)
+    )
 
 
 def _joint_cells(counts: np.ndarray, n: int, smoothing: float) -> np.ndarray:

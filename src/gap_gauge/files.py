@@ -24,6 +24,7 @@ from .simulation import Histogram, SamplerConfig, SimulationResult, SweepPoint, 
 
 __all__ = [
     "atomic_open",
+    "atomic_paths",
     "dumps_json",
     "write_json",
     "result_dict",
@@ -98,6 +99,25 @@ def atomic_open(path):
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
+        raise
+
+
+@contextmanager
+def atomic_paths(*paths):
+    """Temporary paths ``<path>.tmp``, all renamed onto ``paths`` once the block ends.
+
+    Every output is written before any is replaced, and a block that raises
+    removes every temporary, so a failed write leaves every path as it was.
+    """
+    tmps = [f"{os.fspath(path)}.tmp" for path in paths]
+    try:
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.remove(tmp)
         raise
 
 

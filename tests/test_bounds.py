@@ -16,6 +16,7 @@ from gap_gauge import (
     bound_report,
     classifier_structure_params,
     compute_gaps,
+    conditional_prob,
     consistent_marginals,
     expand,
     independence_diagnostics,
@@ -281,3 +282,23 @@ class TestIndependenceDiagnostics:
         cells[0b1000] = 0.25
         with pytest.raises(ZeroMassCondition):
             independence_diagnostics(FullJoint(cells=cells))
+
+    def test_zero_mass_names_first_empty_event(self):
+        cells = np.zeros(16)
+        cells[[0b0000, 0b0111, 0b1000, 0b1111]] = 0.25
+        with pytest.raises(ZeroMassCondition) as err:
+            independence_diagnostics(FullJoint(cells=cells))
+        assert str(err.value) == "conditioning event has zero mass: l=0, v=0, vhat=1"
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_case_bounds_are_the_query_rates(self, seed):
+        # tol = 1 makes every case hold, so both bounds are reported
+        joint = FullJoint(cells=np.random.default_rng(seed).dirichlet(np.ones(16)))
+        diag = independence_diagnostics(joint, tol=1.0)
+        assert diag.bound_case2 == 2.0 * max(
+            conditional_prob(joint, {"v": 0}, {"vhat": 1, "l": l}) for l in (0, 1)
+        )
+        assert diag.bound_case3 == 2.0 * max(
+            conditional_prob(joint, {"vhat": 0}, {"v": 1, "l": l}) for l in (0, 1)
+        )
+        assert type(diag.bound_case2) is float and type(diag.bound_case3) is float

@@ -1,4 +1,7 @@
+import hashlib
+import itertools
 import json
+import os
 
 import numpy as np
 import pytest
@@ -353,6 +356,31 @@ class TestSimulate:
         assert (tmp_path / "a.errors.csv").read_text() != (
             tmp_path / "b.errors.csv"
         ).read_text()
+
+    @pytest.mark.parametrize("failing", ["write_errors_csv", "write_histogram_csv"])
+    def test_failed_write_changes_no_result_file(
+        self, capsys, monkeypatch, constrained_config_file, tmp_path, failing
+    ):
+        prefix = str(tmp_path / "run")
+        code, _, _ = run(
+            capsys, "simulate", constrained_config_file, "--trials", "150", "--out", prefix
+        )
+        assert code == 0
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+        def partial_write(path, *args):
+            with open(path, "w") as handle:
+                handle.write("partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, failing, partial_write)
+        for out in (prefix, str(tmp_path / "fresh")):
+            code, _, err = run(
+                capsys, "simulate", constrained_config_file,
+                "--trials", "150", "--seed", "7", "--out", out,
+            )
+            assert (code, err) == (2, "gap-gauge: disk full\n")
+            assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     def test_env_seed_used_when_no_flag(
         self, capsys, monkeypatch, constrained_config_file, tmp_path
@@ -712,6 +740,79 @@ class TestEstimate:
         assert manifest["command"] == "estimate"
         assert manifest["config"]["bootstrap"] == 0
         assert manifest["config"]["workers"] >= 1
+
+    @pytest.fixture
+    def pipe_path(self):
+        """Puts content in a pipe and returns the pipe's /dev/fd path."""
+        fds = []
+
+        def make(content: bytes) -> str:
+            read, write = os.pipe()
+            fds.append(read)
+            os.write(write, content)  # fits the pipe's buffer
+            os.close(write)
+            return f"/dev/fd/{read}"
+
+        yield make
+        for fd in fds:
+            os.close(fd)
+
+    PIPE_CONTENTS = {
+        "canonical": b"l,v,vhat,y\n" + b"".join(
+            f"{i >> 3 & 1},{i >> 2 & 1},{i >> 1 & 1},{i & 1}\n".encode() for i in range(48)
+        ),
+        "no v": b"l,v,vhat,y\n0,,1,1\n0,,1,0\n1,,1,1\n1,,1,1\n1,,1,0\n0,,0,0\n",
+        "CRLF": b"l,v,vhat,y,ystar\r\n" + b"".join(
+            f"{i >> 3 & 1},{i >> 2 & 1},{i >> 1 & 1},{i & 1},1\r\n".encode() for i in range(32)
+        ),
+        "no final newline": b"l,v,vhat,y\n0,,1,1\n0,,1,0\n1,,1,1\n1,,0,0",
+        "bad cell": b"l,v,vhat,y\n0,1,1,1\n0,1,2,1\n",
+    }
+
+    @pytest.mark.parametrize("case", sorted(PIPE_CONTENTS))
+    def test_pipe_reads_like_a_file(self, capsys, tmp_path, pipe_path, case):
+        content = self.PIPE_CONTENTS[case]
+        path = tmp_path / "records.csv"
+        path.write_bytes(content)
+        from_file = run(capsys, "estimate", str(path), "--bootstrap", "5")
+        assert run(capsys, "estimate", pipe_path(content), "--bootstrap", "5") == from_file
+        assert from_file[0] == (2 if case == "bad cell" else 0)
+
+    @pytest.mark.parametrize("case", ["canonical", "no v", "CRLF"])
+    def test_manifest_digest_is_of_the_bytes_parsed(self, capsys, tmp_path, pipe_path, case):
+        content = self.PIPE_CONTENTS[case]
+        path = tmp_path / "records.csv"
+        path.write_bytes(content)
+        for data in (str(path), pipe_path(content)):
+            out = tmp_path / "estimate.json"
+            code, _, err = run(capsys, "estimate", data, "--out", str(out))
+            assert code == 0, err
+            manifest = json.loads((tmp_path / "estimate.json.manifest.json").read_text())
+            assert manifest["inputs"] == {
+                data: "sha256:" + hashlib.sha256(content).hexdigest()
+            }
+
+    @pytest.mark.parametrize("v_present", [True, False])
+    def test_same_report_in_every_block_layout(self, capsys, tmp_path, m1_joint, v_present):
+        from gap_gauge import sample_dataset
+
+        data = sample_dataset(m1_joint, 300, seed=4)
+        reports = set()
+        for bom, eol, ystar in itertools.product(
+            (b"", b"\xef\xbb\xbf"), (b"\n", b"\r\n"), ("absent", "present", "empty")
+        ):
+            lines = [b"l,v,vhat,y" + (b"" if ystar == "absent" else b",ystar")]
+            for i, (l, v, vhat, y) in enumerate(zip(data.l, data.v, data.vhat, data.y)):
+                cells = [str(l), str(v) if v_present else "", str(vhat), str(y)]
+                if ystar != "absent":
+                    cells.append(str(i % 2) if ystar == "present" else "")
+                lines.append(",".join(cells).encode())
+            path = tmp_path / "records.csv"
+            path.write_bytes(bom + eol.join(lines) + eol)
+            code, out, err = run(capsys, "estimate", str(path), "--bootstrap", "10")
+            assert code == 0, err
+            reports.add(out)
+        assert len(reports) == 1
 
     def test_manifest_records_workers(self, capsys, records_file, tmp_path):
         out_path = tmp_path / "estimate.json"

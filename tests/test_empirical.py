@@ -1,6 +1,10 @@
 import gc
+import hashlib
 import io
+import itertools
+import os
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -160,30 +164,75 @@ GOOD_ROWS_YSTAR = b"".join(
     for i in range(32)
 )
 
-#: (file bytes, whether the byte-matrix layout applies)
+#: The l, v, vhat, y and ystar cells of the 403 rows that ``layout_rows`` writes
+BLOCK_COLUMNS = np.random.default_rng(5).integers(0, 2, size=(5, 403))
+
+#: (BOM, line ending, v present, ystar "absent", "present" or "empty")
+BLOCK_LAYOUTS = list(itertools.product(
+    (False, True), (b"\n", b"\r\n"), (True, False), ("absent", "present", "empty")
+))
+
+
+def layout_id(layout) -> str:
+    bom, eol, v, ystar = layout
+    return "-".join((
+        "bom" if bom else "plain", "crlf" if eol == b"\r\n" else "lf",
+        "v" if v else "no_v", f"ystar_{ystar}",
+    ))
+
+
+def layout_rows(bom: bool, eol: bytes, v: bool, ystar: str) -> list[bytes]:
+    """The header and rows of BLOCK_COLUMNS in one fixed-width layout, line endings included."""
+    names = ["l", "v", "vhat", "y"] + ([] if ystar == "absent" else ["ystar"])
+    lines = [",".join(names)]
+    for l, vv, vhat, y, ys in BLOCK_COLUMNS.T:
+        cells = [str(l), str(vv) if v else "", str(vhat), str(y)]
+        if ystar != "absent":
+            cells.append(str(ys) if ystar == "present" else "")
+        lines.append(",".join(cells))
+    rows = [line.encode() + eol for line in lines]
+    if bom:
+        rows[0] = b"\xef\xbb\xbf" + rows[0]
+    return rows
+
+
+#: (file bytes, whether the block reader takes the file without the text parser)
 LAYOUT_CASES = {
     "clean 4 columns": (b"l,v,vhat,y\n" + GOOD_ROWS, True),
     "clean 5 columns": (b"l,v,vhat,y,ystar\n" + GOOD_ROWS_YSTAR, True),
     "BOM": (b"\xef\xbb\xbfl,v,vhat,y\n" + GOOD_ROWS, True),
     "one row": (b"l,v,vhat,y\n1,0,1,0\n", True),
-    "CRLF": (b"l,v,vhat,y\r\n" + GOOD_ROWS.replace(b"\n", b"\r\n"), False),
-    "CRLF rows only": (b"l,v,vhat,y\n" + GOOD_ROWS.replace(b"\n", b"\r\n"), False),
+    "CRLF": (b"l,v,vhat,y\r\n" + GOOD_ROWS.replace(b"\n", b"\r\n"), True),
+    "CRLF rows only": (b"l,v,vhat,y\n" + GOOD_ROWS.replace(b"\n", b"\r\n"), True),
     "no final newline": (b"l,v,vhat,y\n" + GOOD_ROWS[:-1], False),
     "cell 2": (b"l,v,vhat,y\n" + GOOD_ROWS + b"0,1,2,1\n", False),
     "cell 01": (b"l,v,vhat,y\n" + GOOD_ROWS + b"0,01,1\n", False),
     "extra column": (b"l,v,vhat,y\n" + GOOD_ROWS + b"0,1,1,1,0\n", False),
     "two rows on one line": (b"l,v,vhat,y\n" + GOOD_ROWS + b"0,1,1,1,0,1,1,1\n", False),
     "semicolons": (b"l,v,vhat,y\n" + GOOD_ROWS + b"0;1;1;1\n", False),
-    "v uniformly empty": (b"l,v,vhat,y\n0,,1,1\n1,,0,0\n", False),
+    "v uniformly empty": (b"l,v,vhat,y\n0,,1,1\n1,,0,0\n", True),
     "v empty on one row": (b"l,v,vhat,y\n" + GOOD_ROWS + b"0,,1,1\n" + GOOD_ROWS, False),
-    "ystar uniformly empty": (b"l,v,vhat,y,ystar\n0,1,1,1,\n1,0,0,0,\n", False),
+    "ystar uniformly empty": (b"l,v,vhat,y,ystar\n0,1,1,1,\n1,0,0,0,\n", True),
     "blank last line": (b"l,v,vhat,y\n" + GOOD_ROWS + b"\n", False),
     "header only": (b"l,v,vhat,y\n", False),
     "empty file": (b"", False),
     "wrong header": (b"l,vhat,v,y\n" + GOOD_ROWS, False),
     "quoted header": (b'"l",v,vhat,y\n' + GOOD_ROWS, False),
     "not UTF-8 after 100 rows": (b"l,v,vhat,y\n" + GOOD_ROWS + b"0,1,\xff,1\n", False),
+    **{
+        f"layout {layout_id(layout)}": (b"".join(layout_rows(*layout)), True)
+        for layout in BLOCK_LAYOUTS
+    },
 }
+
+
+def assert_same_columns(got: RecordDataset, want: RecordDataset) -> None:
+    for name in ("l", "v", "vhat", "y", "ystar"):
+        have, expected = getattr(got, name), getattr(want, name)
+        assert (have is None) == (expected is None), name
+        if expected is not None:
+            assert have.dtype == expected.dtype, name
+            assert np.array_equal(have, expected), name
 
 
 class TestReadRecordsLayout:
@@ -210,13 +259,7 @@ class TestReadRecordsLayout:
             assert str(err.value) == str(expected)
             assert getattr(err.value, "line", None) == getattr(expected, "line", None)
         else:
-            got = read_records_csv(path)
-            for name in ("l", "v", "vhat", "y", "ystar"):
-                want, have = getattr(expected, name), getattr(got, name)
-                assert (want is None) == (have is None), name
-                if want is not None:
-                    assert have.dtype == want.dtype, name
-                    assert np.array_equal(have, want), name
+            assert_same_columns(read_records_csv(path), expected)
         assert (not calls) == fast
 
     def test_mixed_schema_line_number(self, tmp_path):
@@ -231,6 +274,122 @@ class TestReadRecordsLayout:
         path.write_bytes(LAYOUT_CASES["not UTF-8 after 100 rows"][0])
         with pytest.raises(ValidationError, match="not UTF-8"):
             read_records_csv(path)
+
+
+class TestBlockReader:
+    """Fixed-width files are read block by block and give the text parser's columns."""
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 402, 403, 404])
+    @pytest.mark.parametrize(
+        "layout",
+        [BLOCK_LAYOUTS[0], BLOCK_LAYOUTS[4], BLOCK_LAYOUTS[11], BLOCK_LAYOUTS[21]],
+        ids=layout_id,
+    )
+    def test_block_size_never_changes_columns(self, tmp_path, monkeypatch, layout, block_rows):
+        # n = 403 is a multiple of none of 7, n - 1 and n + 1, so the last
+        # block is a partial one
+        path = tmp_path / "records.csv"
+        path.write_bytes(b"".join(layout_rows(*layout)))
+        expected = text_parser_read(path)
+        monkeypatch.setattr(empirical, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(empirical, "parse_records", None)  # no fallback
+        assert_same_columns(read_records_csv(path), expected)
+
+    #: (layout, replacement for the file's line 402, which the last 7-row block holds)
+    LAST_BLOCK_CASES = {
+        "bad cell": ((False, b"\n", True, "absent"), b"0,1,1,2\n"),
+        "mixed schema": ((False, b"\n", False, "present"), b"0,1,1,1,\n"),
+        "CRLF row, wrong width": ((False, b"\n", True, "present"), b"0,1,1,1,\r\n"),
+        "LF row in a CRLF file": ((False, b"\r\n", True, "absent"), b"0,1,1,1,\n"),
+        "CRLF row, valid": ((False, b"\n", True, "absent"), b"0,1,1,1\r\n"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(LAST_BLOCK_CASES))
+    def test_last_block_falls_back_to_text_parser(self, tmp_path, monkeypatch, case):
+        layout, line = self.LAST_BLOCK_CASES[case]
+        rows = layout_rows(*layout)
+        rows[401] = line
+        path = tmp_path / "records.csv"
+        path.write_bytes(b"".join(rows))
+        monkeypatch.setattr(empirical, "_BLOCK_ROWS", 7)
+        calls = []
+        text_parse = empirical.parse_records
+        monkeypatch.setattr(
+            empirical, "parse_records", lambda s: calls.append(s) or text_parse(s)
+        )
+        try:
+            expected = text_parser_read(path)
+        except ValidationError as exc:
+            assert exc.line == 402
+            with pytest.raises(type(exc)) as err:
+                read_records_csv(path)
+            assert str(err.value) == str(exc)
+            assert err.value.line == 402
+        else:
+            assert_same_columns(read_records_csv(path), expected)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("content", [
+        b"".join(layout_rows(True, b"\r\n", False, "present")),
+        b"".join(layout_rows(False, b"\n", True, "absent")[:-1]) + b"0,2,1,1\n",
+        b"".join(layout_rows(False, b"\n", True, "absent"))[:-1],
+        b"l,vhat,v,y\n0,1,1,1\n",
+    ], ids=["block read", "bad last row", "no final newline", "bad header"])
+    @pytest.mark.parametrize("block_rows", [7, 1 << 16])
+    def test_digest_sees_every_byte_once(self, tmp_path, monkeypatch, content, block_rows):
+        path = tmp_path / "records.csv"
+        path.write_bytes(content)
+        monkeypatch.setattr(empirical, "_BLOCK_ROWS", block_rows)
+        digest = hashlib.sha256()
+        try:
+            read_records_csv(path, digest)
+        except ValidationError:
+            pass
+        assert digest.hexdigest() == hashlib.sha256(content).hexdigest()
+
+    @pytest.mark.parametrize("layout", [BLOCK_LAYOUTS[0], BLOCK_LAYOUTS[23]], ids=layout_id)
+    def test_pipe_is_read_once(self, tmp_path, layout):
+        content = b"".join(layout_rows(*layout))
+        path = tmp_path / "records.csv"
+        path.write_bytes(content)
+        read, write = os.pipe()
+        try:
+            os.write(write, content)  # fits the pipe's buffer
+            os.close(write)
+            digest = hashlib.sha256()
+            got = read_records_csv(f"/dev/fd/{read}", digest)
+        finally:
+            os.close(read)
+        assert_same_columns(got, text_parser_read(path))
+        assert digest.hexdigest() == hashlib.sha256(content).hexdigest()
+
+    def test_memory_per_row(self, tmp_path):
+        # the columns are 4 bytes a row; no step may hold more than 6 bytes a
+        # row plus the fixed-size block and chunk buffers
+        n = 1_000_000
+        lines = b"".join(f"{c >> 3 & 1},{c >> 2 & 1},{c >> 1 & 1},{c & 1}\n".encode() for c in range(16))
+        table = np.frombuffer(lines, dtype=np.uint8).reshape(16, 8)
+        codes = np.random.default_rng(0).integers(0, 16, size=n)
+        path = tmp_path / "records.csv"
+        path.write_bytes(b"l,v,vhat,y\n" + table[codes].tobytes())
+        del codes
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                result = call()
+                return tracemalloc.get_traced_memory()[1], result
+            finally:
+                tracemalloc.stop()
+
+        bound = 6 * n + 4 * 2**20
+        read_peak, data = peak(lambda: read_records_csv(path))
+        estimate_peak, _ = peak(lambda: estimate(data))
+        bootstrap_peak, _ = peak(lambda: bootstrap(data, 2, seed=0))
+        assert data.n == n
+        assert read_peak <= bound, f"read_records_csv: {read_peak / n:.1f} bytes a row"
+        assert estimate_peak <= bound, f"estimate: {estimate_peak / n:.1f} bytes a row"
+        assert bootstrap_peak <= bound, f"bootstrap: {bootstrap_peak / n:.1f} bytes a row"
 
 
 class TestRecordDataset:
@@ -252,6 +411,28 @@ class TestRecordDataset:
         data = parse_records(BASIC)
         with pytest.raises(ValueError):
             data.l[0] = 1
+
+    def test_keeps_read_only_owned_int8_columns(self):
+        l = np.array([0, 1, 1], dtype=np.int8)
+        l.setflags(write=False)
+        assert RecordDataset(l=l, vhat=[0, 1, 0], y=[1, 1, 0]).l is l
+
+    @pytest.mark.parametrize("kind", ["writeable", "read-only view", "int64"])
+    def test_copies_columns_others_can_change(self, kind):
+        base = np.array([0, 1, 1], dtype=np.int64 if kind == "int64" else np.int8)
+        l = base[:] if kind == "read-only view" else base
+        if kind == "read-only view":
+            l.setflags(write=False)
+        data = RecordDataset(l=l, vhat=[0, 1, 0], y=[1, 1, 0])
+        base[0] = 1
+        assert list(data.l) == [0, 1, 1]
+        assert data.l.dtype == np.int8
+
+    def test_checks_read_only_owned_columns(self):
+        l = np.array([0, 2, 1], dtype=np.int8)
+        l.setflags(write=False)
+        with pytest.raises(ValidationError, match="l must contain only 0/1 values"):
+            RecordDataset(l=l, vhat=[0, 1, 0], y=[1, 1, 0])
 
 
 class TestFilterYstar:
@@ -635,6 +816,16 @@ class TestCountsBootstrap:
             data = without_v(data)
             want = np.bincount(4 * l + 2 * vhat + y, minlength=8)
         assert estimate(data).counts == tuple(int(c) for c in want)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 402, 403, 404])
+    @pytest.mark.parametrize("v_present", [True, False])
+    def test_estimate_counts_across_chunk_sizes(self, m1_joint, monkeypatch, chunk, v_present):
+        data = sample_dataset(m1_joint, 403, seed=23)
+        if not v_present:
+            data = without_v(data)
+        want = estimate(data)
+        monkeypatch.setattr(empirical, "_CHUNK", chunk)
+        assert estimate(data) == want
 
 
 class TestEstimateWithBootstrap:

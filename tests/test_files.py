@@ -21,6 +21,7 @@ from gap_gauge.files import (
     SUMMARY_KEYS,
     SWEEP_HEADER,
     atomic_open,
+    atomic_paths,
     dumps_json,
     from_dict,
     load_model_file,
@@ -490,6 +491,25 @@ class TestResultFiles:
 
 
 class TestAtomicWrites:
+    def test_paths_are_replaced_together(self, tmp_path):
+        paths = [tmp_path / "a.json", tmp_path / "b.csv"]
+        with atomic_paths(*paths) as tmps:
+            write_json(tmps[0], {"value": 1})
+            write_errors_csv(tmps[1], [0.5])
+            assert not any(path.exists() for path in paths)
+        assert json.loads(paths[0].read_text()) == {"value": 1}
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["a.json", "b.csv"]
+
+    def test_failure_in_a_later_write_keeps_every_path(self, tmp_path):
+        paths = [tmp_path / "a.json", tmp_path / "b.csv"]
+        write_json(paths[0], {"value": 1})
+        with pytest.raises(ValueError):
+            with atomic_paths(*paths) as tmps:
+                write_json(tmps[0], {"value": 2})
+                write_errors_csv(tmps[1], [0.1, "not a number"])
+        assert json.loads(paths[0].read_text()) == {"value": 1}
+        assert [path.name for path in tmp_path.iterdir()] == ["a.json"]
+
     def test_block_that_raises_leaves_nothing(self, tmp_path):
         with pytest.raises(RuntimeError):
             with atomic_open(tmp_path / "out.csv") as handle:
