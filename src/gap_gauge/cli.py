@@ -10,8 +10,9 @@ Four subcommands cover the library surface:
 Exit codes are total: 0 success, 2 input or validation problems, 3 undefined
 quantities (zero-mass conditions, empty inputs), 4 sampler budget exhaustion.
 Every run that writes files also writes a ``<out>.manifest.json`` recording
-the resolved configuration, seed, input digests, and output paths; re-running
-with that configuration and seed reproduces the outputs byte for byte.
+the resolved configuration, seed, the digest of the input bytes parsed, and
+output paths, renamed into place together with the outputs; re-running with
+that configuration and seed reproduces the outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .errors import (
     ZeroMassCondition,
 )
 from .files import (
-    atomic_open,
     atomic_paths,
     dumps_json,
     load_model_file,
@@ -48,9 +48,10 @@ from .files import (
     write_histogram_csv,
     write_json,
     write_sweep_csv,
+    write_text,
 )
 from .model import FullJoint, compute_gaps, reduce
-from .simulation import run_monte_carlo, sweep
+from .simulation import SamplerConfig, _require_seed, run_monte_carlo, sweep
 
 __all__ = ["main", "RunManifest", "parse_grid"]
 
@@ -73,33 +74,13 @@ class RunManifest:
     duration_seconds: float
 
 
-def _digest(path: str) -> str:
-    sha = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 16), b""):
-            sha.update(block)
-    return "sha256:" + sha.hexdigest()
+#: The argument that names each command's input file.
+_INPUT = {
+    "analyze": "model", "simulate": "config_file", "sweep": "config_file", "estimate": "data",
+}
 
-
-def _write_manifest(
-    command: str,
-    out: str,
-    config: dict,
-    seed: int,
-    inputs: dict[str, str],
-    outputs: list[str],
-    started: float,
-) -> None:
-    manifest = RunManifest(
-        command=command,
-        config=config,
-        seed=seed,
-        version=__version__,
-        inputs=inputs,
-        outputs=tuple(outputs),
-        duration_seconds=time.monotonic() - started,
-    )
-    write_json(out + ".manifest.json", asdict(manifest))
+#: Parsed arguments the manifest records elsewhere, or not at all.
+_NOT_CONFIG = ("func", "command", "seed", "out")
 
 
 def parse_grid(spec: str) -> list[float]:
@@ -155,17 +136,17 @@ def _render(report: dict, fmt: str) -> str:
     return dumps_json(report)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
+def _report(args, report) -> dict:
+    """The rendered report: written to stdout, or returned as the ``--out`` output."""
+    text = _render(result_dict(report), args.format)
+    if args.out is None:
         sys.stdout.write(text)
-    else:
-        with atomic_open(out) as handle:
-            handle.write(text)
+        return {}
+    return {args.out: (write_text, text)}
 
 
-def _cmd_analyze(args, seed: int) -> int:
-    started = time.monotonic()
-    model = load_model_file(args.model)
+def _cmd_analyze(args, digest) -> dict:
+    model = load_model_file(args.model, digest)
     independence = None
     if isinstance(model, FullJoint):
         joint = model
@@ -177,100 +158,47 @@ def _cmd_analyze(args, seed: int) -> int:
             independence = independence_diagnostics(joint, tol=args.tol)
     else:
         reduced = model
-    report = result_dict({
+    return _report(args, {
         "gap": compute_gaps(reduced),
         "structure": structure_params(reduced),
         "bounds": bound_report(reduced),
         "independence": independence,
     })
-    _emit(_render(report, args.format), args.out)
-    if args.out is not None:
-        config = {"model": args.model, "tol": args.tol, "format": args.format}
-        _write_manifest(
-            "analyze", args.out, config, seed,
-            {args.model: _digest(args.model)}, [args.out], started,
-        )
-    return 0
 
 
-def _cmd_simulate(args, seed: int) -> int:
-    started = time.monotonic()
-    config = load_sampler_config(args.config)
-    result = run_monte_carlo(config, args.trials, seed, bins=args.bins)
-    outputs = {
-        "summary": args.out + ".summary.json",
-        "errors": args.out + ".errors.csv",
-        "histogram": args.out + ".hist.csv",
+def _load_sampler(args, digest) -> SamplerConfig:
+    """The sampler config of simulate and sweep, also recorded in the manifest."""
+    config = load_sampler_config(args.config_file, digest)
+    args.sampler = sampler_config_to_dict(config)
+    return config
+
+
+def _cmd_simulate(args, digest) -> dict:
+    result = run_monte_carlo(_load_sampler(args, digest), args.trials, args.seed, bins=args.bins)
+    return {
+        args.out + ".summary.json": (write_json, result_dict(result)),
+        args.out + ".errors.csv": (write_errors_csv, result.errors),
+        args.out + ".hist.csv": (write_histogram_csv, result.histogram),
     }
-    with atomic_paths(*outputs.values()) as (summary, errors, histogram):
-        write_json(summary, result_dict(result))
-        write_errors_csv(errors, result.errors)
-        write_histogram_csv(histogram, result.histogram)
-    manifest_config = {
-        "config_file": args.config,
-        "sampler": sampler_config_to_dict(config),
-        "trials": args.trials,
-        "bins": args.bins,
-        "workers": args.workers,
-    }
-    _write_manifest(
-        "simulate", args.out, manifest_config, seed,
-        {args.config: _digest(args.config)}, sorted(outputs.values()), started,
-    )
-    return 0
 
 
-def _cmd_sweep(args, seed: int) -> int:
-    started = time.monotonic()
-    config = load_sampler_config(args.config)
-    grid = parse_grid(args.grid)
-    result = sweep(config, args.varied, grid, args.trials, seed)
-    write_sweep_csv(args.out, result)
-    manifest_config = {
-        "config_file": args.config,
-        "sampler": sampler_config_to_dict(config),
-        "varied": args.varied,
-        "grid": args.grid,
-        "trials": args.trials,
-        "workers": args.workers,
-    }
-    _write_manifest(
-        "sweep", args.out, manifest_config, seed,
-        {args.config: _digest(args.config)}, [args.out], started,
-    )
-    return 0
+def _cmd_sweep(args, digest) -> dict:
+    config = _load_sampler(args, digest)
+    result = sweep(config, args.varied, parse_grid(args.grid), args.trials, args.seed)
+    return {args.out: (write_sweep_csv, result)}
 
 
-def _cmd_estimate(args, seed: int) -> int:
-    started = time.monotonic()
-    # the digest is taken from the bytes parsed, so a pipe is hashed too
-    digest = None if args.out is None else hashlib.sha256()
+def _cmd_estimate(args, digest) -> dict:
     dataset = read_records_csv(args.data, digest)
     if args.condition_ystar:
         dataset = filter_ystar(dataset)
-    report = estimate_with_bootstrap(
+    return _report(args, estimate_with_bootstrap(
         dataset,
         smoothing=args.smoothing,
         replicates=args.bootstrap,
         level=args.level,
-        seed=seed,
-    )
-    _emit(_render(result_dict(report), args.format), args.out)
-    if args.out is not None:
-        config = {
-            "data": args.data,
-            "smoothing": args.smoothing,
-            "bootstrap": args.bootstrap,
-            "level": args.level,
-            "condition_ystar": args.condition_ystar,
-            "format": args.format,
-            "workers": args.workers,
-        }
-        _write_manifest(
-            "estimate", args.out, config, seed,
-            {args.data: "sha256:" + digest.hexdigest()}, [args.out], started,
-        )
-    return 0
+        seed=args.seed,
+    ))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -309,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser(
         "simulate", parents=[common], help="Monte Carlo error study for a sampler config"
     )
-    p_sim.add_argument("config", help="sampler config (JSON)")
+    p_sim.add_argument("config_file", metavar="config", help="sampler config (JSON)")
     p_sim.add_argument("--trials", type=int, default=100000)
     p_sim.add_argument("--bins", type=int, default=50)
     p_sim.add_argument("--out", required=True,
@@ -319,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "sweep", parents=[common], help="rerun the study along one eps grid"
     )
-    p_sweep.add_argument("config", help="constrained sampler config (JSON)")
+    p_sweep.add_argument("config_file", metavar="config", help="constrained sampler config (JSON)")
     p_sweep.add_argument("--varied", required=True, choices=("eps_b1", "eps_b2"))
     p_sweep.add_argument("--grid", required=True, help="inclusive grid start:stop:step")
     p_sweep.add_argument("--trials", type=int, default=100000)
@@ -355,9 +283,7 @@ def _resolve_seed(args) -> int:
                 ) from None
         else:
             seed = _DEFAULT_SEED
-    if not (0 <= seed < (1 << 64)):
-        raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return seed
+    return _require_seed(seed)
 
 
 def _require_out_dir(out: str) -> None:
@@ -373,6 +299,34 @@ def _require_out_dir(out: str) -> None:
         raise ValidationError(f"--out {out}: directory {directory} is not writable")
 
 
+def _run(args) -> None:
+    """Run the command; with ``--out``, commit its outputs and manifest together.
+
+    The command reads its input through one digest and returns its outputs
+    as ``{path: (writer, result)}``. Every output and ``<out>.manifest.json``
+    are written before any is renamed into place, so a failed write, the
+    manifest's included, leaves every file as it was.
+    """
+    started = time.monotonic()
+    digest = hashlib.sha256()
+    outputs = args.func(args, digest)
+    if args.out is None:
+        return
+    with atomic_paths(*outputs, args.out + ".manifest.json") as tmps:
+        for tmp, (write, result) in zip(tmps, outputs.values()):
+            write(tmp, result)
+        manifest = RunManifest(
+            command=args.command,
+            config={key: value for key, value in vars(args).items() if key not in _NOT_CONFIG},
+            seed=args.seed,
+            version=__version__,
+            inputs={getattr(args, _INPUT[args.command]): "sha256:" + digest.hexdigest()},
+            outputs=tuple(sorted(outputs)),
+            duration_seconds=time.monotonic() - started,
+        )
+        write_json(tmps[-1], asdict(manifest))
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -384,10 +338,11 @@ def main(argv=None) -> int:
     try:
         if args.workers < 1:
             raise ValidationError(f"--workers must be at least 1, got {args.workers}")
-        seed = _resolve_seed(args)
+        args.seed = _resolve_seed(args)
         if args.out is not None:
             _require_out_dir(args.out)
-        return args.func(args, seed)
+        _run(args)
+        return 0
     except RejectionBudgetExhausted as exc:
         print(f"gap-gauge: {exc}", file=sys.stderr)
         return 4

@@ -380,10 +380,20 @@ def filter_ystar(dataset: RecordDataset) -> RecordDataset:
     """
     if not dataset.ystar_present:
         raise MissingColumn("dataset has no ystar column to condition on")
-    keep = np.where(dataset.ystar == 1)[0]
-    if keep.size == 0:
+    keep = dataset.ystar == 1
+    if not keep.any():
         raise EmptyInput("no rows with ystar = 1")
-    return dataset.take(keep)
+
+    def kept(column):
+        # a fresh read-only int8 column is kept by RecordDataset without a copy
+        rows = column[keep]
+        rows.setflags(write=False)
+        return rows
+
+    return RecordDataset(
+        l=kept(dataset.l), vhat=kept(dataset.vhat), y=kept(dataset.y),
+        v=None if dataset.v is None else kept(dataset.v), ystar=kept(dataset.ystar),
+    )
 
 
 def _require_smoothing(smoothing: float) -> float:

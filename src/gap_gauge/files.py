@@ -26,6 +26,7 @@ __all__ = [
     "atomic_open",
     "atomic_paths",
     "dumps_json",
+    "write_text",
     "write_json",
     "result_dict",
     "from_dict",
@@ -91,15 +92,8 @@ def atomic_open(path):
     A block that raises removes the temporary file, so ``path`` either keeps
     its previous state or holds the complete output, never part of it.
     """
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
-            yield handle
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_paths(path) as (tmp,), open(tmp, "w", encoding="utf-8", newline="\n") as handle:
+        yield handle
 
 
 @contextmanager
@@ -121,19 +115,27 @@ def atomic_paths(*paths):
         raise
 
 
-def write_json(path, obj: Any) -> None:
+def write_text(path, text: str) -> None:
     with atomic_open(path) as handle:
-        handle.write(dumps_json(obj))
+        handle.write(text)
 
 
-def _load_json(path) -> Any:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
-        except ValueError as exc:  # also an integer past Python's digit limit
-            raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
+def write_json(path, obj: Any) -> None:
+    write_text(path, dumps_json(obj))
+
+
+def _load_json(path, digest=None) -> Any:
+    """The JSON value in ``path``, read once; ``digest`` is updated with its bytes."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if digest is not None:
+        digest.update(data)
+    try:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
+    except ValueError as exc:  # also an integer past Python's digit limit
+        raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
 
 
 def _require_mapping(obj: Any, where: str) -> dict:
@@ -220,8 +222,8 @@ def model_from_dict(obj: Any) -> FullJoint | ReducedModel:
     )
 
 
-def load_model_file(path) -> FullJoint | ReducedModel:
-    payload = _load_json(path)  # its errors already name the path
+def load_model_file(path, digest=None) -> FullJoint | ReducedModel:
+    payload = _load_json(path, digest)  # its errors already name the path
     try:
         return model_from_dict(payload)
     except ValidationError as exc:
@@ -243,8 +245,8 @@ def sampler_config_from_dict(obj: Any) -> SamplerConfig:
     return from_dict(SamplerConfig, obj, "sampler config")
 
 
-def load_sampler_config(path) -> SamplerConfig:
-    payload = _load_json(path)  # its errors already name the path
+def load_sampler_config(path, digest=None) -> SamplerConfig:
+    payload = _load_json(path, digest)  # its errors already name the path
     try:
         return sampler_config_from_dict(payload)
     except ValidationError as exc:

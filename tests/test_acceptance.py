@@ -56,32 +56,32 @@ def _models(rows: np.ndarray):
         )
 
 
-def _random_models(rng: np.random.Generator, count: int, chunk: int = 20_000):
-    done = 0
-    while done < count:
-        block = min(chunk, count - done)
-        yield from _models(rng.random((block, 10)))
-        done += block
-
-
 def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=float).view(np.uint64)
 
 
 def test_criterion_01_gap_identity():
+    # the models are evaluated a block at a time on the array path; the first
+    # block also goes through compute_gaps on ReducedModels, which must agree
+    # to the bit
     start = time.perf_counter()
     rng = np.random.default_rng(101)
     worst_gap = 0.0
     worst_delta = 0.0
-    for model in _random_models(rng, 100_000):
-        gap = compute_gaps(model)
-        worst_gap = max(
-            worst_gap, abs(abs(gap.G - gap.G_hat) - abs(gap.delta1 - gap.delta0))
-        )
-        for params in model.slices():
-            direct = compute_delta(params)
+    for done in range(0, 100_000, 20_000):
+        rows = rng.random((20_000, 10))
+        slices = SliceRates(*rows.T[:5]), SliceRates(*rows.T[5:])
+        g, g_hat, delta0, delta1, error = gap_terms(*slices)
+        if done == 0:
+            scalar = [
+                (gap.G, gap.G_hat, gap.delta0, gap.delta1, gap.error)
+                for gap in map(compute_gaps, _models(rows))
+            ]
+            assert (_bits(scalar) == _bits([g, g_hat, delta0, delta1, error]).T).all()
+        worst_gap = max(worst_gap, float(np.abs(error - abs(delta1 - delta0)).max()))
+        for params in slices:
             via_rates = prob_y_given_v1(params) - prob_y_given_vhat1(params)
-            worst_delta = max(worst_delta, abs(direct - via_rates))
+            worst_delta = max(worst_delta, float(np.abs(compute_delta(params) - via_rates).max()))
     elapsed = time.perf_counter() - start
     ok = worst_gap <= 1e-12 and worst_delta <= 1e-12 and elapsed < 10.0
     record_criterion(

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +74,42 @@ def constrained_config_file(tmp_path):
         {**CLASSIFIER, "mode": "constrained", "eps_b1": 0.2, "eps_b2": 0.2},
     )
     return str(path)
+
+
+@pytest.fixture
+def pipe_path():
+    """Puts content in a pipe and returns the pipe's /dev/fd path."""
+    fds = []
+
+    def make(content: bytes) -> str:
+        read, write = os.pipe()
+        fds.append(read)
+        os.write(write, content)  # fits the pipe's buffer
+        os.close(write)
+        return f"/dev/fd/{read}"
+
+    yield make
+    for fd in fds:
+        os.close(fd)
+
+
+def fail_partway(monkeypatch, failing: str) -> None:
+    """Makes cli's writer ``failing`` write part of its file and raise.
+
+    ``manifest`` fails only the write of ``<out>.manifest.json``, which goes
+    through the same ``write_json`` as a simulate summary.
+    """
+    writer = "write_json" if failing == "manifest" else failing
+    original = getattr(cli, writer)
+
+    def partial_write(path, *args):
+        if failing == "manifest" and ".manifest.json" not in str(path):
+            return original(path, *args)
+        with open(path, "w") as handle:
+            handle.write("partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, writer, partial_write)
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -228,6 +265,21 @@ class TestAnalyze:
         assert report["independence"]["case1_holds"] is False
         assert report["gap"]["error"] == pytest.approx(0.001, abs=1e-10)
 
+    def test_failed_manifest_changes_no_report(
+        self, capsys, monkeypatch, m1_model_file, tmp_path
+    ):
+        report = str(tmp_path / "report")
+        code, _, _ = run(capsys, "analyze", m1_model_file, "--out", report)
+        assert code == 0
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        fail_partway(monkeypatch, "manifest")
+        for out in (report, str(tmp_path / "fresh")):
+            code, stdout, err = run(
+                capsys, "analyze", m1_model_file, "--format", "csv", "--out", out
+            )
+            assert (code, stdout, err) == (2, "", "gap-gauge: disk full\n")
+            assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
     def test_uniform_joint_has_no_gap(self, capsys, tmp_path):
         path = tmp_path / "uniform.json"
         write_json(path, model_to_dict(FullJoint(cells=np.full(16, 1 / 16))))
@@ -357,7 +409,7 @@ class TestSimulate:
             tmp_path / "b.errors.csv"
         ).read_text()
 
-    @pytest.mark.parametrize("failing", ["write_errors_csv", "write_histogram_csv"])
+    @pytest.mark.parametrize("failing", ["write_errors_csv", "write_histogram_csv", "manifest"])
     def test_failed_write_changes_no_result_file(
         self, capsys, monkeypatch, constrained_config_file, tmp_path, failing
     ):
@@ -367,13 +419,7 @@ class TestSimulate:
         )
         assert code == 0
         before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
-
-        def partial_write(path, *args):
-            with open(path, "w") as handle:
-                handle.write("partial")
-            raise OSError("disk full")
-
-        monkeypatch.setattr(cli, failing, partial_write)
+        fail_partway(monkeypatch, failing)
         for out in (prefix, str(tmp_path / "fresh")):
             code, _, err = run(
                 capsys, "simulate", constrained_config_file,
@@ -741,22 +787,6 @@ class TestEstimate:
         assert manifest["config"]["bootstrap"] == 0
         assert manifest["config"]["workers"] >= 1
 
-    @pytest.fixture
-    def pipe_path(self):
-        """Puts content in a pipe and returns the pipe's /dev/fd path."""
-        fds = []
-
-        def make(content: bytes) -> str:
-            read, write = os.pipe()
-            fds.append(read)
-            os.write(write, content)  # fits the pipe's buffer
-            os.close(write)
-            return f"/dev/fd/{read}"
-
-        yield make
-        for fd in fds:
-            os.close(fd)
-
     PIPE_CONTENTS = {
         "canonical": b"l,v,vhat,y\n" + b"".join(
             f"{i >> 3 & 1},{i >> 2 & 1},{i >> 1 & 1},{i & 1}\n".encode() for i in range(48)
@@ -895,6 +925,37 @@ class TestOutputDirectory:
         assert out in err and "not writable" in err
         assert no_monte_carlo == []
         assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+class TestManifestInputs:
+    """Every command digests the bytes it parsed, so a pipe is recorded right."""
+
+    ARGV = {
+        "analyze": [],
+        "simulate": ["--trials", "50"],
+        "sweep": ["--varied", "eps_b2", "--grid", "0:0.2:0.1", "--trials", "50"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_pipe_digest_is_of_the_bytes_sent(
+        self, capsys, tmp_path, pipe_path, m1_model_file, constrained_config_file, command
+    ):
+        path = m1_model_file if command == "analyze" else constrained_config_file
+        content = Path(path).read_bytes()
+        results = []
+        for source in (path, pipe_path(content)):
+            out = tmp_path / f"{command}-{len(results)}"
+            code, _, err = run(capsys, command, source, *self.ARGV[command], "--out", str(out))
+            assert code == 0, err
+            manifest = json.loads((tmp_path / f"{out.name}.manifest.json").read_text())
+            assert manifest["inputs"] == {
+                source: "sha256:" + hashlib.sha256(content).hexdigest()
+            }
+            results.append({
+                Path(output).name[len(out.name):]: Path(output).read_bytes()
+                for output in manifest["outputs"]
+            })
+        assert results[0] == results[1]
 
 
 class TestTopLevel:

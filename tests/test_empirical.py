@@ -391,6 +391,26 @@ class TestBlockReader:
         assert estimate_peak <= bound, f"estimate: {estimate_peak / n:.1f} bytes a row"
         assert bootstrap_peak <= bound, f"bootstrap: {bootstrap_peak / n:.1f} bytes a row"
 
+    def test_filter_ystar_memory_per_row(self):
+        # a one-byte mask plus half of the five one-byte columns: 3.5 bytes a
+        # row; an int64 index array alone would be 4
+        n = 1_000_000
+        rng = np.random.default_rng(1)
+        columns = {}
+        for name in ("l", "v", "vhat", "y", "ystar"):
+            columns[name] = rng.integers(0, 2, size=n, dtype=np.int8)
+            columns[name].setflags(write=False)
+        data = RecordDataset(**columns)
+        tracemalloc.start()
+        try:
+            kept = filter_ystar(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * n, f"filter_ystar: {peak / n:.2f} bytes a row"
+        assert_same_columns(kept, data.take(np.flatnonzero(data.ystar == 1)))
+        assert 0.49 * n < kept.n < 0.51 * n
+
 
 class TestRecordDataset:
     def test_rejects_non_binary(self):
