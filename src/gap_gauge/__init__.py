@@ -9,103 +9,54 @@ Carlo studies of the error distribution, and estimates everything from
 record-level data with bootstrap intervals.
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .bounds import (
-    BoundReport,
-    IndependenceDiagnostics,
-    StructureParams,
-    bound_A,
-    bound_B1,
-    bound_B2,
-    bound_combined,
-    bound_report,
-    bound_report_from_params,
-    classifier_structure_params,
-    independence_diagnostics,
-    structure_params,
-)
-from .empirical import (
-    BootstrapResult,
-    EstimateReport,
-    RecordDataset,
-    bootstrap,
-    estimate,
-    estimate_with_bootstrap,
-    filter_ystar,
-    fit_joint,
-    parse_records,
-    read_records_csv,
-    sample_dataset,
-)
-from .errors import (
-    AllReplicatesDegenerate,
-    EmptyInput,
-    EmptySample,
-    GapGaugeError,
-    InconsistentMarginals,
-    MalformedRow,
-    MissingCell,
-    MissingColumn,
-    MixedSchema,
-    RejectionBudgetExhausted,
-    ValidationError,
-    ZeroMassCondition,
-)
-from .model import (
-    FullJoint,
-    GapReport,
-    ReducedModel,
-    SliceMarginals,
-    SliceParams,
-    compute_delta,
-    compute_gaps,
-    conditional_prob,
-    consistent_marginals,
-    expand,
-    gaps_from_joint,
-    prob_y_given_v1,
-    prob_y_given_vhat1,
-    reduce,
-)
-from .simulation import (
-    Histogram,
-    SamplerConfig,
-    SimulationResult,
-    SweepPoint,
-    SweepResult,
-    config_bounds,
-    derive_point_seed,
-    derive_trial_stream,
-    percentile,
-    run_monte_carlo,
-    sample_constrained,
-    sample_unconstrained,
-    sweep,
-)
+#: Every public name, with the module that defines it. A name is imported
+#: from its module on first use, so ``import gap_gauge`` loads no numpy.
+_EXPORTS = {
+    **dict.fromkeys((
+        "FullJoint", "SliceParams", "ReducedModel", "SliceMarginals", "GapReport",
+        "conditional_prob", "reduce", "expand", "consistent_marginals",
+        "prob_y_given_v1", "prob_y_given_vhat1", "compute_delta", "compute_gaps",
+        "gaps_from_joint",
+    ), "model"),
+    **dict.fromkeys((
+        "StructureParams", "BoundReport", "IndependenceDiagnostics",
+        "structure_params", "classifier_structure_params", "bound_A", "bound_B1",
+        "bound_B2", "bound_combined", "bound_report", "bound_report_from_params",
+        "independence_diagnostics",
+    ), "bounds"),
+    **dict.fromkeys((
+        "SamplerConfig", "Histogram", "SimulationResult", "SweepPoint", "SweepResult",
+        "derive_trial_stream", "derive_point_seed", "sample_unconstrained",
+        "sample_constrained", "percentile", "config_bounds", "run_monte_carlo", "sweep",
+    ), "simulation"),
+    **dict.fromkeys((
+        "RecordDataset", "EstimateReport", "BootstrapResult", "parse_records",
+        "read_records_csv", "sample_dataset", "filter_ystar", "fit_joint",
+        "estimate", "bootstrap", "estimate_with_bootstrap",
+    ), "empirical"),
+    **dict.fromkeys((
+        "GapGaugeError", "ValidationError", "ZeroMassCondition", "InconsistentMarginals",
+        "MissingCell", "MissingColumn", "MalformedRow", "MixedSchema", "EmptyInput",
+        "EmptySample", "RejectionBudgetExhausted", "AllReplicatesDegenerate",
+    ), "errors"),
+}
 
-__all__ = [
-    "__version__",
-    # model
-    "FullJoint", "SliceParams", "ReducedModel", "SliceMarginals", "GapReport",
-    "conditional_prob", "reduce", "expand", "consistent_marginals",
-    "prob_y_given_v1", "prob_y_given_vhat1", "compute_delta", "compute_gaps",
-    "gaps_from_joint",
-    # bounds
-    "StructureParams", "BoundReport", "IndependenceDiagnostics",
-    "structure_params", "classifier_structure_params", "bound_A", "bound_B1",
-    "bound_B2", "bound_combined", "bound_report", "bound_report_from_params",
-    "independence_diagnostics",
-    # simulation
-    "SamplerConfig", "Histogram", "SimulationResult", "SweepPoint", "SweepResult",
-    "derive_trial_stream", "derive_point_seed", "sample_unconstrained",
-    "sample_constrained", "percentile", "config_bounds", "run_monte_carlo", "sweep",
-    # empirical
-    "RecordDataset", "EstimateReport", "BootstrapResult", "parse_records",
-    "read_records_csv", "sample_dataset", "filter_ystar", "fit_joint",
-    "estimate", "bootstrap", "estimate_with_bootstrap",
-    # errors
-    "GapGaugeError", "ValidationError", "ZeroMassCondition", "InconsistentMarginals",
-    "MissingCell", "MissingColumn", "MalformedRow", "MixedSchema", "EmptyInput",
-    "EmptySample", "RejectionBudgetExhausted", "AllReplicatesDegenerate",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -304,8 +304,9 @@ def _run(args) -> None:
 
     The command reads its input through one digest and returns its outputs
     as ``{path: (writer, result)}``. Every output and ``<out>.manifest.json``
-    are written before any is renamed into place, so a failed write, the
-    manifest's included, leaves every file as it was.
+    are written straight into their temporaries before any is renamed into
+    place, so a failed write, the manifest's included, leaves every file as
+    it was, and each file is renamed once.
     """
     started = time.monotonic()
     digest = hashlib.sha256()
@@ -352,7 +353,3 @@ def main(argv=None) -> int:
     except (ValidationError, GapGaugeError, OSError) as exc:
         print(f"gap-gauge: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

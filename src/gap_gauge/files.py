@@ -85,13 +85,23 @@ def dumps_json(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+class _Temporary(str):
+    """A temporary path handed out by ``atomic_paths``; its block renames it."""
+
+
 @contextmanager
 def atomic_open(path):
     """Text handle onto ``<path>.tmp``, renamed to ``path`` once the block ends.
 
     A block that raises removes the temporary file, so ``path`` either keeps
-    its previous state or holds the complete output, never part of it.
+    its previous state or holds the complete output, never part of it. A
+    temporary from an enclosing ``atomic_paths`` block is opened as it is,
+    since that block renames it into place or removes it.
     """
+    if isinstance(path, _Temporary):
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            yield handle
+        return
     with atomic_paths(path) as (tmp,), open(tmp, "w", encoding="utf-8", newline="\n") as handle:
         yield handle
 
@@ -102,8 +112,10 @@ def atomic_paths(*paths):
 
     Every output is written before any is replaced, and a block that raises
     removes every temporary, so a failed write leaves every path as it was.
+    The writers here write a temporary in place, so each output is renamed
+    once.
     """
-    tmps = [f"{os.fspath(path)}.tmp" for path in paths]
+    tmps = [_Temporary(f"{os.fspath(path)}.tmp") for path in paths]
     try:
         yield tmps
         for tmp, path in zip(tmps, paths):

@@ -341,15 +341,25 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """High and low 64-bit words of the 128-bit products ``m * x``.
 
     numpy has no 128-bit integers, so the high word is assembled from the
-    32-bit limbs of both factors; no partial sum below can overflow 64 bits.
+    32-bit limbs of both factors: with ``u = m_hi*x_lo + (m_lo*x_lo >> 32)``
+    and ``v = m_lo*x_hi + (u & LOW32)``, it is ``m_hi*x_hi + (u >> 32) +
+    (v >> 32)``. No partial sum can overflow 64 bits. The limb arrays are
+    updated in place, so a call allocates six arrays for its 15 operations.
     """
     m_lo, m_hi = _U64(m & 0xFFFFFFFF), _U64(m >> 32)
     x_lo, x_hi = x & _LOW32, x >> _U64(32)
-    lh = m_lo * x_hi
-    hl = m_hi * x_lo
-    mid = ((m_lo * x_lo) >> _U64(32)) + (lh & _LOW32) + (hl & _LOW32)
-    hi = m_hi * x_hi + (lh >> _U64(32)) + (hl >> _U64(32)) + (mid >> _U64(32))
-    return hi, x * _U64(m)
+    u = x_lo * m_lo
+    u >>= _U64(32)
+    x_lo *= m_hi
+    u += x_lo
+    v = x_hi * m_lo
+    v += u & _LOW32
+    x_hi *= m_hi
+    u >>= _U64(32)
+    x_hi += u
+    v >>= _U64(32)
+    x_hi += v
+    return x_hi, x * _U64(m)
 
 
 def _philox4x64(counter, k0, k1) -> list[np.ndarray]:
@@ -367,7 +377,17 @@ def _philox4x64(counter, k0, k1) -> list[np.ndarray]:
             k1 = k1 + _PHILOX_W1
         hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
         hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+        if r < 2:
+            # the words grow to the broadcast shape of counter and key
+            c0, c2 = hi1 ^ c1 ^ k0, hi0 ^ c3 ^ k1
+        else:
+            # from round 2 every multiply-high word has that shape already
+            hi1 ^= c1
+            hi1 ^= k0
+            hi0 ^= c3
+            hi0 ^= k1
+            c0, c2 = hi1, hi0
+        c1, c3 = lo1, lo0
     return [c0, c1, c2, c3]
 
 

@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import itertools
 import json
@@ -13,7 +14,7 @@ from gap_gauge import FullJoint, ReducedModel, SliceParams, cli, empirical, simu
 from gap_gauge.cli import GRID_MAX_POINTS, main, parse_grid
 from gap_gauge.empirical import MAX_REPLICATES
 from gap_gauge.errors import ValidationError
-from gap_gauge.files import model_to_dict, write_json
+from gap_gauge.files import model_to_dict, write_json, write_text
 from gap_gauge.simulation import MAX_BINS, MAX_TRIALS
 
 from conftest import M1, M1_WITH_D
@@ -956,6 +957,53 @@ class TestManifestInputs:
                 for output in manifest["outputs"]
             })
         assert results[0] == results[1]
+
+
+class TestRenames:
+    """``--out`` writes each file straight into its temporary and renames it once."""
+
+    ARGV = {
+        "analyze": [],
+        "simulate": ["--trials", "50"],
+        "sweep": ["--varied", "eps_b2", "--grid", "0:0.2:0.1", "--trials", "50"],
+        "estimate": ["--bootstrap", "5"],
+    }
+
+    @pytest.mark.parametrize("command, renames", [
+        ("analyze", 2), ("simulate", 4), ("sweep", 2), ("estimate", 2),
+    ])
+    def test_each_file_is_renamed_once(
+        self, capsys, monkeypatch, tmp_path, m1_model_file, constrained_config_file,
+        m1_joint, command, renames,
+    ):
+        source = m1_model_file if command == "analyze" else constrained_config_file
+        if command == "estimate":
+            source = str(tmp_path / "records.csv")
+            data = empirical.sample_dataset(m1_joint, 2000, seed=3)
+            write_text(source, "l,v,vhat,y\n" + "".join(
+                f"{l},{v},{vh},{y}\n" for l, v, vh, y in zip(data.l, data.v, data.vhat, data.y)
+            ))
+        replaced, opened = [], []
+        real_replace, real_open = os.replace, builtins.open
+
+        def replace(src, dst):
+            replaced.append((os.fspath(src), os.fspath(dst)))
+            real_replace(src, dst)
+
+        def open_(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(builtins, "open", open_)
+        out = str(tmp_path / "out")
+        code, _, err = run(capsys, command, source, *self.ARGV[command], "--out", out)
+        assert code == 0, err
+        assert len(replaced) == renames
+        assert all(src == dst + ".tmp" for src, dst in replaced)
+        assert {dst for _, dst in replaced} == {*json.loads(
+            Path(out + ".manifest.json").read_text())["outputs"], out + ".manifest.json"}
+        assert not [path for path in opened if path.endswith(".tmp.tmp")]
 
 
 class TestTopLevel:

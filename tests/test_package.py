@@ -1,0 +1,95 @@
+"""The package's import surface and its command-line entry point.
+
+Each start-up check runs in a fresh interpreter, with ``OPENBLAS_NUM_THREADS``
+removed from its environment unless the test sets it.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gap_gauge
+
+SRC = Path(gap_gauge.__file__).resolve().parent.parent
+
+#: ``gap_gauge.__all__`` as it was when the package imported every module.
+PUBLIC = [
+    "__version__",
+    "FullJoint", "SliceParams", "ReducedModel", "SliceMarginals", "GapReport",
+    "conditional_prob", "reduce", "expand", "consistent_marginals",
+    "prob_y_given_v1", "prob_y_given_vhat1", "compute_delta", "compute_gaps",
+    "gaps_from_joint",
+    "StructureParams", "BoundReport", "IndependenceDiagnostics",
+    "structure_params", "classifier_structure_params", "bound_A", "bound_B1",
+    "bound_B2", "bound_combined", "bound_report", "bound_report_from_params",
+    "independence_diagnostics",
+    "SamplerConfig", "Histogram", "SimulationResult", "SweepPoint", "SweepResult",
+    "derive_trial_stream", "derive_point_seed", "sample_unconstrained",
+    "sample_constrained", "percentile", "config_bounds", "run_monte_carlo", "sweep",
+    "RecordDataset", "EstimateReport", "BootstrapResult", "parse_records",
+    "read_records_csv", "sample_dataset", "filter_ystar", "fit_joint",
+    "estimate", "bootstrap", "estimate_with_bootstrap",
+    "GapGaugeError", "ValidationError", "ZeroMassCondition", "InconsistentMarginals",
+    "MissingCell", "MissingColumn", "MalformedRow", "MixedSchema", "EmptyInput",
+    "EmptySample", "RejectionBudgetExhausted", "AllReplicatesDegenerate",
+]
+
+
+def child(code: str, **env: str) -> str:
+    """Standard output of ``python -c code`` importing this checkout's package."""
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    environ["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC), *filter(None, [environ.get("PYTHONPATH")])]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**environ, **env},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestImport:
+    def test_loads_no_numpy_and_leaves_the_environment(self):
+        out = child(
+            "import os, sys\n"
+            "before = dict(os.environ)\n"
+            "import gap_gauge\n"
+            "print('numpy' in sys.modules, dict(os.environ) == before)\n"
+        )
+        assert out == "False True\n"
+
+    def test_public_names_are_unchanged(self):
+        assert gap_gauge.__all__ == PUBLIC
+
+    def test_each_name_is_its_defining_modules_object(self):
+        for name in PUBLIC[1:]:
+            value = getattr(gap_gauge, name)
+            assert getattr(importlib.import_module(value.__module__), name) is value, name
+        assert set(PUBLIC) <= set(dir(gap_gauge))
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+            gap_gauge.nonexistent
+
+
+class TestEntryPoint:
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_starts_no_blas_thread(self):
+        out = child(
+            "import gap_gauge.__main__, numpy, os\n"
+            "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])\n"
+        )
+        assert out == "1 1\n"
+
+    def test_user_setting_is_kept(self):
+        out = child(
+            "import gap_gauge.__main__, os\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'])\n",
+            OPENBLAS_NUM_THREADS="2",
+        )
+        assert out == "2\n"
