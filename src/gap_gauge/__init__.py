@@ -19,14 +19,12 @@ _EXPORTS = {
     **dict.fromkeys((
         "FullJoint", "SliceParams", "ReducedModel", "SliceMarginals", "GapReport",
         "conditional_prob", "reduce", "expand", "consistent_marginals",
-        "prob_y_given_v1", "prob_y_given_vhat1", "compute_delta", "compute_gaps",
-        "gaps_from_joint",
+        "compute_gaps", "gaps_from_joint",
     ), "model"),
     **dict.fromkeys((
         "StructureParams", "BoundReport", "IndependenceDiagnostics",
-        "structure_params", "classifier_structure_params", "bound_A", "bound_B1",
-        "bound_B2", "bound_combined", "bound_report", "bound_report_from_params",
-        "independence_diagnostics",
+        "structure_params", "classifier_structure_params", "bound_report",
+        "bound_report_from_params", "independence_diagnostics",
     ), "bounds"),
     **dict.fromkeys((
         "SamplerConfig", "Histogram", "SimulationResult", "SweepPoint", "SweepResult",

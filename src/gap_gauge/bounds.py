@@ -10,7 +10,7 @@ upper bounds, each valid under a different structural condition on the model:
   translation of the outcome rates between slices (model closeness),
 * the combined bound mixes all three families and is reported in two
   arithmetic variants that differ in one coefficient (see
-  :func:`bound_combined`).
+  :func:`bound_terms`).
 
 :func:`structure_params` extracts every one of these condition parameters at
 its tightest value for a given model, so each bound is evaluated at the
@@ -44,10 +44,6 @@ __all__ = [
     "bound_terms",
     "structure_params",
     "classifier_structure_params",
-    "bound_A",
-    "bound_B1",
-    "bound_B2",
-    "bound_combined",
     "bound_report",
     "bound_report_from_params",
     "independence_diagnostics",
@@ -161,8 +157,16 @@ def classifier_structure_params(
 def bound_terms(gamma_A, gamma_B1, gamma_B2, eps_B1, eps_B2) -> tuple:
     """Bounds A, B1, B2, combined stated and proof, and best (floats or arrays).
 
-    ``best`` is the smallest sound bound, min(A, B1, B2, proof); the stated
-    variant can undershoot the error (see :func:`bound_combined`).
+    A = 2 gamma_A, B1 = 2 (gamma_B1 + eps_B1) and B2 = 2 gamma_B2 + 3 eps_B2
+    are valid for every model. The two combined variants share
+    2 min(gamma_A, gamma_B1, gamma_B2) + eps_B2 (2 gamma_A + gamma_B1) and
+    differ in the final term: the stated variant adds eps_B1 * gamma_B1 while
+    the derivation it summarizes supports eps_B1 * gamma_B2 (the
+    diagonal-closeness substitution is weighted by the across-slice precision
+    difference). Only the proof variant is sound for every model; the stated
+    variant can be violated when gamma_B1 < gamma_B2. Both are reported so
+    either convention can be compared, and ``best`` is the smallest sound
+    bound, min(A, B1, B2, proof).
     """
     bound_a = 2.0 * gamma_A
     bound_b1 = 2.0 * (gamma_B1 + eps_B1)
@@ -171,41 +175,6 @@ def bound_terms(gamma_A, gamma_B1, gamma_B2, eps_B1, eps_B2) -> tuple:
     stated, proof = shared + eps_B1 * gamma_B1, shared + eps_B1 * gamma_B2
     best = _first_min(bound_a, bound_b1, bound_b2, proof)
     return bound_a, bound_b1, bound_b2, stated, proof, best
-
-
-def _bounds(params: StructureParams) -> tuple:
-    return bound_terms(
-        params.gamma_A, params.gamma_B1, params.gamma_B2, params.eps_B1, params.eps_B2
-    )
-
-
-def bound_A(params: StructureParams) -> float:
-    """2 gamma_A: valid for every model."""
-    return _bounds(params)[0]
-
-
-def bound_B1(params: StructureParams) -> float:
-    """2 (gamma_B1 + eps_B1): valid for every model."""
-    return _bounds(params)[1]
-
-
-def bound_B2(params: StructureParams) -> float:
-    """2 gamma_B2 + 3 eps_B2: valid for every model."""
-    return _bounds(params)[2]
-
-
-def bound_combined(params: StructureParams) -> tuple[float, float]:
-    """The combined bound in its two arithmetic variants (stated, proof).
-
-    Both share 2 min(gamma_A, gamma_B1, gamma_B2) + eps_B2 (2 gamma_A +
-    gamma_B1) and differ in the final term: the stated variant adds
-    eps_B1 * gamma_B1 while the derivation it summarizes supports
-    eps_B1 * gamma_B2 (the diagonal-closeness substitution is weighted by the
-    across-slice precision difference). Only the proof variant is sound for
-    every model; the stated variant can be violated when gamma_B1 <
-    gamma_B2. Both are reported so either convention can be compared.
-    """
-    return _bounds(params)[3:5]
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,7 +202,9 @@ class BoundReport:
 
 def bound_report_from_params(params: StructureParams) -> BoundReport:
     """Evaluate every bound at the given parameters."""
-    return BoundReport(*_bounds(params))
+    return BoundReport(*bound_terms(
+        params.gamma_A, params.gamma_B1, params.gamma_B2, params.eps_B1, params.eps_B2
+    ))
 
 
 def bound_report(model: ReducedModel) -> BoundReport:

@@ -23,7 +23,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
 
 from . import __version__
 from .bounds import independence_diagnostics, bound_report, structure_params
@@ -53,25 +52,12 @@ from .files import (
 from .model import FullJoint, compute_gaps, reduce
 from .simulation import SamplerConfig, _require_seed, run_monte_carlo, sweep
 
-__all__ = ["main", "RunManifest", "parse_grid"]
+__all__ = ["main", "parse_grid"]
 
 _DEFAULT_SEED = 42
 
 #: Most points a ``--grid`` may have: a step of 1e-4 across [0, 1].
 GRID_MAX_POINTS = 10_001
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record written next to every file-producing run."""
-
-    command: str
-    config: dict
-    seed: int
-    version: str
-    inputs: dict
-    outputs: tuple
-    duration_seconds: float
 
 
 #: The argument that names each command's input file.
@@ -316,16 +302,15 @@ def _run(args) -> None:
     with atomic_paths(*outputs, args.out + ".manifest.json") as tmps:
         for tmp, (write, result) in zip(tmps, outputs.values()):
             write(tmp, result)
-        manifest = RunManifest(
-            command=args.command,
-            config={key: value for key, value in vars(args).items() if key not in _NOT_CONFIG},
-            seed=args.seed,
-            version=__version__,
-            inputs={getattr(args, _INPUT[args.command]): "sha256:" + digest.hexdigest()},
-            outputs=tuple(sorted(outputs)),
-            duration_seconds=time.monotonic() - started,
-        )
-        write_json(tmps[-1], asdict(manifest))
+        write_json(tmps[-1], {
+            "command": args.command,
+            "config": {key: value for key, value in vars(args).items() if key not in _NOT_CONFIG},
+            "seed": args.seed,
+            "version": __version__,
+            "inputs": {getattr(args, _INPUT[args.command]): "sha256:" + digest.hexdigest()},
+            "outputs": sorted(outputs),
+            "duration_seconds": time.monotonic() - started,
+        })
 
 
 def main(argv=None) -> int:
@@ -353,3 +338,10 @@ def main(argv=None) -> int:
     except (ValidationError, GapGaugeError, OSError) as exc:
         print(f"gap-gauge: {exc}", file=sys.stderr)
         return 2
+
+
+if __name__ == "__main__":
+    # numpy is loaded by now, so the BLAS default of gap_gauge.__main__ cannot apply
+    print("gap-gauge: run `python -m gap_gauge` or `gap-gauge`, not `python -m gap_gauge.cli`",
+          file=sys.stderr)
+    sys.exit(2)

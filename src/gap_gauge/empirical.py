@@ -501,7 +501,7 @@ def _report_from_counts(counts: np.ndarray, n: int, smoothing: float) -> Estimat
         )
     g_hat, nonempty = _g_hat_from_counts8(counts, smoothing)
     if not nonempty.all():
-        raise ZeroMassCondition(f"vhat=1, l={int(nonempty.argmin())}")
+        raise ZeroMassCondition(f"l={int(nonempty.argmin())}, vhat=1")
     return EstimateReport(
         n=n,
         counts=tuple(int(c) for c in counts),

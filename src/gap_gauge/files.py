@@ -33,7 +33,6 @@ __all__ = [
     "model_from_dict",
     "load_model_file",
     "model_to_dict",
-    "sampler_config_from_dict",
     "load_sampler_config",
     "write_errors_csv",
     "write_histogram_csv",
@@ -253,14 +252,10 @@ def model_to_dict(model: FullJoint | ReducedModel) -> dict:
     return {"reduced": asdict(model, dict_factory=_without_none)}
 
 
-def sampler_config_from_dict(obj: Any) -> SamplerConfig:
-    return from_dict(SamplerConfig, obj, "sampler config")
-
-
 def load_sampler_config(path, digest=None) -> SamplerConfig:
     payload = _load_json(path, digest)  # its errors already name the path
     try:
-        return sampler_config_from_dict(payload)
+        return from_dict(SamplerConfig, payload, "sampler config")
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 

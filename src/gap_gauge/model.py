@@ -64,9 +64,6 @@ __all__ = [
     "reduce",
     "expand",
     "consistent_marginals",
-    "prob_y_given_v1",
-    "prob_y_given_vhat1",
-    "compute_delta",
     "gap_terms",
     "compute_gaps",
     "gaps_from_joint",
@@ -289,26 +286,12 @@ def require_gap_identities(G, G_hat, delta0, delta1, error) -> None:
             raise ValidationError(f"error must equal {identity}")
 
 
-def prob_y_given_v1(params: SliceParams | SliceRates) -> float | np.ndarray:
-    """Pr[y=1 | v=1, l] for one slice: (1 - r) a + r b."""
-    return (1.0 - params.r) * params.a + params.r * params.b
-
-
-def prob_y_given_vhat1(params: SliceParams | SliceRates) -> float | np.ndarray:
-    """Pr[y=1 | vhat=1, l] for one slice: (1 - p) a + p c."""
-    return (1.0 - params.p) * params.a + params.p * params.c
-
-
-def compute_delta(params: SliceParams | SliceRates) -> float | np.ndarray:
-    """Within-slice discrepancy delta = (p - r) a + r b - p c."""
-    return (params.p - params.r) * params.a + params.r * params.b - params.p * params.c
-
-
 def gap_terms(s0: SliceParams | SliceRates, s1: SliceParams | SliceRates) -> tuple:
     """G, G_hat, delta0, delta1 and error of two slices, elementwise over arrays."""
-    g = prob_y_given_v1(s1) - prob_y_given_v1(s0)
-    g_hat = prob_y_given_vhat1(s1) - prob_y_given_vhat1(s0)
-    return g, g_hat, compute_delta(s0), compute_delta(s1), abs(g - g_hat)
+    g = (1.0 - s1.r) * s1.a + s1.r * s1.b - ((1.0 - s0.r) * s0.a + s0.r * s0.b)
+    g_hat = (1.0 - s1.p) * s1.a + s1.p * s1.c - ((1.0 - s0.p) * s0.a + s0.p * s0.c)
+    delta0, delta1 = ((s.p - s.r) * s.a + s.r * s.b - s.p * s.c for s in (s0, s1))
+    return g, g_hat, delta0, delta1, abs(g - g_hat)
 
 
 def compute_gaps(model: ReducedModel) -> GapReport:

@@ -20,19 +20,13 @@ from gap_gauge import (
     ReducedModel,
     SamplerConfig,
     SliceParams,
-    bound_A,
-    bound_B1,
-    bound_B2,
-    bound_combined,
-    compute_delta,
+    bound_report_from_params,
     compute_gaps,
     config_bounds,
     consistent_marginals,
     estimate,
     expand,
     gaps_from_joint,
-    prob_y_given_v1,
-    prob_y_given_vhat1,
     run_monte_carlo,
     sample_dataset,
     structure_params,
@@ -79,9 +73,12 @@ def test_criterion_01_gap_identity():
             ]
             assert (_bits(scalar) == _bits([g, g_hat, delta0, delta1, error]).T).all()
         worst_gap = max(worst_gap, float(np.abs(error - abs(delta1 - delta0)).max()))
+        # against a slice whose outcome rates are all 0, G and G_hat are the
+        # other slice's Pr[y=1 | v=1] and Pr[y=1 | vhat=1]
+        zero = SliceRates(0.0, 0.0, 0.0, 0.0, 0.0)
         for params in slices:
-            via_rates = prob_y_given_v1(params) - prob_y_given_vhat1(params)
-            worst_delta = max(worst_delta, float(np.abs(compute_delta(params) - via_rates).max()))
+            rate_v1, rate_vhat1, _, delta, _ = gap_terms(zero, params)
+            worst_delta = max(worst_delta, float(np.abs(delta - (rate_v1 - rate_vhat1)).max()))
     elapsed = time.perf_counter() - start
     ok = worst_gap <= 1e-12 and worst_delta <= 1e-12 and elapsed < 10.0
     record_criterion(
@@ -116,12 +113,13 @@ def test_criterion_02_bound_soundness():
         if done == 0:
             scalar = []
             for model in _models(rows):
-                params = structure_params(model)
-                stated_bound, proof_bound = bound_combined(params)
+                gap = compute_gaps(model)
+                report = bound_report_from_params(structure_params(model))
                 scalar.append((
-                    abs(compute_delta(model.slice1) - compute_delta(model.slice0)),
-                    stated_bound,
-                    min(bound_A(params), bound_B1(params), bound_B2(params), proof_bound),
+                    abs(gap.delta1 - gap.delta0),
+                    report.bound_combined_stated,
+                    min(report.bound_A, report.bound_B1, report.bound_B2,
+                        report.bound_combined_proof),
                 ))
             assert (_bits(scalar) == _bits([error, stated, sound]).T).all()
         excess = error - sound

@@ -9,11 +9,8 @@ from gap_gauge import (
     StructureParams,
     ValidationError,
     ZeroMassCondition,
-    bound_A,
-    bound_B1,
-    bound_B2,
-    bound_combined,
     bound_report,
+    bound_report_from_params,
     classifier_structure_params,
     compute_gaps,
     conditional_prob,
@@ -109,13 +106,12 @@ class TestStructureParams:
 
 class TestBoundFormulas:
     def test_m1_bound_values_by_hand(self, m1):
-        params = structure_params(m1)
-        assert bound_A(params) == pytest.approx(0.2, abs=1e-15)
-        assert bound_B1(params) == pytest.approx(0.5, abs=1e-12)
-        assert bound_B2(params) == pytest.approx(0.04, abs=1e-12)
-        stated, proof = bound_combined(params)
-        assert stated == pytest.approx(0.05, abs=1e-12)
-        assert proof == pytest.approx(0.044, abs=1e-12)
+        report = bound_report_from_params(structure_params(m1))
+        assert report.bound_A == pytest.approx(0.2, abs=1e-15)
+        assert report.bound_B1 == pytest.approx(0.5, abs=1e-12)
+        assert report.bound_B2 == pytest.approx(0.04, abs=1e-12)
+        assert report.bound_combined_stated == pytest.approx(0.05, abs=1e-12)
+        assert report.bound_combined_proof == pytest.approx(0.044, abs=1e-12)
 
     def test_m1_report_best(self, m1):
         report = bound_report(m1)
@@ -158,12 +154,11 @@ class TestBoundFormulas:
             slice0=SliceParams(p=0.5, r=0.5, a=0.5, b=0.9, c=0.1),
             slice1=SliceParams(p=0.2, r=0.2, a=0.5, b=0.9, c=0.1),
         )
-        params = structure_params(model)
-        stated, proof = bound_combined(params)
+        bounds = bound_report_from_params(structure_params(model))
         gap = compute_gaps(model)
         assert gap.error == pytest.approx(0.24, abs=1e-12)
-        assert stated == pytest.approx(0.0, abs=1e-12)
-        assert proof >= gap.error - 1e-12
+        assert bounds.bound_combined_stated == pytest.approx(0.0, abs=1e-12)
+        assert bounds.bound_combined_proof >= gap.error - 1e-12
         # best counts only the sound bounds: here the proof bound, which
         # equals the error
         report = bound_report(model)
@@ -176,26 +171,24 @@ class TestBoundFormulas:
         for _ in range(10_000):
             model = random_reduced(rng)
             gap = compute_gaps(model)
-            params = structure_params(model)
-            _, proof = bound_combined(params)
+            report = bound_report_from_params(structure_params(model))
             for value in (
-                bound_A(params),
-                bound_B1(params),
-                bound_B2(params),
-                proof,
+                report.bound_A,
+                report.bound_B1,
+                report.bound_B2,
+                report.bound_combined_proof,
             ):
                 assert gap.error <= value + 1e-12
 
     def test_bounds_nonnegative(self):
         rng = np.random.default_rng(19)
         for _ in range(200):
-            params = structure_params(random_reduced(rng))
-            stated, proof = bound_combined(params)
-            assert bound_A(params) >= 0
-            assert bound_B1(params) >= 0
-            assert bound_B2(params) >= 0
-            assert proof >= 0
-            assert stated >= 0
+            report = bound_report_from_params(structure_params(random_reduced(rng)))
+            assert report.bound_A >= 0
+            assert report.bound_B1 >= 0
+            assert report.bound_B2 >= 0
+            assert report.bound_combined_proof >= 0
+            assert report.bound_combined_stated >= 0
 
     def test_perfect_proxy_collapses_bound_A(self):
         model = ReducedModel(

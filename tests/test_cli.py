@@ -291,6 +291,18 @@ class TestAnalyze:
         assert report["gap"]["G_hat"] == pytest.approx(0.0, abs=1e-12)
         assert report["independence"]["case1_holds"] is True
 
+    def test_empty_v0_vhat0_cells_skip_diagnostics(self, capsys, tmp_path):
+        # only d and the diagnostics condition on (v=0, vhat=0), empty in slice 0
+        cells = np.full(16, 1 / 14)
+        cells[[0, 1]] = 0.0
+        path = tmp_path / "joint.json"
+        write_json(path, model_to_dict(FullJoint(cells=cells)))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["independence"] is None
+        assert report["gap"]["error"] == pytest.approx(0.0, abs=1e-12)
+
     def test_invalid_model_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         payload = model_to_dict(M1)
@@ -776,6 +788,21 @@ class TestEstimate:
         code, _, err = run(capsys, "estimate", str(path))
         assert code == 3
         assert "vhat=1" in err
+
+    def test_zero_mass_event_is_named_alike_with_and_without_v(self, capsys, tmp_path):
+        # every slice-0 cell has a row; slice 1 has no vhat=1 row
+        rows = [(0, v, vhat, y) for v in (0, 1) for vhat in (0, 1) for y in (0, 1)]
+        rows += [(1, v, 0, y) for v in (0, 1) for y in (0, 1)]
+        errs = []
+        for name, show_v in (("with_v.csv", True), ("without_v.csv", False)):
+            path = tmp_path / name
+            path.write_text("l,v,vhat,y\n" + "".join(
+                f"{l},{v if show_v else ''},{vhat},{y}\n" for l, v, vhat, y in rows
+            ))
+            code, out, err = run(capsys, "estimate", str(path))
+            assert (code, out) == (3, "")
+            errs.append(err)
+        assert errs == ["gap-gauge: conditioning event has zero mass: l=1, vhat=1\n"] * 2
 
     def test_out_file_and_manifest(self, capsys, records_file, tmp_path):
         out_path = tmp_path / "estimate.json"

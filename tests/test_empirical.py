@@ -573,7 +573,7 @@ class TestEstimate:
 
     def test_zero_mass_names_event(self):
         data = parse_records("l,v,vhat,y\n0,,1,1\n0,,0,0\n1,,0,0\n")
-        with pytest.raises(ZeroMassCondition, match="vhat=1, l=1"):
+        with pytest.raises(ZeroMassCondition, match="l=1, vhat=1"):
             estimate(data)
 
     def test_zero_mass_in_full_pipeline(self):

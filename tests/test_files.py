@@ -33,7 +33,6 @@ from gap_gauge.files import (
     read_summary_json,
     read_sweep_csv,
     result_dict,
-    sampler_config_from_dict,
     sampler_config_to_dict,
     write_errors_csv,
     write_histogram_csv,
@@ -154,47 +153,55 @@ class TestSamplerConfigFiles:
 
     def test_eps_required_for_constrained(self):
         with pytest.raises(ValidationError, match="eps"):
-            sampler_config_from_dict(
-                {"p0": 0.05, "r0": 0.1, "p1": 0.07, "r1": 0.09, "mode": "constrained"}
+            from_dict(
+                SamplerConfig,
+                {"p0": 0.05, "r0": 0.1, "p1": 0.07, "r1": 0.09, "mode": "constrained"},
+                "sampler config",
             )
 
     def test_eps_rejected_for_unconstrained(self):
         with pytest.raises(ValidationError, match="eps"):
-            sampler_config_from_dict(
+            from_dict(
+                SamplerConfig,
                 {
                     "p0": 0.05, "r0": 0.1, "p1": 0.07, "r1": 0.09,
                     "mode": "unconstrained", "eps_b1": 0.2,
-                }
+                },
+                "sampler config",
             )
 
     def test_rejects_unknown_field(self):
         with pytest.raises(ValidationError, match="unknown field"):
-            sampler_config_from_dict(
+            from_dict(
+                SamplerConfig,
                 {
                     "p0": 0.05, "r0": 0.1, "p1": 0.07, "r1": 0.09,
                     "mode": "unconstrained", "trials": 100,
-                }
+                },
+                "sampler config",
             )
 
     @pytest.mark.parametrize("key", ["eps_b1", "eps_b2"])
     def test_null_eps_means_absent(self, key):
         plain = {**CLASSIFIER, "mode": "unconstrained"}
-        assert sampler_config_from_dict({**plain, key: None}) == sampler_config_from_dict(
-            plain
+        assert from_dict(SamplerConfig, {**plain, key: None}, "sampler config") == from_dict(
+            SamplerConfig, plain, "sampler config"
         )
 
     def test_own_errors_name_the_config(self):
         with pytest.raises(ValidationError, match="^sampler config: constrained mode requires"):
-            sampler_config_from_dict({**CLASSIFIER, "mode": "constrained"})
+            from_dict(SamplerConfig, {**CLASSIFIER, "mode": "constrained"}, "sampler config")
 
     def test_rejects_non_integer_budget(self):
         with pytest.raises(ValidationError, match="max_rejections"):
-            sampler_config_from_dict(
+            from_dict(
+                SamplerConfig,
                 {
                     "p0": 0.05, "r0": 0.1, "p1": 0.07, "r1": 0.09,
                     "mode": "constrained", "eps_b1": 0.2, "eps_b2": 0.2,
                     "max_rejections": 10.5,
-                }
+                },
+                "sampler config",
             )
 
 

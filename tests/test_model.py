@@ -13,16 +13,14 @@ from gap_gauge import (
     SliceParams,
     ValidationError,
     ZeroMassCondition,
-    compute_delta,
     compute_gaps,
     conditional_prob,
     consistent_marginals,
     expand,
     gaps_from_joint,
-    prob_y_given_v1,
-    prob_y_given_vhat1,
     reduce,
 )
+from gap_gauge.model import gap_terms
 from conftest import random_reduced
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -165,13 +163,16 @@ class TestSliceParams:
 
 
 class TestGapOps:
-    def test_m1_outcome_rates_by_hand(self, m1):
+    def test_m1_outcome_rates_by_hand(self, m1_joint):
+        def rate(given):
+            return conditional_prob(m1_joint, {"y": 1}, given)
+
         # slice 0: 0.9 * 0.5 + 0.1 * 0.4 and 0.95 * 0.5 + 0.05 * 0.6
-        assert prob_y_given_v1(m1.slice0) == pytest.approx(0.49, abs=1e-15)
-        assert prob_y_given_vhat1(m1.slice0) == pytest.approx(0.505, abs=1e-15)
+        assert rate({"v": 1, "l": 0}) == pytest.approx(0.49, abs=1e-15)
+        assert rate({"vhat": 1, "l": 0}) == pytest.approx(0.505, abs=1e-15)
         # slice 1: 0.91 * 0.7 + 0.09 * 0.6 and 0.93 * 0.7 + 0.07 * 0.8
-        assert prob_y_given_v1(m1.slice1) == pytest.approx(0.691, abs=1e-15)
-        assert prob_y_given_vhat1(m1.slice1) == pytest.approx(0.707, abs=1e-15)
+        assert rate({"v": 1, "l": 1}) == pytest.approx(0.691, abs=1e-15)
+        assert rate({"vhat": 1, "l": 1}) == pytest.approx(0.707, abs=1e-15)
 
     def test_m1_gap_report_by_hand(self, m1):
         gap = compute_gaps(m1)
@@ -184,9 +185,11 @@ class TestGapOps:
     @given(slice_params())
     @settings(deadline=None)
     def test_delta_equals_rate_difference(self, params):
-        direct = compute_delta(params)
-        via_rates = prob_y_given_v1(params) - prob_y_given_vhat1(params)
-        assert abs(direct - via_rates) <= 1e-12
+        # against a slice whose outcome rates are all 0, G and G_hat are the
+        # other slice's Pr[y=1 | v=1] and Pr[y=1 | vhat=1]
+        zero = SliceParams(p=0.0, r=0.0, a=0.0, b=0.0, c=0.0)
+        via_rates, via_rates_hat, _, direct, _ = gap_terms(zero, params)
+        assert abs(direct - (via_rates - via_rates_hat)) <= 1e-12
 
     @given(reduced_models())
     @settings(deadline=None)

@@ -16,17 +16,15 @@ import gap_gauge
 
 SRC = Path(gap_gauge.__file__).resolve().parent.parent
 
-#: ``gap_gauge.__all__`` as it was when the package imported every module.
+#: ``gap_gauge.__all__``: every public name, in order.
 PUBLIC = [
     "__version__",
     "FullJoint", "SliceParams", "ReducedModel", "SliceMarginals", "GapReport",
     "conditional_prob", "reduce", "expand", "consistent_marginals",
-    "prob_y_given_v1", "prob_y_given_vhat1", "compute_delta", "compute_gaps",
-    "gaps_from_joint",
+    "compute_gaps", "gaps_from_joint",
     "StructureParams", "BoundReport", "IndependenceDiagnostics",
-    "structure_params", "classifier_structure_params", "bound_A", "bound_B1",
-    "bound_B2", "bound_combined", "bound_report", "bound_report_from_params",
-    "independence_diagnostics",
+    "structure_params", "classifier_structure_params", "bound_report",
+    "bound_report_from_params", "independence_diagnostics",
     "SamplerConfig", "Histogram", "SimulationResult", "SweepPoint", "SweepResult",
     "derive_trial_stream", "derive_point_seed", "sample_unconstrained",
     "sample_constrained", "percentile", "config_bounds", "run_monte_carlo", "sweep",
@@ -39,16 +37,21 @@ PUBLIC = [
 ]
 
 
-def child(code: str, **env: str) -> str:
-    """Standard output of ``python -c code`` importing this checkout's package."""
+def python(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """``python *args`` importing this checkout's package."""
     environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     environ["PYTHONPATH"] = os.pathsep.join(
         [str(SRC), *filter(None, [environ.get("PYTHONPATH")])]
     )
-    done = subprocess.run(
-        [sys.executable, "-c", code], env={**environ, **env},
+    return subprocess.run(
+        [sys.executable, *args], env={**environ, **env},
         capture_output=True, text=True, timeout=60,
     )
+
+
+def child(code: str, **env: str) -> str:
+    """Standard output of ``python -c code``, which must succeed."""
+    done = python("-c", code, **env)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -93,3 +96,11 @@ class TestEntryPoint:
             OPENBLAS_NUM_THREADS="2",
         )
         assert out == "2\n"
+
+    def test_cli_module_is_not_an_entry_point(self):
+        # numpy is loaded before cli.py's body runs, too late for the BLAS default
+        done = python("-m", "gap_gauge.cli", "--version")
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.count("\n") == 1
+        assert "python -m gap_gauge`" in done.stderr
