@@ -398,8 +398,9 @@ def filter_ystar(dataset: RecordDataset) -> RecordDataset:
 
 def _require_smoothing(smoothing: float) -> float:
     smoothing = float(smoothing)
-    if math.isnan(smoothing) or smoothing < 0.0:
-        raise ValidationError(f"smoothing must be >= 0, got {smoothing!r}")
+    # the joint divides by n + 16 smoothing, which must stay finite too
+    if not (smoothing >= 0.0 and math.isfinite(16.0 * smoothing)):
+        raise ValidationError(f"smoothing must be a finite number >= 0, got {smoothing!r}")
     return smoothing
 
 

@@ -265,11 +265,174 @@ def sampler_config_to_dict(config: SamplerConfig) -> dict:
     return asdict(config, dict_factory=_without_none)
 
 
+#: Values formatted per ``_repr_lines`` call, which bounds the writer's memory.
+_CHUNK = 8192
+
+
+def _split(x):
+    """Veltkamp split: ``x == hi + lo``, each with at most 26 significant bits."""
+    c = 134217729.0 * x  # 2**27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+#: Powers of ten 10**0 .. 10**20, exact: each is a product of exact doubles.
+_POW10 = np.cumprod(np.r_[1.0, np.full(20, 10.0)])
+_POW10_HI, _POW10_LO = _split(_POW10)
+#: The doubles nearest 1e-4, 1e-3, 1e-2, 1e-1, then 1: the fast path's decades.
+_DECADES = 1.0 / _POW10[4::-1]
+#: ASCII of 0000 .. 9999, four bytes each, built from 10-byte axes.
+_GROUPS = (
+    np.stack(np.meshgrid(*[np.frombuffer(b"0123456789", dtype=np.uint8)] * 4, indexing="ij"), -1)
+    .reshape(-1, 4)
+    .view(np.uint32)[:, 0]
+)
+
+
+def _row_masks():
+    """Live columns of a fast-path row (see ``_repr_lines``) as 24-byte masks.
+
+    The mask for ``zeros`` after ``0.``, ``digits`` digits and a sign is at
+    ``(zeros * 17 + digits - 1) * 2 + negative``; the last, empty one is for
+    values that ``repr`` writes.
+    """
+    col = np.arange(24)
+    zeros = np.arange(4)[:, None, None, None]
+    digits = np.arange(1, 18)[:, None, None]
+    negative = np.arange(2)[:, None] == 1
+    live = (col == 0) & negative | (col == 1) | (col == 2) | (col == 23)
+    live = live | (col >= 6 - zeros) & (col < 6 + digits)
+    return np.r_[live.reshape(-1, 24), np.zeros((1, 24), bool)].view("V24")[:, 0]
+
+
+_ROW_MASKS = _row_masks()
+
+
+def _exact_digits(a):
+    """``a`` in [1e-4, 1) as ``(e, digits, frac, bound)``.
+
+    ``a * 10**(16 - e) == digits + frac`` exactly, with ``e`` the decimal
+    exponent of ``a``, ``digits`` its 17 leading digits as an integer and
+    ``|frac| <= 0.5``: the product is exact as a sum of two doubles (Dekker's
+    two-product). ``bound``, half an ulp of ``a`` in the same units, is exact
+    too, and above 0.555, so 17 digits always lie inside it. A tie at 17
+    digits (``|frac| == 0.5``) rounds as ``repr`` rounds it: such values are
+    ``m / 2**(17 - e)`` with ``m`` odd, and a test checks every one of them.
+
+    ``e`` is exact: each of the doubles nearest 1e-4 .. 1e-1 lies above its
+    power of ten, so no double falls between the two. Nor can rounding carry
+    into an 18th digit: that needs the next power of ten inside the rounding
+    interval of ``a``, which makes ``a`` the double nearest it.
+    """
+    e = np.sum(a >= _DECADES[1:4, None], axis=0) - 4
+    s = 16 - e
+    p10 = _POW10[s]
+    a_hi, a_lo = _split(a)
+    p = a * p10  # an integer, being at least 1e16 > 2**53
+    p_hi, p_lo = _POW10_HI[s], _POW10_LO[s]
+    err = ((a_hi * p_hi - p) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    step = np.rint(err)
+    digits = p.astype(np.int64) + step.astype(np.int64)
+    return e, digits, err - step, np.spacing(a) * (0.5 * p10)
+
+
+def _round_digits(digits, frac, bound, drop):
+    """Round ``digits + frac`` to a multiple of ``10**drop``.
+
+    Returns the multiple, whether it lies strictly inside ``bound`` of the
+    value, and whether that is undecided: the residual lies within 1e-9
+    (relative) of the bound, or of a tie between two multiples. The residual
+    is exact up to its last rounding, far below that margin.
+    """
+    scale = 10**drop
+    rem = digits % scale
+    rem -= scale * ((2 * rem - scale).astype(float) + 2.0 * frac > 0.0)
+    residual = np.abs(rem.astype(float) + frac)
+    unsure = np.abs(residual - bound) <= 1e-9 * bound
+    unsure |= np.abs(residual - 0.5 * scale) <= 1e-9 * scale
+    return digits - rem, residual < bound, unsure
+
+
+def _shortest(a):
+    """Shortest round-trip digits of each ``a`` in [1e-4, 1).
+
+    Returns ``(e, k, digits, undecided)``: the decimal exponent, and for the
+    least ``k`` whose nearest ``k``-digit decimal lies strictly inside the
+    rounding interval of ``a`` (the criterion of shortest round-trip
+    formatting, as in Ryu), that decimal's digits padded to 17 with zeros.
+    Lying inside is monotone in ``k``. In units of the 17th digit the interval
+    is under 22.2 wide, so at most one multiple of 100 lies inside: when 15
+    digits do, every shorter decimal inside is that one, and ``k`` is 15 less
+    its trailing zeros.
+    """
+    e, exact, frac, bound = _exact_digits(a)
+    d16, in16, unsure16 = _round_digits(exact, frac, bound, 1)
+    d15, in15, unsure15 = _round_digits(exact, frac, bound, 2)
+    digits = np.where(in15, d15, np.where(in16, d16, exact))
+    k = 17 - in16.astype(np.int64) - in15
+    short = np.flatnonzero(in15)
+    rest = d15[short] // 100
+    zeros = np.zeros(short.size, dtype=np.int64)
+    for step in (8, 4, 2, 1):  # at most 14 zeros, as 10**16 <= digits
+        quotient, remainder = np.divmod(rest, 10**step)
+        rest = np.where(remainder == 0, quotient, rest)
+        zeros += step * (remainder == 0)
+    k[short] -= zeros
+    return e, k, digits, unsure16 | unsure15
+
+
+def _ascii_digits(digits):
+    """The 20 ASCII digits of each integer below 10**17, padded with zeros."""
+    hi, lo = np.divmod(digits, 10**8)
+    top, mid = np.divmod(hi, 10**4)
+    groups = np.stack([*np.divmod(top, 10**4), mid, *np.divmod(lo, 10**4)], axis=1)
+    return _GROUPS.take(groups).view(np.uint8)
+
+
+def _repr_lines(values: np.ndarray) -> bytes:
+    """``"".join(repr(float(v)) + "\\n" for v in values)`` as ASCII, built with numpy.
+
+    A value in [1e-4, 1) prints as ``[-]0.``, ``-1 - e`` zeros and its ``k``
+    shortest digits. Its row holds a sign, ``0.``, its 17 digits padded to 20
+    with zeros, and a newline; one boolean mask keeps the live columns of
+    every row (``np.compress`` would build an index eight times its size).
+    Values outside that range, zero and non-finite values, and undecided ones
+    go to ``repr``. A power of two needs no case of its own, although its
+    rounding interval is lopsided: in that range it is a decimal of at most
+    ten digits, and no shorter decimal comes near it.
+    """
+    mags = np.abs(values)
+    fast = (mags >= _DECADES[0]) & (mags < 1.0)
+    # the others are replaced before any arithmetic, where a NaN could signal
+    e, k, digits, undecided = _shortest(np.where(fast, mags, 0.30000000000000004))
+    fast &= ~undecided
+    negative = np.signbit(values)
+
+    rows = np.empty((values.size, 24), dtype=np.uint8)
+    rows[:, :3] = np.frombuffer(b"-0.", dtype=np.uint8)
+    rows[:, 3:23] = _ascii_digits(digits)
+    rows[:, 23] = ord("\n")
+    shape = np.where(fast, ((-1 - e) * 17 + k - 1) * 2 + negative, _ROW_MASKS.size - 1)
+    text = rows.reshape(-1)[_ROW_MASKS.take(shape).view(bool)].tobytes()
+    slow = np.flatnonzero(~fast)
+    if not slow.size:
+        return text
+    # a slow row keeps no column, so its line goes where the next row starts
+    cuts = [0, *np.cumsum(np.where(fast, negative + 2 - e + k, 0))[slow].tolist(), len(text)]
+    pieces = [b""] * (2 * slow.size + 1)
+    pieces[::2] = [text[start:end] for start, end in zip(cuts, cuts[1:])]
+    pieces[1::2] = [f"{value!r}\n".encode() for value in values[slow].tolist()]
+    return b"".join(pieces)
+
+
 def write_errors_csv(path, errors) -> None:
+    """One ``repr`` of each error per line, under the header ``error``."""
+    values = np.asarray(errors, dtype=float).reshape(-1)
     with atomic_open(path) as handle:
-        handle.write("error\n")
-        for value in np.asarray(errors, dtype=float).reshape(-1):
-            handle.write(repr(float(value)) + "\n")
+        out = handle.buffer  # ASCII throughout, so the bytes go straight to the file
+        out.write(b"error\n")
+        for start in range(0, values.size, _CHUNK):
+            out.write(_repr_lines(values[start : start + _CHUNK]))
 
 
 def write_histogram_csv(path, histogram: Histogram) -> None:

@@ -776,6 +776,17 @@ class TestEstimate:
             + interval_fields("G_hat") + BOOTSTRAP_TAIL
         )
 
+    @pytest.mark.parametrize("v", ["", "1"])
+    @pytest.mark.parametrize("smoothing", ["inf", "1e308"])
+    def test_smoothing_without_a_finite_joint_exits_2(self, capsys, tmp_path, v, smoothing):
+        path = tmp_path / "records.csv"
+        path.write_text(f"l,v,vhat,y\n0,{v},1,1\n0,{v},0,0\n1,{v},1,1\n1,{v},0,0\n")
+        code, out, err = run(capsys, "estimate", str(path), "--smoothing", smoothing)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"gap-gauge: smoothing must be a finite number >= 0, got {float(smoothing)!r}\n"
+        )
+
     def test_header_only_exits_3(self, capsys, tmp_path):
         path = tmp_path / "records.csv"
         path.write_text("l,v,vhat,y\n")

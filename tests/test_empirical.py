@@ -498,6 +498,18 @@ class TestFitJoint:
         with pytest.raises(ValidationError, match="smoothing"):
             fit_joint(all_combinations_dataset(), smoothing=-0.5)
 
+    # 1e308 is finite, but the joint's denominator n + 16 smoothing is not
+    @pytest.mark.parametrize("smoothing", [np.inf, np.nan, 1e308])
+    @pytest.mark.parametrize("fit", ["fit_joint", "estimate", "bootstrap"])
+    def test_rejects_smoothing_without_a_finite_joint(self, fit, smoothing):
+        call = {
+            "fit_joint": lambda: fit_joint(all_combinations_dataset(), smoothing=smoothing),
+            "estimate": lambda: estimate(all_combinations_dataset(), smoothing=smoothing),
+            "bootstrap": lambda: bootstrap(all_combinations_dataset(), 5, smoothing=smoothing),
+        }[fit]
+        with pytest.raises(ValidationError, match="smoothing must be a finite number >= 0"):
+            call()
+
 
 class TestSampleDataset:
     def test_deterministic(self, m1_joint):

@@ -1,8 +1,12 @@
 import json
+import sys
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gap_gauge import (
     FullJoint,
@@ -495,6 +499,89 @@ class TestResultFiles:
         path = tmp_path / "errors.csv"
         write_errors_csv(path, values)
         assert list(read_errors_csv(path)) == values
+
+
+def repr_lines(values) -> bytes:
+    """The errors file as one ``repr`` per value writes it: the writer's oracle."""
+    return ("error\n" + "".join(repr(float(v)) + "\n" for v in values)).encode()
+
+
+def with_neighbours(values) -> np.ndarray:
+    """``values``, both of their neighbouring doubles, and the negatives of all three."""
+    values = np.asarray(values, dtype=float)
+    near = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
+    return np.concatenate([near, -near])
+
+
+@pytest.fixture(scope="module")
+def errors_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("errors") / "errors.csv"
+
+
+class TestErrorsCsvIsRepr:
+    """``write_errors_csv`` formats values with numpy; every byte must be ``repr``'s."""
+
+    @staticmethod
+    def assert_writes_repr(path, values):
+        write_errors_csv(path, values)
+        assert path.read_bytes() == repr_lines(values)
+
+    def test_random_bit_patterns(self, errors_path):
+        rng = np.random.default_rng(20)
+        bits = rng.integers(0, 2**64, size=1_000_000, dtype=np.uint64)
+        # all but one in sixteen get an exponent of [2**-14, 1), around [1e-4, 1)
+        exponents = rng.integers(1023 - 14, 1023, size=bits.size, dtype=np.uint64)
+        ranged = bits & ~np.uint64(0x7FF << 52) | exponents << np.uint64(52)
+        bits = np.where(np.arange(bits.size) % 16 == 0, bits, ranged)
+        self.assert_writes_repr(errors_path, bits.view(np.float64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats() | st.floats(-1.0, 1.0), min_size=1, max_size=40))
+    def test_any_floats(self, errors_path, values):
+        self.assert_writes_repr(errors_path, values)
+
+    def test_dense_values_below_one(self, errors_path):
+        grid = np.linspace(1e-4, 1.0, 100_001)[:-1]
+        anchors = np.array([1e-4, 3e-4, 0.001, 0.0123, 0.05, 0.1, 0.3, 0.5, 0.7, 0.99])
+        # runs of consecutive doubles around each anchor
+        steps = np.arange(-2000, 2000).astype(np.uint64)  # wraps below zero, as the sum does
+        runs = (anchors.view(np.uint64)[:, None] + steps).view(np.float64)
+        self.assert_writes_repr(errors_path, np.concatenate([grid, runs.reshape(-1)]))
+
+    def test_powers_of_ten_and_their_neighbours(self, errors_path):
+        powers = [float(f"1e-{j}") for j in range(324)] + [float(f"1e{j}") for j in range(309)]
+        self.assert_writes_repr(errors_path, with_neighbours(powers))
+
+    def test_powers_of_two_and_special_values(self, errors_path):
+        specials = [0.0, -0.0, 5e-324, np.nan, np.inf, -np.inf, sys.float_info.max]
+        powers = np.ldexp(1.0, np.arange(-1074, 1024))
+        self.assert_writes_repr(errors_path, np.concatenate([specials, with_neighbours(powers)]))
+
+    def test_ties(self, errors_path):
+        # m / 2**(s + 1) with m odd lies halfway between the two nearest
+        # decimals of s places, so rounding it to those places is a tie. All
+        # such values whose s-th place is their 17th digit, then random ones.
+        ties = []
+        for places in range(17, 21):
+            odd = np.arange(2 * 10**16 // 5**places | 1, 2 * 10**17 // 5**places, 2)
+            ties.append(np.ldexp(odd.astype(float), -(places + 1)))
+        rng = np.random.default_rng(21)
+        places = rng.integers(1, 52, size=20_000)
+        shift = rng.integers(0, np.minimum(places, 14))  # mostly above 1e-4
+        odd = 2 * (rng.integers(0, 2.0**places) >> shift) + 1
+        ties.append(with_neighbours(np.ldexp(odd.astype(float), -(places + 1))))
+        self.assert_writes_repr(errors_path, np.concatenate(ties))
+
+    def test_memory_does_not_grow_with_the_values(self, tmp_path):
+        # the writer formats a few thousand values at a time: about 1.3 MiB
+        values = np.random.default_rng(22).uniform(0.0, 0.3, size=1_000_000)
+        tracemalloc.start()
+        try:
+            write_errors_csv(tmp_path / "errors.csv", values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, f"write_errors_csv: peak {peak / 2**20:.2f} MiB"
 
 
 class TestAtomicWrites:
