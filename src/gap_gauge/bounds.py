@@ -25,15 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .model import (
-    FullJoint,
-    ReducedModel,
-    _require_prob,
-    conditional_prob,
-    gaps_from_joint,
-    slice_rates,
-)
+from .errors import ValidationError, ZeroMassCondition
+from .model import FullJoint, ReducedModel, _rate, _require_prob, slice_rates
 
 __all__ = [
     "StructureParams",
@@ -245,44 +238,38 @@ def independence_diagnostics(
 ) -> IndependenceDiagnostics:
     """Measure how far a joint is from each independence case.
 
-    Requires positive mass on every (v, vhat, l) conditioning event;
-    :class:`ZeroMassCondition` propagates from the underlying queries
-    otherwise. ``tol`` defaults to a float-rounding allowance appropriate for
-    exactly constructed joints; fitted joints warrant a larger value.
+    Requires positive mass on every (v, vhat, l) conditioning event and
+    raises :class:`ZeroMassCondition` naming the first empty one otherwise,
+    in (v, vhat, l) order. ``tol`` defaults to a float-rounding allowance
+    appropriate for exactly constructed joints; fitted joints warrant a
+    larger value.
     """
-    tol = float(tol)
-    if math.isnan(tol) or not (0.0 <= tol <= 1.0):
-        raise ValidationError(f"tol must lie in [0, 1], got {tol!r}")
+    tol = _require_prob(tol, "tol")
+    halves = joint.cells.reshape(2, 8)
+    cell = np.arange(8).reshape(2, 2, 2)  # a slice's cell 4v + 2vhat + y at [v, vhat, y]
+    # Pr[y=1 | v, vhat, l] at [l, v, vhat]; each coarser event below contains
+    # one of these events, so it has mass once they all do
+    fine, has_mass = _rate(halves, cell[..., 1:], cell)
+    empty = np.argwhere(~has_mass.transpose(1, 2, 0))
+    if empty.size:
+        v, vhat, l = empty[0]
+        raise ZeroMassCondition(f"l={l}, v={v}, vhat={vhat}")
+    # Pr[y=1 | l] at [l], Pr[y=1 | v, l] at [l, v] and Pr[y=1 | vhat, l] at [l, vhat]
+    by_l, _ = _rate(halves, cell[..., 1].reshape(4), cell.reshape(8))
+    by_v, _ = _rate(halves, cell[..., 1], cell.reshape(2, 4))
+    by_vhat, _ = _rate(halves, cell[..., 1].T, cell.transpose(1, 0, 2).reshape(2, 4))
 
-    fine = {
-        (v, vhat, l): conditional_prob(joint, {"y": 1}, {"v": v, "vhat": vhat, "l": l})
-        for v in (0, 1)
-        for vhat in (0, 1)
-        for l in (0, 1)
-    }
-    by_l = {l: conditional_prob(joint, {"y": 1}, {"l": l}) for l in (0, 1)}
-    by_v = {
-        (v, l): conditional_prob(joint, {"y": 1}, {"v": v, "l": l})
-        for v in (0, 1)
-        for l in (0, 1)
-    }
-    by_vhat = {
-        (vhat, l): conditional_prob(joint, {"y": 1}, {"vhat": vhat, "l": l})
-        for vhat in (0, 1)
-        for l in (0, 1)
-    }
-
-    dev1 = max(abs(q - by_l[l]) for (_, _, l), q in fine.items())
-    dev2 = max(abs(q - by_v[(v, l)]) for (v, _, l), q in fine.items())
-    dev3 = max(abs(q - by_vhat[(vhat, l)]) for (_, vhat, l), q in fine.items())
+    dev1 = float(np.abs(fine - by_l[:, None, None]).max())
+    dev2 = float(np.abs(fine - by_v[:, :, None]).max())
+    dev3 = float(np.abs(fine - by_vhat[:, None, :]).max())
     holds1, holds2, holds3 = dev1 <= tol, dev2 <= tol, dev3 <= tol
 
-    # every (v, vhat, l) event has mass here, so both slices' rates are defined
     s0, s1, _ = slice_rates(joint.cells)
     bound2 = 2.0 * float(max(s0.p, s1.p)) if holds2 else None
     bound3 = 2.0 * float(max(s0.r, s1.r)) if holds3 else None
 
-    gap_error = gaps_from_joint(joint).error
+    # |G - G_hat|, from the rates given v = 1 and given vhat = 1
+    gap_error = float(abs((by_v[1, 1] - by_v[0, 1]) - (by_vhat[1, 1] - by_vhat[0, 1])))
     if holds1 and gap_error > 4.0 * tol + 1e-12:
         raise ValidationError(
             f"internal inconsistency: case 1 holds at tol {tol!r} but the gaps "

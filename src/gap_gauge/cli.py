@@ -49,7 +49,7 @@ from .files import (
     write_sweep_csv,
     write_text,
 )
-from .model import FullJoint, compute_gaps, reduce
+from .model import FullJoint, _require_prob, compute_gaps, reduce
 from .simulation import SamplerConfig, _require_seed, run_monte_carlo, sweep
 
 __all__ = ["main", "parse_grid"]
@@ -132,16 +132,15 @@ def _report(args, report) -> dict:
 
 
 def _cmd_analyze(args, digest) -> dict:
+    _require_prob(args.tol, "tol")
     model = load_model_file(args.model, digest)
     independence = None
     if isinstance(model, FullJoint):
-        joint = model
-        reduced = reduce(joint)
-        table = joint.table()
-        # the reduction guarantees positive mass everywhere except the
-        # (v=0, vhat=0) cells, which only the diagnostics condition on
-        if all(float(table[l, 0, 0, :].sum()) > 0.0 for l in (0, 1)):
-            independence = independence_diagnostics(joint, tol=args.tol)
+        reduced = reduce(model)
+        try:
+            independence = independence_diagnostics(model, tol=args.tol)
+        except ZeroMassCondition:
+            pass
     else:
         reduced = model
     return _report(args, {

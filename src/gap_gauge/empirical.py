@@ -404,6 +404,13 @@ def _require_smoothing(smoothing: float) -> float:
     return smoothing
 
 
+def _require_level(level: float) -> float:
+    level = float(level)
+    if math.isnan(level) or not (0.0 < level < 1.0):
+        raise ValidationError(f"level must lie in (0, 1), got {level!r}")
+    return level
+
+
 def _codes(dataset: RecordDataset) -> np.ndarray:
     """Each row's cell index as uint8: 8l + 4v + 2vhat + y, or 4l + 2vhat + y without v."""
     columns = (dataset.l, dataset.v, dataset.vhat, dataset.y)
@@ -582,9 +589,7 @@ def bootstrap(
         raise ValidationError(f"replicates must be a positive integer, got {replicates!r}")
     if replicates > MAX_REPLICATES:
         raise ValidationError(f"replicates must be at most {MAX_REPLICATES}, got {replicates}")
-    level = float(level)
-    if math.isnan(level) or not (0.0 < level < 1.0):
-        raise ValidationError(f"level must lie in (0, 1), got {level!r}")
+    level = _require_level(level)
     if dataset.n < 2:
         raise ValidationError("bootstrap needs at least 2 rows")
     smoothing = _require_smoothing(smoothing)
@@ -623,7 +628,11 @@ def estimate_with_bootstrap(
     level: float = 0.95,
     seed: int = 0,
 ) -> EstimateReport:
-    """Point estimates plus, when ``replicates`` > 0, bootstrap intervals."""
+    """Point estimates plus, when ``replicates`` > 0, bootstrap intervals.
+
+    ``level`` is checked even when no bootstrap runs.
+    """
+    _require_level(level)
     report = estimate(dataset, smoothing)
     if replicates:
         ci = bootstrap(dataset, replicates, level=level, seed=seed, smoothing=smoothing)

@@ -9,11 +9,13 @@ matching reader to keep outputs verifiable.
 from __future__ import annotations
 
 import csv
+import errno
+import functools
 import json
 import os
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, fields, is_dataclass
-from typing import Any, get_args, get_type_hints
+from typing import Any, NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
@@ -111,9 +113,13 @@ def atomic_paths(*paths):
 
     Every output is written before any is replaced, and a block that raises
     removes every temporary, so a failed write leaves every path as it was.
-    The writers here write a temporary in place, so each output is renamed
-    once.
+    A path that is a directory could not be replaced, so it is refused with
+    :class:`IsADirectoryError` before the block runs. The writers here write
+    a temporary in place, so each output is renamed once.
     """
+    for path in paths:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
     tmps = [_Temporary(f"{os.fspath(path)}.tmp") for path in paths]
     try:
         yield tmps
@@ -276,19 +282,6 @@ def _split(x):
     return hi, x - hi
 
 
-#: Powers of ten 10**0 .. 10**20, exact: each is a product of exact doubles.
-_POW10 = np.cumprod(np.r_[1.0, np.full(20, 10.0)])
-_POW10_HI, _POW10_LO = _split(_POW10)
-#: The doubles nearest 1e-4, 1e-3, 1e-2, 1e-1, then 1: the fast path's decades.
-_DECADES = 1.0 / _POW10[4::-1]
-#: ASCII of 0000 .. 9999, four bytes each, built from 10-byte axes.
-_GROUPS = (
-    np.stack(np.meshgrid(*[np.frombuffer(b"0123456789", dtype=np.uint8)] * 4, indexing="ij"), -1)
-    .reshape(-1, 4)
-    .view(np.uint32)[:, 0]
-)
-
-
 def _row_masks():
     """Live columns of a fast-path row (see ``_repr_lines``) as 24-byte masks.
 
@@ -305,7 +298,31 @@ def _row_masks():
     return np.r_[live.reshape(-1, 24), np.zeros((1, 24), bool)].view("V24")[:, 0]
 
 
-_ROW_MASKS = _row_masks()
+class _Tables(NamedTuple):
+    """The formatter's constant tables."""
+
+    #: Powers of ten 10**0 .. 10**20, exact: each is a product of exact doubles.
+    pow10: np.ndarray
+    #: Their Veltkamp split.
+    pow10_hi: np.ndarray
+    pow10_lo: np.ndarray
+    #: The doubles nearest 1e-4, 1e-3, 1e-2, 1e-1, then 1: the fast path's decades.
+    decades: np.ndarray
+    #: ASCII of 0000 .. 9999, four bytes each.
+    groups: np.ndarray
+    #: See ``_row_masks``.
+    row_masks: np.ndarray
+
+
+@functools.cache
+def _tables() -> _Tables:
+    """The tables, built on first use, so that commands writing no errors file skip them."""
+    pow10 = np.cumprod(np.r_[1.0, np.full(20, 10.0)])
+    digit = np.frombuffer(b"0123456789", dtype=np.uint8)
+    groups = np.stack(np.meshgrid(*[digit] * 4, indexing="ij"), -1).reshape(-1, 4)
+    return _Tables(
+        pow10, *_split(pow10), 1.0 / pow10[4::-1], groups.view(np.uint32)[:, 0], _row_masks()
+    )
 
 
 def _exact_digits(a):
@@ -324,12 +341,13 @@ def _exact_digits(a):
     into an 18th digit: that needs the next power of ten inside the rounding
     interval of ``a``, which makes ``a`` the double nearest it.
     """
-    e = np.sum(a >= _DECADES[1:4, None], axis=0) - 4
+    tables = _tables()
+    e = np.sum(a >= tables.decades[1:4, None], axis=0) - 4
     s = 16 - e
-    p10 = _POW10[s]
+    p10 = tables.pow10[s]
     a_hi, a_lo = _split(a)
     p = a * p10  # an integer, being at least 1e16 > 2**53
-    p_hi, p_lo = _POW10_HI[s], _POW10_LO[s]
+    p_hi, p_lo = tables.pow10_hi[s], tables.pow10_lo[s]
     err = ((a_hi * p_hi - p) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
     step = np.rint(err)
     digits = p.astype(np.int64) + step.astype(np.int64)
@@ -386,7 +404,7 @@ def _ascii_digits(digits):
     hi, lo = np.divmod(digits, 10**8)
     top, mid = np.divmod(hi, 10**4)
     groups = np.stack([*np.divmod(top, 10**4), mid, *np.divmod(lo, 10**4)], axis=1)
-    return _GROUPS.take(groups).view(np.uint8)
+    return _tables().groups.take(groups).view(np.uint8)
 
 
 def _repr_lines(values: np.ndarray) -> bytes:
@@ -401,8 +419,9 @@ def _repr_lines(values: np.ndarray) -> bytes:
     rounding interval is lopsided: in that range it is a decimal of at most
     ten digits, and no shorter decimal comes near it.
     """
+    tables = _tables()
     mags = np.abs(values)
-    fast = (mags >= _DECADES[0]) & (mags < 1.0)
+    fast = (mags >= tables.decades[0]) & (mags < 1.0)
     # the others are replaced before any arithmetic, where a NaN could signal
     e, k, digits, undecided = _shortest(np.where(fast, mags, 0.30000000000000004))
     fast &= ~undecided
@@ -412,8 +431,8 @@ def _repr_lines(values: np.ndarray) -> bytes:
     rows[:, :3] = np.frombuffer(b"-0.", dtype=np.uint8)
     rows[:, 3:23] = _ascii_digits(digits)
     rows[:, 23] = ord("\n")
-    shape = np.where(fast, ((-1 - e) * 17 + k - 1) * 2 + negative, _ROW_MASKS.size - 1)
-    text = rows.reshape(-1)[_ROW_MASKS.take(shape).view(bool)].tobytes()
+    shape = np.where(fast, ((-1 - e) * 17 + k - 1) * 2 + negative, tables.row_masks.size - 1)
+    text = rows.reshape(-1)[tables.row_masks.take(shape).view(bool)].tobytes()
     slow = np.flatnonzero(~fast)
     if not slow.size:
         return text

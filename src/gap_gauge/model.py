@@ -332,20 +332,14 @@ def reduce(joint: FullJoint) -> ReducedModel:
     cell has zero mass.
     """
     *rates, ok = slice_rates(joint.cells)
-    table = joint.table()
+    halves = joint.cells.reshape(2, 8)
     if not ok:
-        halves = joint.cells.reshape(2, 8)
         l, event = next(
             (l, event) for l in (0, 1) for event, _, den in _RATES if halves[l, den].sum() == 0.0
         )
         raise ZeroMassCondition(f"l={l}, {event}")
-    slices = []
-    for l in (0, 1):
-        if _mass(table, {"v": 0, "vhat": 0, "l": l}) > 0.0:
-            d = conditional_prob(joint, {"y": 1}, {"v": 0, "vhat": 0, "l": l})
-        else:
-            d = None
-        slices.append(SliceParams(*rates[l], d=d))
+    d, has_d = _rate(halves, [1], [0, 1])
+    slices = [SliceParams(*rates[l], d=d[l] if has_d[l] else None) for l in (0, 1)]
     return ReducedModel(slice0=slices[0], slice1=slices[1])
 
 
@@ -361,12 +355,24 @@ _RATES = (
 )
 
 
+def _rate(halves: np.ndarray, num, den) -> tuple[np.ndarray, np.ndarray]:
+    """Pr[cells ``num`` | cells ``den``] of slice tables (..., 8), and where it is defined.
+
+    Index arrays of shape (..., k) give one rate per row. ``np.take`` lays each
+    group out contiguously (a fancy index may not), so numpy sums it as ``_mass``
+    does, pairwise from eight cells on, and a rate is ``conditional_prob``'s bit for bit.
+    """
+    total = np.take(halves, den, axis=-1).sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rate = np.take(halves, num, axis=-1).sum(axis=-1) / total
+    return np.clip(rate, 0.0, 1.0), total != 0.0
+
+
 def slice_rates(cells) -> tuple[SliceRates, SliceRates, np.ndarray]:
     """Each slice's p, r, a, b and c from joint tables of shape (..., 16).
 
-    A rate is ``conditional_prob``'s ratio of the same cell sums, so a row's
-    rates equal ``reduce``'s bit for bit. The mask is true on the rows where
-    every conditioning event has nonzero mass; other rows' rates are undefined.
+    The mask is true on the rows where every conditioning event has nonzero
+    mass; other rows' rates are undefined.
     """
     cells = np.asarray(cells, dtype=float)
     ok = np.ones(cells.shape[:-1], dtype=bool)
@@ -374,10 +380,9 @@ def slice_rates(cells) -> tuple[SliceRates, SliceRates, np.ndarray]:
     for half in (cells[..., :8], cells[..., 8:]):
         rates = []
         for _, num, den in _RATES:
-            total = half[..., den].sum(axis=-1)
-            ok &= total != 0.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rates.append(np.clip(half[..., num].sum(axis=-1) / total, 0.0, 1.0))
+            rate, defined = _rate(half, num, den)
+            ok &= defined
+            rates.append(rate)
         slices.append(SliceRates(*rates))
     return slices[0], slices[1], ok
 

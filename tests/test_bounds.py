@@ -16,6 +16,7 @@ from gap_gauge import (
     conditional_prob,
     consistent_marginals,
     expand,
+    gaps_from_joint,
     independence_diagnostics,
     structure_params,
 )
@@ -283,15 +284,49 @@ class TestIndependenceDiagnostics:
             independence_diagnostics(FullJoint(cells=cells))
         assert str(err.value) == "conditioning event has zero mass: l=0, v=0, vhat=1"
 
+    @staticmethod
+    def query_diagnostics(joint, tol):
+        """The diagnostics by ``conditional_prob`` and ``gaps_from_joint``, as hex strings.
+
+        Raises :class:`ZeroMassCondition` on the first empty (v, vhat, l) event.
+        """
+        def rate(**given):
+            return conditional_prob(joint, {"y": 1}, given)
+
+        fine = {
+            (v, vhat, l): rate(v=v, vhat=vhat, l=l)
+            for v in (0, 1) for vhat in (0, 1) for l in (0, 1)
+        }
+        dev1 = max(abs(q - rate(l=l)) for (_, _, l), q in fine.items())
+        dev2 = max(abs(q - rate(v=v, l=l)) for (v, _, l), q in fine.items())
+        dev3 = max(abs(q - rate(vhat=vhat, l=l)) for (_, vhat, l), q in fine.items())
+        p = max(conditional_prob(joint, {"v": 0}, {"vhat": 1, "l": l}) for l in (0, 1))
+        r = max(conditional_prob(joint, {"vhat": 0}, {"v": 1, "l": l}) for l in (0, 1))
+        return [
+            tol.hex(), dev1.hex(), dev2.hex(), dev3.hex(), dev1 <= tol, dev2 <= tol, dev3 <= tol,
+            (2.0 * p).hex() if dev2 <= tol else None, (2.0 * r).hex() if dev3 <= tol else None,
+            gaps_from_joint(joint).error.hex(),
+        ]
+
     @pytest.mark.parametrize("seed", range(20))
     def test_case_bounds_are_the_query_rates(self, seed):
+        # every field bit for bit, -0.0 cells and empty events included;
         # tol = 1 makes every case hold, so both bounds are reported
-        joint = FullJoint(cells=np.random.default_rng(seed).dirichlet(np.ones(16)))
-        diag = independence_diagnostics(joint, tol=1.0)
-        assert diag.bound_case2 == 2.0 * max(
-            conditional_prob(joint, {"v": 0}, {"vhat": 1, "l": l}) for l in (0, 1)
-        )
-        assert diag.bound_case3 == 2.0 * max(
-            conditional_prob(joint, {"vhat": 0}, {"v": 1, "l": l}) for l in (0, 1)
-        )
-        assert type(diag.bound_case2) is float and type(diag.bound_case3) is float
+        rng = np.random.default_rng(seed)
+        for i in range(40):
+            cells = rng.dirichlet(np.full(16, (0.2, 1.0, 5.0)[i % 3]))
+            if i % 2:
+                cells[rng.random(16) < 0.15] = -0.0 if i % 4 == 1 else 0.0
+                cells[cells.argmax()] += 1.0 - cells.sum()
+            joint = FullJoint(cells=cells)
+            for tol in (1e-9, 0.05, 1.0):
+                try:
+                    want = self.query_diagnostics(joint, tol)
+                except ZeroMassCondition as empty:
+                    with pytest.raises(ZeroMassCondition) as raised:
+                        independence_diagnostics(joint, tol=tol)
+                    assert str(raised.value) == str(empty)
+                    continue
+                diag = independence_diagnostics(joint, tol=tol)
+                got = [getattr(diag, name) for name in diag.__slots__]
+                assert [x.hex() if type(x) is float else x for x in got] == want

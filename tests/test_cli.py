@@ -303,6 +303,19 @@ class TestAnalyze:
         assert report["independence"] is None
         assert report["gap"]["error"] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("tol", ["-5", "nan", "2"])
+    @pytest.mark.parametrize("kind", ["reduced", "joint", "joint_without_v0_vhat0"])
+    def test_bad_tol_exits_2_for_every_model(self, capsys, tmp_path, m1_joint, kind, tol):
+        # also where no diagnostics run, which are all that read --tol
+        cells = np.full(16, 1 / 14)
+        cells[[0, 1]] = 0.0
+        model = {"reduced": M1, "joint": m1_joint, "joint_without_v0_vhat0": FullJoint(cells=cells)}
+        path = tmp_path / "model.json"
+        write_json(path, model_to_dict(model[kind]))
+        code, out, err = run(capsys, "analyze", str(path), "--tol", tol)
+        assert (code, out) == (2, "")
+        assert err == f"gap-gauge: tol must lie in [0, 1], got {float(tol)!r}\n"
+
     def test_invalid_model_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         payload = model_to_dict(M1)
@@ -440,6 +453,23 @@ class TestSimulate:
             )
             assert (code, err) == (2, "gap-gauge: disk full\n")
             assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_directory_in_place_of_an_output_changes_no_file(
+        self, capsys, constrained_config_file, tmp_path
+    ):
+        prefix = str(tmp_path / "run")
+        argv = ["simulate", constrained_config_file, "--trials", "150", "--out", prefix]
+        assert run(capsys, *argv)[0] == 0
+        (tmp_path / "run.hist.csv").unlink()
+        (tmp_path / "run.hist.csv").mkdir()
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+        code, out, err = run(capsys, *argv, "--seed", "7")
+        assert (code, out) == (2, "")
+        assert err == f"gap-gauge: [Errno 21] Is a directory: '{prefix}.hist.csv'\n"
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == before
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "config.json", "run.errors.csv", "run.hist.csv", "run.manifest.json", "run.summary.json",
+        ]
 
     def test_env_seed_used_when_no_flag(
         self, capsys, monkeypatch, constrained_config_file, tmp_path
@@ -786,6 +816,17 @@ class TestEstimate:
         assert err == (
             f"gap-gauge: smoothing must be a finite number >= 0, got {float(smoothing)!r}\n"
         )
+
+    @pytest.mark.parametrize("bootstrap", ["0", "5"])
+    @pytest.mark.parametrize("level", ["5", "nan", "0"])
+    def test_bad_level_exits_2_with_or_without_bootstrap(
+        self, capsys, records_file, bootstrap, level
+    ):
+        code, out, err = run(
+            capsys, "estimate", records_file, "--bootstrap", bootstrap, "--level", level
+        )
+        assert (code, out) == (2, "")
+        assert err == f"gap-gauge: level must lie in (0, 1), got {float(level)!r}\n"
 
     def test_header_only_exits_3(self, capsys, tmp_path):
         path = tmp_path / "records.csv"

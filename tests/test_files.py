@@ -604,6 +604,18 @@ class TestAtomicWrites:
         assert json.loads(paths[0].read_text()) == {"value": 1}
         assert [path.name for path in tmp_path.iterdir()] == ["a.json"]
 
+    def test_directory_target_is_refused_before_the_block(self, tmp_path):
+        paths = [tmp_path / "a.json", tmp_path / "b.csv"]
+        write_json(paths[0], {"value": 1})
+        paths[1].mkdir()
+        with pytest.raises(IsADirectoryError) as err:
+            with atomic_paths(*paths):
+                raise AssertionError("the block ran")
+        assert err.value.filename == str(paths[1])
+        assert json.loads(paths[0].read_text()) == {"value": 1}
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["a.json", "b.csv"]
+        assert not any(paths[1].iterdir())
+
     def test_block_that_raises_leaves_nothing(self, tmp_path):
         with pytest.raises(RuntimeError):
             with atomic_open(tmp_path / "out.csv") as handle:

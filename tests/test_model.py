@@ -293,6 +293,26 @@ class TestReduceExpand:
         assert back.slice0.d is None
         assert back.slice1.d is not None
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_d_is_the_query_rate(self, seed):
+        # bit for bit, -0.0 cells included; None exactly where the event is empty
+        rng = np.random.default_rng(seed)
+        for i in range(200):
+            cells = rng.dirichlet(np.full(16, (0.2, 1.0, 5.0)[i % 3]))
+            cells[rng.random(16) < 0.15 * (i % 2)] = -0.0 if i % 4 == 1 else 0.0
+            cells[cells.argmax()] += 1.0 - cells.sum()
+            joint = FullJoint(cells=cells)
+            try:
+                model = reduce(joint)
+            except ZeroMassCondition:
+                continue
+            for l, params in enumerate(model.slices()):
+                try:
+                    want = conditional_prob(joint, {"y": 1}, {"v": 0, "vhat": 0, "l": l}).hex()
+                except ZeroMassCondition:
+                    want = None
+                assert (params.d if params.d is None else params.d.hex()) == want
+
     def test_uniform_joint_reduces_to_half_cells(self):
         model = reduce(uniform_joint())
         for params in model.slices():

@@ -75,6 +75,19 @@ class TestImport:
             assert getattr(importlib.import_module(value.__module__), name) is value, name
         assert set(PUBLIC) <= set(dir(gap_gauge))
 
+    def test_errors_writer_tables_are_built_on_first_use(self, tmp_path):
+        out = child(
+            "import json\n"
+            "from gap_gauge import cli, files\n"
+            f"model, out = {str(tmp_path / 'joint.json')!r}, {str(tmp_path / 'report')!r}\n"
+            "files.write_json(model, {'joint': {'cells': [1 / 16] * 16}})\n"
+            "assert cli.main(['analyze', model, '--out', out]) == 0\n"
+            "print(files._tables.cache_info().currsize)\n"
+            "files.write_errors_csv(out + '.errors.csv', [0.5])\n"
+            "print(files._tables.cache_info().currsize)\n"
+        )
+        assert out == "0\n1\n"
+
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
             gap_gauge.nonexistent
