@@ -65,6 +65,10 @@ _INPUT = {
     "analyze": "model", "simulate": "config_file", "sweep": "config_file", "estimate": "data",
 }
 
+#: The suffixes that ``--out`` takes for each result, in the order the command
+#: returns them; a command not named here writes one result, to ``--out``.
+_SUFFIXES = {"simulate": (".summary.json", ".errors.csv", ".hist.csv")}
+
 #: Parsed arguments the manifest records elsewhere, or not at all.
 _NOT_CONFIG = ("func", "command", "seed", "out")
 
@@ -122,16 +126,11 @@ def _render(report: dict, fmt: str) -> str:
     return dumps_json(report)
 
 
-def _report(args, report) -> dict:
-    """The rendered report: written to stdout, or returned as the ``--out`` output."""
-    text = _render(result_dict(report), args.format)
-    if args.out is None:
-        sys.stdout.write(text)
-        return {}
-    return {args.out: (write_text, text)}
+def _report(args, report) -> list:
+    return [(write_text, _render(result_dict(report), args.format))]
 
 
-def _cmd_analyze(args, digest) -> dict:
+def _cmd_analyze(args, digest) -> list:
     _require_prob(args.tol, "tol")
     model = load_model_file(args.model, digest)
     independence = None
@@ -158,22 +157,22 @@ def _load_sampler(args, digest) -> SamplerConfig:
     return config
 
 
-def _cmd_simulate(args, digest) -> dict:
+def _cmd_simulate(args, digest) -> list:
     result = run_monte_carlo(_load_sampler(args, digest), args.trials, args.seed, bins=args.bins)
-    return {
-        args.out + ".summary.json": (write_json, result_dict(result)),
-        args.out + ".errors.csv": (write_errors_csv, result.errors),
-        args.out + ".hist.csv": (write_histogram_csv, result.histogram),
-    }
+    return [
+        (write_json, result_dict(result)),
+        (write_errors_csv, result.errors),
+        (write_histogram_csv, result.histogram),
+    ]
 
 
-def _cmd_sweep(args, digest) -> dict:
+def _cmd_sweep(args, digest) -> list:
     config = _load_sampler(args, digest)
     result = sweep(config, args.varied, parse_grid(args.grid), args.trials, args.seed)
-    return {args.out: (write_sweep_csv, result)}
+    return [(write_sweep_csv, result)]
 
 
-def _cmd_estimate(args, digest) -> dict:
+def _cmd_estimate(args, digest) -> list:
     dataset = read_records_csv(args.data, digest)
     if args.condition_ystar:
         dataset = filter_ystar(dataset)
@@ -271,35 +270,25 @@ def _resolve_seed(args) -> int:
     return _require_seed(seed)
 
 
-def _require_out_dir(out: str) -> None:
-    """Refuse an ``--out`` whose directory is missing or unwritable.
-
-    Every file a command writes (results and manifest) lies next to
-    ``--out``, so one check before any computation covers them all.
-    """
-    directory = os.path.dirname(out) or os.curdir
-    if not os.path.isdir(directory):
-        raise ValidationError(f"--out {out}: directory {directory} does not exist")
-    if not os.access(directory, os.W_OK | os.X_OK):
-        raise ValidationError(f"--out {out}: directory {directory} is not writable")
-
-
 def _run(args) -> None:
     """Run the command; with ``--out``, commit its outputs and manifest together.
 
     The command reads its input through one digest and returns its outputs
-    as ``{path: (writer, result)}``. Every output and ``<out>.manifest.json``
-    are written straight into their temporaries before any is renamed into
-    place, so a failed write, the manifest's included, leaves every file as
-    it was, and each file is renamed once.
+    as ``(writer, result)`` pairs in ``_SUFFIXES`` order; without ``--out``,
+    its one report goes to stdout. ``atomic_paths`` refuses any result path
+    or ``<out>.manifest.json`` it could not replace before the command runs,
+    and renames each output into place once, after all are written, so a
+    failed write, the manifest's included, leaves every file as it was.
     """
     started = time.monotonic()
     digest = hashlib.sha256()
-    outputs = args.func(args, digest)
     if args.out is None:
+        ((_, text),) = args.func(args, digest)
+        sys.stdout.write(text)
         return
-    with atomic_paths(*outputs, args.out + ".manifest.json") as tmps:
-        for tmp, (write, result) in zip(tmps, outputs.values()):
+    paths = [args.out + suffix for suffix in _SUFFIXES.get(args.command, ("",))]
+    with atomic_paths(*paths, args.out + ".manifest.json") as tmps:
+        for tmp, (write, result) in zip(tmps, args.func(args, digest)):
             write(tmp, result)
         write_json(tmps[-1], {
             "command": args.command,
@@ -307,7 +296,7 @@ def _run(args) -> None:
             "seed": args.seed,
             "version": __version__,
             "inputs": {getattr(args, _INPUT[args.command]): "sha256:" + digest.hexdigest()},
-            "outputs": sorted(outputs),
+            "outputs": sorted(paths),
             "duration_seconds": time.monotonic() - started,
         })
 
@@ -324,8 +313,6 @@ def main(argv=None) -> int:
         if args.workers < 1:
             raise ValidationError(f"--workers must be at least 1, got {args.workers}")
         args.seed = _resolve_seed(args)
-        if args.out is not None:
-            _require_out_dir(args.out)
         _run(args)
         return 0
     except RejectionBudgetExhausted as exc:

@@ -41,7 +41,8 @@ from .errors import (
     ZeroMassCondition,
 )
 from .model import (
-    FullJoint, GapReport, compute_gaps, gap_terms, reduce, require_gap_identities, slice_rates,
+    FullJoint, GapReport, _require_count, compute_gaps, gap_terms, reduce, require_gap_identities,
+    slice_rates,
 )
 from .simulation import _require_seed, derive_trial_stream, percentile
 
@@ -272,11 +273,12 @@ def _read_blocks(handle, digest) -> RecordDataset | None:
     A fixed-width file is an optional UTF-8 BOM, the header ``l,v,vhat,y``
     or ``l,v,vhat,y,ystar`` and at least one row, every row laid out like
     the first (see :func:`_row_layout`); the header and the rows may end in
-    ``\\n`` or ``\\r\\n``. The row count comes from the file size, so the
-    columns are allocated once; ``_BLOCK_ROWS`` rows at a time are then read
-    into one reused buffer, checked against the layout and written into
-    them. ``handle`` must be a seekable binary stream; on None it is left
-    just past the bytes given to ``digest``.
+    ``\\n`` or ``\\r\\n``, and the last row may lack its ending. The row
+    count comes from the file size, so the columns are allocated once;
+    ``_BLOCK_ROWS`` rows at a time are then read into one reused buffer,
+    checked against the layout and written into them. ``handle`` must be a
+    seekable binary stream; on None it is left just past the bytes given to
+    ``digest``.
     """
     total = handle.seek(0, io.SEEK_END)
     handle.seek(0)
@@ -293,8 +295,12 @@ def _read_blocks(handle, digest) -> RecordDataset | None:
         return None
     template, mask, offsets = layout
     n, rest = divmod(total - len(head), template.size)
-    if n == 0 or rest:
+    # a last row may lack its line ending: it is read short, then given one
+    eol = template[-2:] if template[-2] == ord("\r") else template[-1:]
+    missing = template.size - rest if rest else 0
+    if missing not in (0, eol.size):
         return None
+    n += rest > 0
     columns = [None if offset is None else np.empty(n, np.int8) for offset in offsets]
     # the buffers are reused, since touching fresh pages costs more than the checks
     block_rows = min(n, _BLOCK_ROWS)
@@ -304,11 +310,13 @@ def _read_blocks(handle, digest) -> RecordDataset | None:
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
         size = (stop - start) * template.size
-        got = handle.readinto(buffer[:size])
+        read = size - missing if stop == n else size
+        got = handle.readinto(buffer[:read])
         if digest is not None:
             digest.update(buffer[:got])
-        if got != size:
+        if got != read:
             return None
+        buffer[read:size] = eol[: size - read]
         block = np.frombuffer(buffer, np.uint8, count=size)
         np.bitwise_or(block, masks[:size], out=scratch[:size])
         np.bitwise_xor(scratch[:size], pattern[:size], out=scratch[:size])
@@ -360,10 +368,9 @@ def sample_dataset(joint: FullJoint, n: int, seed: int) -> RecordDataset:
     Rows come from the dedicated stream ``derive_trial_stream(seed, 0)``, so
     datasets are reproducible under the package-wide seeding contract.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
+    n = _require_count(n, "n")
     stream = derive_trial_stream(seed, 0)
-    idx = stream.choice(16, size=int(n), p=joint.cells)
+    idx = stream.choice(16, size=n, p=joint.cells)
     return RecordDataset(
         l=(idx >> 3) & 1,
         v=(idx >> 2) & 1,
@@ -585,17 +592,14 @@ def bootstrap(
     the same nearest-rank rule as the simulation percentiles. At most
     ``MAX_REPLICATES`` replicates run, checked before the first is drawn.
     """
-    if not isinstance(replicates, (int, np.integer)) or replicates < 1:
-        raise ValidationError(f"replicates must be a positive integer, got {replicates!r}")
-    if replicates > MAX_REPLICATES:
-        raise ValidationError(f"replicates must be at most {MAX_REPLICATES}, got {replicates}")
+    replicates = _require_count(replicates, "replicates", MAX_REPLICATES)
     level = _require_level(level)
     if dataset.n < 2:
         raise ValidationError("bootstrap needs at least 2 rows")
     smoothing = _require_smoothing(smoothing)
     seed = _require_seed(seed)
 
-    n, replicates = dataset.n, int(replicates)
+    n = dataset.n
     codes = _codes(dataset)
     width = 16 if dataset.v_present else 8
     counts = np.empty((replicates, width), dtype=np.int64)

@@ -113,13 +113,20 @@ def atomic_paths(*paths):
 
     Every output is written before any is replaced, and a block that raises
     removes every temporary, so a failed write leaves every path as it was.
-    A path that is a directory could not be replaced, so it is refused with
-    :class:`IsADirectoryError` before the block runs. The writers here write
-    a temporary in place, so each output is renamed once.
+    A path that could not be replaced is refused before the block runs: its
+    directory missing (:class:`FileNotFoundError`) or not writable
+    (:class:`PermissionError`), or the path itself a directory
+    (:class:`IsADirectoryError`). The writers here write a temporary in
+    place, so each output is renamed once.
     """
-    for path in paths:
+    for path in map(os.fspath, paths):
+        directory = os.path.dirname(path) or os.curdir
+        if not os.path.isdir(directory):
+            raise FileNotFoundError(errno.ENOENT, f"directory {directory} does not exist", path)
+        if not os.access(directory, os.W_OK | os.X_OK):
+            raise PermissionError(errno.EACCES, f"directory {directory} is not writable", path)
         if os.path.isdir(path):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     tmps = [_Temporary(f"{os.fspath(path)}.tmp") for path in paths]
     try:
         yield tmps

@@ -84,6 +84,15 @@ def _require_prob(value: float, field: str) -> float:
     return value
 
 
+def _require_count(value: int, name: str, most: int | None = None) -> int:
+    """``value`` as an int from 1 to ``most``; a bool is not a count."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+        raise ValidationError(f"{name} must be a positive integer, got {value!r}")
+    if most is not None and value > most:
+        raise ValidationError(f"{name} must be at most {most}, got {value}")
+    return int(value)
+
+
 def _clip_unit(x: float) -> float:
     # ratios of non-negative cell sums are probabilities up to float dust
     return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)

@@ -32,7 +32,9 @@ from .errors import (
     RejectionBudgetExhausted,
     ValidationError,
 )
-from .model import ReducedModel, SliceParams, SliceRates, _require_prob, gap_terms
+from .model import (
+    ReducedModel, SliceParams, SliceRates, _require_count, _require_prob, gap_terms,
+)
 
 __all__ = [
     "SamplerConfig",
@@ -98,7 +100,11 @@ def derive_trial_stream(seed: int, trial_index: int) -> np.random.Generator:
     across runs, platforms, and worker counts.
     """
     seed = _require_seed(seed)
-    if not isinstance(trial_index, (int, np.integer)) or not 0 <= int(trial_index) <= _MASK64:
+    if (
+        not isinstance(trial_index, (int, np.integer))
+        or isinstance(trial_index, bool)
+        or not 0 <= int(trial_index) <= _MASK64
+    ):
         raise ValidationError(
             f"trial_index must be a 64-bit unsigned integer, got {trial_index!r}"
         )
@@ -152,11 +158,9 @@ class SamplerConfig:
             for field in ("eps_b1", "eps_b2"):
                 if getattr(self, field) is not None:
                     raise ValidationError(f"{field} only applies to constrained mode")
-        if not isinstance(self.max_rejections, (int, np.integer)) or self.max_rejections < 1:
-            raise ValidationError(
-                f"max_rejections must be a positive integer, got {self.max_rejections!r}"
-            )
-        object.__setattr__(self, "max_rejections", int(self.max_rejections))
+        object.__setattr__(
+            self, "max_rejections", _require_count(self.max_rejections, "max_rejections")
+        )
 
 
 def sample_unconstrained(
@@ -485,15 +489,8 @@ def run_monte_carlo(
     ``MAX_BINS`` bins are counted, both checked before anything is allocated.
     """
     seed = _require_seed(seed)
-    if not isinstance(n_trials, (int, np.integer)) or n_trials < 1:
-        raise ValidationError(f"n_trials must be a positive integer, got {n_trials!r}")
-    if n_trials > MAX_TRIALS:
-        raise ValidationError(f"n_trials must be at most {MAX_TRIALS}, got {n_trials}")
-    if not isinstance(bins, (int, np.integer)) or bins < 1:
-        raise ValidationError(f"bins must be a positive integer, got {bins!r}")
-    if bins > MAX_BINS:
-        raise ValidationError(f"bins must be at most {MAX_BINS}, got {bins}")
-    n_trials, bins = int(n_trials), int(bins)
+    n_trials = _require_count(n_trials, "n_trials", MAX_TRIALS)
+    bins = _require_count(bins, "bins", MAX_BINS)
 
     errors = np.empty(n_trials)
     attempts = 0

@@ -68,6 +68,19 @@ def m1_model_file(tmp_path):
 
 
 @pytest.fixture
+def no_monte_carlo(monkeypatch):
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("run_monte_carlo must not run")
+
+    monkeypatch.setattr(cli, "run_monte_carlo", record)
+    monkeypatch.setattr(simulation, "run_monte_carlo", record)
+    return calls
+
+
+@pytest.fixture
 def constrained_config_file(tmp_path):
     path = tmp_path / "config.json"
     write_json(
@@ -455,7 +468,7 @@ class TestSimulate:
             assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     def test_directory_in_place_of_an_output_changes_no_file(
-        self, capsys, constrained_config_file, tmp_path
+        self, capsys, request, constrained_config_file, tmp_path
     ):
         prefix = str(tmp_path / "run")
         argv = ["simulate", constrained_config_file, "--trials", "150", "--out", prefix]
@@ -463,9 +476,12 @@ class TestSimulate:
         (tmp_path / "run.hist.csv").unlink()
         (tmp_path / "run.hist.csv").mkdir()
         before = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+        # the path is refused before the engine runs, not after
+        calls = request.getfixturevalue("no_monte_carlo")
         code, out, err = run(capsys, *argv, "--seed", "7")
         assert (code, out) == (2, "")
         assert err == f"gap-gauge: [Errno 21] Is a directory: '{prefix}.hist.csv'\n"
+        assert calls == []
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == before
         assert sorted(path.name for path in tmp_path.iterdir()) == [
             "config.json", "run.errors.csv", "run.hist.csv", "run.manifest.json", "run.summary.json",
@@ -954,20 +970,6 @@ class TestEstimate:
 
 
 class TestOutputDirectory:
-    @pytest.fixture
-    def no_monte_carlo(self, monkeypatch):
-        from gap_gauge import cli, simulation
-
-        calls = []
-
-        def record(*args, **kwargs):
-            calls.append(args)
-            raise AssertionError("run_monte_carlo must not run")
-
-        monkeypatch.setattr(cli, "run_monte_carlo", record)
-        monkeypatch.setattr(simulation, "run_monte_carlo", record)
-        return calls
-
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_missing_directory_fails_before_sampling(
         self, capsys, no_monte_carlo, constrained_config_file, tmp_path, command
@@ -993,6 +995,20 @@ class TestOutputDirectory:
             code, stdout, err = run(capsys, *argv, "--out", out)
             assert code == 2
             assert out in err and stdout == ""
+
+    def test_directory_output_outranks_an_undefined_result(self, capsys, tmp_path):
+        # the joint alone exits 3 (zero mass); the output path is refused first
+        cells = np.zeros(16)
+        cells[0b0111] = cells[0b0000] = 0.5
+        model = tmp_path / "degenerate.json"
+        write_json(model, model_to_dict(FullJoint(cells=cells)))
+        out = tmp_path / "report.json"
+        out.mkdir()
+        code, stdout, err = run(capsys, "analyze", str(model), "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == f"gap-gauge: [Errno 21] Is a directory: '{out}'\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["degenerate.json", "report.json"]
+        assert not any(out.iterdir())
 
     def test_unwritable_directory_exits_2(
         self, capsys, monkeypatch, no_monte_carlo, constrained_config_file, tmp_path

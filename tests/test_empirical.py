@@ -204,7 +204,16 @@ LAYOUT_CASES = {
     "one row": (b"l,v,vhat,y\n1,0,1,0\n", True),
     "CRLF": (b"l,v,vhat,y\r\n" + GOOD_ROWS.replace(b"\n", b"\r\n"), True),
     "CRLF rows only": (b"l,v,vhat,y\n" + GOOD_ROWS.replace(b"\n", b"\r\n"), True),
-    "no final newline": (b"l,v,vhat,y\n" + GOOD_ROWS[:-1], False),
+    "no final newline": (b"l,v,vhat,y\n" + GOOD_ROWS[:-1], True),
+    "CRLF, no final line ending": (
+        b"l,v,vhat,y\r\n" + GOOD_ROWS.replace(b"\n", b"\r\n")[:-2], True
+    ),
+    "CRLF, last row ends in CR": (
+        b"l,v,vhat,y\r\n" + GOOD_ROWS.replace(b"\n", b"\r\n")[:-1], False
+    ),
+    "one row, no final newline": (b"l,v,vhat,y\n1,0,1,0", False),
+    "last row cut short": (b"l,v,vhat,y\n" + GOOD_ROWS[:-3], False),
+    "cell 2 in a last row without newline": (b"l,v,vhat,y\n" + GOOD_ROWS + b"0,1,2,1", False),
     "cell 2": (b"l,v,vhat,y\n" + GOOD_ROWS + b"0,1,2,1\n", False),
     "cell 01": (b"l,v,vhat,y\n" + GOOD_ROWS + b"0,01,1\n", False),
     "extra column": (b"l,v,vhat,y\n" + GOOD_ROWS + b"0,1,1,1,0\n", False),
@@ -346,6 +355,34 @@ class TestBlockReader:
         except ValidationError:
             pass
         assert digest.hexdigest() == hashlib.sha256(content).hexdigest()
+
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("ystar", [False, True], ids=["no_ystar", "ystar"])
+    def test_last_row_without_line_ending_is_read_in_blocks(
+        self, tmp_path, monkeypatch, eol, ystar
+    ):
+        n = 70_000  # more than one block of _BLOCK_ROWS rows
+        assert n > empirical._BLOCK_ROWS
+        width = 5 if ystar else 4
+        cells = np.random.default_rng(9).integers(0, 2, size=(n, width)).astype(np.uint8)
+        rows = np.full((n, 2 * width - 1), ord(","), np.uint8)
+        rows[:, ::2] = cells + ord("0")
+        header = b"l,v,vhat,y,ystar" if ystar else b"l,v,vhat,y"
+        lines = [header, *(row.tobytes() for row in rows)]
+        whole = eol.join(lines) + eol
+        ended, unended = tmp_path / "ended.csv", tmp_path / "unended.csv"
+        ended.write_bytes(whole)
+        unended.write_bytes(whole[: -len(eol)])
+        expected = text_parser_read(ended)
+
+        def no_text_parse(*args, **kwargs):
+            raise AssertionError("the text parser ran")
+
+        monkeypatch.setattr(empirical, "parse_records", no_text_parse)
+        for path in (ended, unended):
+            digest = hashlib.sha256()
+            assert_same_columns(read_records_csv(path, digest), expected)
+            assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
 
     @pytest.mark.parametrize("layout", [BLOCK_LAYOUTS[0], BLOCK_LAYOUTS[23]], ids=layout_id)
     def test_pipe_is_read_once(self, tmp_path, layout):
@@ -542,8 +579,10 @@ class TestSampleDataset:
         assert np.abs(counts / data.n - m1_joint.cells).max() < 0.01
 
     def test_rejects_bad_n(self, m1_joint):
-        with pytest.raises(ValidationError, match="n"):
-            sample_dataset(m1_joint, 0, seed=1)
+        for n in (0, True):
+            with pytest.raises(ValidationError) as err:
+                sample_dataset(m1_joint, n, seed=1)
+            assert str(err.value) == f"n must be a positive integer, got {n!r}"
 
 
 class TestEstimate:
@@ -692,8 +731,9 @@ class TestBootstrap:
 
     def test_validation(self, m1_joint):
         data = sample_dataset(m1_joint, 100, seed=1)
-        with pytest.raises(ValidationError, match="replicates"):
-            bootstrap(data, replicates=0)
+        for replicates in (0, True):
+            with pytest.raises(ValidationError, match="replicates"):
+                bootstrap(data, replicates=replicates)
         with pytest.raises(ValidationError, match="level"):
             bootstrap(data, replicates=5, level=1.0)
         with pytest.raises(ValidationError, match="seed"):

@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 import tracemalloc
 from dataclasses import dataclass
@@ -615,6 +616,33 @@ class TestAtomicWrites:
         assert json.loads(paths[0].read_text()) == {"value": 1}
         assert sorted(path.name for path in tmp_path.iterdir()) == ["a.json", "b.csv"]
         assert not any(paths[1].iterdir())
+
+    def test_missing_directory_is_refused_before_the_block(self, tmp_path):
+        paths = [tmp_path / "a.json", tmp_path / "absent" / "b.csv"]
+        with pytest.raises(FileNotFoundError) as err:
+            with atomic_paths(*paths):
+                raise AssertionError("the block ran")
+        assert str(err.value) == (
+            f"[Errno 2] directory {tmp_path / 'absent'} does not exist: '{paths[1]}'"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_directory_is_refused_before_the_block(self, monkeypatch, tmp_path):
+        # permission bits do not stop a superuser, so deny through os.access
+        denied = []
+
+        def access(path, mode):
+            denied.append((path, mode))
+            return False
+
+        monkeypatch.setattr("os.access", access)
+        path = tmp_path / "a.json"
+        with pytest.raises(PermissionError) as err:
+            with atomic_paths(path):
+                raise AssertionError("the block ran")
+        assert str(err.value) == f"[Errno 13] directory {tmp_path} is not writable: '{path}'"
+        assert denied == [(str(tmp_path), os.W_OK | os.X_OK)]
+        assert list(tmp_path.iterdir()) == []
 
     def test_block_that_raises_leaves_nothing(self, tmp_path):
         with pytest.raises(RuntimeError):

@@ -71,6 +71,8 @@ class TestStreams:
             derive_trial_stream(7, 2**64)
         with pytest.raises(ValidationError, match="trial_index"):
             derive_trial_stream(7, -1)
+        with pytest.raises(ValidationError, match="trial_index"):
+            derive_trial_stream(7, True)
         last = derive_trial_stream(7, 2**64 - 1).random(3)
         assert not np.array_equal(last, derive_trial_stream(7, 0).random(3))
 
@@ -120,8 +122,10 @@ class TestSamplerConfig:
             unconstrained(p0=1.2)
 
     def test_rejects_bad_budget(self):
-        with pytest.raises(ValidationError, match="max_rejections"):
-            constrained(max_rejections=0)
+        for budget in (0, True):
+            with pytest.raises(ValidationError) as err:
+                constrained(max_rejections=budget)
+            assert str(err.value) == f"max_rejections must be a positive integer, got {budget!r}"
 
 
 class TestUnconstrainedSampler:
@@ -403,8 +407,13 @@ class TestRunMonteCarlo:
             sample_constrained(config, derive_trial_stream(2, first))
 
     def test_rejects_bad_trial_count(self):
-        with pytest.raises(ValidationError, match="n_trials"):
-            run_monte_carlo(unconstrained(), n_trials=0, seed=1)
+        for count in (0, True):
+            with pytest.raises(ValidationError) as err:
+                run_monte_carlo(unconstrained(), n_trials=count, seed=1)
+            assert str(err.value) == f"n_trials must be a positive integer, got {count!r}"
+            with pytest.raises(ValidationError) as err:
+                run_monte_carlo(unconstrained(), n_trials=10, seed=1, bins=count)
+            assert str(err.value) == f"bins must be a positive integer, got {count!r}"
 
 
 class TestConfigBounds:
