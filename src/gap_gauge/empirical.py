@@ -151,6 +151,14 @@ def _parse_cell(raw: str, column: str, line: int, optional: bool) -> int | None:
     raise MalformedRow(line, f"column {column!r} must be 0 or 1, got {raw!r}")
 
 
+def _rows(reader):
+    """The rows of a ``csv.reader``; a line it cannot split is a :class:`MalformedRow`."""
+    try:
+        yield from reader
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise MalformedRow(reader.line_num, str(exc)) from None
+
+
 def parse_records(stream) -> RecordDataset:
     """Parse CSV records from a text or byte stream (or a string of content).
 
@@ -173,8 +181,9 @@ def parse_records(stream) -> RecordDataset:
         stream = io.StringIO(stream.read().decode("utf-8-sig"))
 
     reader = csv.reader(stream)
+    rows = _rows(reader)
     try:
-        header = next(reader)
+        header = next(rows)
     except StopIteration:
         raise EmptyInput("no header row") from None
     header = tuple(header)
@@ -196,7 +205,7 @@ def parse_records(stream) -> RecordDataset:
     v_empty: bool | None = None
     ystar_empty: bool | None = None
 
-    for row in reader:
+    for row in rows:
         line = reader.line_num
         if len(row) != width:
             raise MalformedRow(line, f"expected {width} columns, got {len(row)}")

@@ -13,7 +13,7 @@ import errno
 import functools
 import json
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import MISSING, asdict, fields, is_dataclass
 from typing import Any, NamedTuple, get_args, get_type_hints
 
@@ -111,30 +111,28 @@ def atomic_open(path):
 def atomic_paths(*paths):
     """Temporary paths ``<path>.tmp``, all renamed onto ``paths`` once the block ends.
 
-    Every output is written before any is replaced, and a block that raises
-    removes every temporary, so a failed write leaves every path as it was.
-    A path that could not be replaced is refused before the block runs: its
-    directory missing (:class:`FileNotFoundError`) or not writable
-    (:class:`PermissionError`), or the path itself a directory
-    (:class:`IsADirectoryError`). The writers here write a temporary in
-    place, so each output is renamed once.
+    Each temporary is created before the block runs, so the OS refuses a
+    path it could not write before any work is done; a path that is empty
+    or a directory could not be replaced, so it is refused too. Every output
+    is written before any is replaced, and a block that raises removes the
+    temporaries created here, so a failed write leaves every path as it was.
+    The writers here write a temporary in place, so each output is renamed once.
     """
-    for path in map(os.fspath, paths):
-        directory = os.path.dirname(path) or os.curdir
-        if not os.path.isdir(directory):
-            raise FileNotFoundError(errno.ENOENT, f"directory {directory} does not exist", path)
-        if not os.access(directory, os.W_OK | os.X_OK):
-            raise PermissionError(errno.EACCES, f"directory {directory} is not writable", path)
-        if os.path.isdir(path):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    tmps = [_Temporary(f"{os.fspath(path)}.tmp") for path in paths]
+    tmps = []
     try:
+        for path in map(os.fspath, paths):
+            if not path:
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            open(f"{path}.tmp", "wb").close()
+            tmps.append(_Temporary(f"{path}.tmp"))
         yield tmps
         for tmp, path in zip(tmps, paths):
             os.replace(tmp, path)
     except BaseException:
         for tmp in tmps:
-            if os.path.exists(tmp):
+            with suppress(FileNotFoundError):  # already renamed into place
                 os.remove(tmp)
         raise
 
@@ -158,7 +156,8 @@ def _load_json(path, digest=None) -> Any:
         return json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
-    except ValueError as exc:  # also an integer past Python's digit limit
+    # also an integer past Python's digit limit, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
 
 

@@ -1,4 +1,5 @@
 import builtins
+import errno
 import hashlib
 import itertools
 import json
@@ -788,6 +789,14 @@ class TestEstimate:
         assert code == 2
         assert "line 2" in err
 
+    def test_cell_over_the_csv_field_limit_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text("l,v,vhat,y\n0,1,1,1\n" + "1" * 200_000 + ",1,1,1\n")
+        code, out, err = run(capsys, "estimate", str(path), "--out", str(tmp_path / "rep.json"))
+        assert (code, out) == (2, "")
+        assert err == "gap-gauge: line 3: field larger than field limit (131072)\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["records.csv"]
+
     def test_non_utf8_records_exits_2(self, capsys, tmp_path):
         path = tmp_path / "records.csv"
         path.write_bytes(b"l,v,vhat,y\n0,1,1,1\n\xff,1,1,1\n")
@@ -979,8 +988,9 @@ class TestOutputDirectory:
         code, _, err = run(
             capsys, command, constrained_config_file, *extra, "--trials", "50", "--out", out
         )
+        first = out + ".summary.json" if command == "simulate" else out
         assert code == 2
-        assert out in err and "does not exist" in err
+        assert err == f"gap-gauge: [Errno 2] No such file or directory: '{first}.tmp'\n"
         assert no_monte_carlo == []
 
     def test_analyze_and_estimate_check_out(self, capsys, m1_model_file, tmp_path):
@@ -1013,14 +1023,83 @@ class TestOutputDirectory:
     def test_unwritable_directory_exits_2(
         self, capsys, monkeypatch, no_monte_carlo, constrained_config_file, tmp_path
     ):
-        # permission bits do not stop a superuser, so deny through os.access
-        monkeypatch.setattr("os.access", lambda path, mode: False)
+        # permission bits do not stop a superuser, so the OS refusal is faked
+        real_open = builtins.open
+
+        def open_(file, *args, **kwargs):
+            if str(file).endswith(".tmp"):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", open_)
         out = str(tmp_path / "run")
         code, _, err = run(capsys, "simulate", constrained_config_file, "--out", out)
         assert code == 2
-        assert out in err and "not writable" in err
+        assert err == f"gap-gauge: [Errno 13] Permission denied: '{out}.summary.json.tmp'\n"
         assert no_monte_carlo == []
         assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+    def test_temporary_that_is_a_directory_fails_before_sampling(
+        self, capsys, request, constrained_config_file, tmp_path
+    ):
+        prefix = str(tmp_path / "run")
+        argv = ["simulate", constrained_config_file, "--trials", "150", "--out", prefix]
+        assert run(capsys, *argv)[0] == 0
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        blocker = tmp_path / "run.hist.csv.tmp"
+        blocker.mkdir()
+        calls = request.getfixturevalue("no_monte_carlo")
+        code, out, err = run(capsys, *argv, "--seed", "7")
+        assert (code, out) == (2, "")
+        assert err == f"gap-gauge: [Errno 21] Is a directory: '{blocker}'\n"
+        assert calls == []
+        assert blocker.is_dir() and not any(blocker.iterdir())
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == before
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted([*before, blocker.name])
+
+    def test_temporary_that_is_a_directory_outranks_an_undefined_result(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # the joint alone exits 3 (zero mass); the model is never read
+        cells = np.zeros(16)
+        cells[0b0111] = cells[0b0000] = 0.5
+        model = tmp_path / "degenerate.json"
+        write_json(model, model_to_dict(FullJoint(cells=cells)))
+        loaded = []
+        monkeypatch.setattr(cli, "load_model_file", lambda *args: loaded.append(args))
+        monkeypatch.setattr(cli, "compute_gaps", lambda *args: pytest.fail("the command ran"))
+        out = tmp_path / "rep.json"
+        blocker = tmp_path / "rep.json.tmp"
+        blocker.mkdir()
+        code, stdout, err = run(capsys, "analyze", str(model), "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == f"gap-gauge: [Errno 21] Is a directory: '{blocker}'\n"
+        assert loaded == []
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["degenerate.json", "rep.json.tmp"]
+        assert not any(blocker.iterdir())
+
+    @pytest.mark.parametrize("command", ["analyze", "sweep", "estimate"])
+    def test_empty_out_fails_before_the_input_is_read(
+        self, capsys, monkeypatch, no_monte_carlo, m1_model_file, constrained_config_file,
+        tmp_path, command,
+    ):
+        records = tmp_path / "records.csv"
+        records.write_text("l,v,vhat,y\n0,1,1,1\n1,1,1,0\n")
+        argv = {
+            "analyze": [m1_model_file],
+            "sweep": [constrained_config_file, "--varied", "eps_b2", "--grid", "0:0.2:0.1"],
+            "estimate": [str(records)],
+        }[command]
+        read = []
+        for loader in ("load_model_file", "load_sampler_config", "read_records_csv"):
+            monkeypatch.setattr(cli, loader, lambda *args: read.append(args))
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        code, out, err = run(capsys, command, *argv, "--out", "")
+        assert (code, out) == (2, "")
+        assert err == "gap-gauge: [Errno 2] No such file or directory: ''\n"
+        assert read == [] and no_monte_carlo == []
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestManifestInputs:

@@ -1,3 +1,4 @@
+import csv
 import gc
 import hashlib
 import io
@@ -111,6 +112,15 @@ class TestParseRecords:
         with pytest.raises(MalformedRow) as err:
             parse_records("l,v,vhat,y\n0,1,1,1\n0,1,x,1\n")
         assert err.value.line == 3
+
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_cell_over_the_csv_field_limit_cites_line(self, line):
+        rows = ["l,v,vhat,y", "0,1,1,1", "0,1,0,1"]
+        rows[line - 1] = "0" * 200_000 + rows[line - 1]
+        with pytest.raises(MalformedRow) as err:
+            parse_records("\n".join(rows) + "\n")
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: field larger than field limit ({csv.field_size_limit()})"
 
     def test_wrong_column_count_cites_line(self):
         with pytest.raises(MalformedRow) as err:

@@ -1,3 +1,5 @@
+import builtins
+import errno
 import json
 import os
 import sys
@@ -339,6 +341,21 @@ def test_integer_past_the_digit_limit_exits_2(capsys, tmp_path):
     assert err.startswith(f"gap-gauge: {path}: not valid JSON") and err.count("\n") == 1
 
 
+
+@pytest.mark.parametrize(
+    "loader, argv", [(load_model_file, ["analyze"]), (load_sampler_config, ["simulate"])]
+)
+def test_nesting_past_the_recursion_limit_exits_2(capsys, tmp_path, loader, argv):
+    # json.loads recurses once per level and gives up at the interpreter's limit
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    with pytest.raises(ValidationError) as err:
+        loader(path)
+    assert str(err.value).startswith(f"{path}: not valid JSON (maximum recursion depth")
+    assert main([*argv, str(path), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"gap-gauge: {err.value}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["deep.json"]
+
 class TestReportDicts:
     def test_gap_report_keys(self, m1):
         payload = result_dict(compute_gaps(m1))
@@ -618,31 +635,76 @@ class TestAtomicWrites:
         assert not any(paths[1].iterdir())
 
     def test_missing_directory_is_refused_before_the_block(self, tmp_path):
-        paths = [tmp_path / "a.json", tmp_path / "absent" / "b.csv"]
+        paths = [tmp_path / "a.json", tmp_path / "absent" / "b.csv", tmp_path / "c.csv"]
+        # a temporary left by someone else, never reached, so not removed
+        (tmp_path / "c.csv.tmp").write_text("not made here\n")
         with pytest.raises(FileNotFoundError) as err:
             with atomic_paths(*paths):
                 raise AssertionError("the block ran")
-        assert str(err.value) == (
-            f"[Errno 2] directory {tmp_path / 'absent'} does not exist: '{paths[1]}'"
-        )
-        assert list(tmp_path.iterdir()) == []
+        assert str(err.value) == f"[Errno 2] No such file or directory: '{paths[1]}.tmp'"
+        assert [path.name for path in tmp_path.iterdir()] == ["c.csv.tmp"]
+        assert (tmp_path / "c.csv.tmp").read_text() == "not made here\n"
 
     def test_unwritable_directory_is_refused_before_the_block(self, monkeypatch, tmp_path):
-        # permission bits do not stop a superuser, so deny through os.access
-        denied = []
-
-        def access(path, mode):
-            denied.append((path, mode))
-            return False
-
-        monkeypatch.setattr("os.access", access)
+        # permission bits do not stop a superuser, so the OS refusal is faked
         path = tmp_path / "a.json"
+        real_open = builtins.open
+
+        def open_(file, *args, **kwargs):
+            if os.fspath(file) == f"{path}.tmp":
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", open_)
         with pytest.raises(PermissionError) as err:
             with atomic_paths(path):
                 raise AssertionError("the block ran")
-        assert str(err.value) == f"[Errno 13] directory {tmp_path} is not writable: '{path}'"
-        assert denied == [(str(tmp_path), os.W_OK | os.X_OK)]
+        assert str(err.value) == f"[Errno 13] Permission denied: '{path}.tmp'"
         assert list(tmp_path.iterdir()) == []
+
+    def test_temporary_that_is_a_directory_is_refused_and_kept(self, tmp_path):
+        paths = [tmp_path / "a.json", tmp_path / "b.csv", tmp_path / "c.csv"]
+        write_json(paths[0], {"value": 1})
+        blocker = tmp_path / "b.csv.tmp"
+        blocker.mkdir()
+        (blocker / "inside.txt").write_text("kept\n")
+        ran = []
+        with pytest.raises(IsADirectoryError) as err:
+            with atomic_paths(*paths):
+                ran.append(True)
+        assert ran == []
+        assert str(err.value) == f"[Errno 21] Is a directory: '{blocker}'"
+        assert json.loads(paths[0].read_text()) == {"value": 1}
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["a.json", "b.csv.tmp"]
+        assert (blocker / "inside.txt").read_text() == "kept\n"
+
+    def test_empty_path_is_refused_as_open_refuses_it(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(FileNotFoundError) as expected:
+            open("")
+        ran = []
+        for paths in ([""], [tmp_path / "a.json", ""]):
+            with pytest.raises(FileNotFoundError) as err:
+                with atomic_paths(*paths):
+                    ran.append(True)
+            assert (type(err.value), str(err.value)) == (FileNotFoundError, str(expected.value))
+            assert err.value.filename == ""
+        assert ran == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_block_that_raises_removes_only_its_temporaries(self, tmp_path):
+        paths = [tmp_path / "a.json", tmp_path / "b.csv"]
+        write_json(paths[0], {"value": 1})
+        (tmp_path / "other.tmp").write_text("kept\n")
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        with pytest.raises(RuntimeError, match="interrupted"):
+            with atomic_paths(*paths) as tmps:
+                # every temporary exists, empty, before the block runs
+                assert [os.path.getsize(tmp) for tmp in tmps] == [0, 0]
+                write_json(tmps[0], {"value": 2})
+                os.remove(tmps[1])  # a temporary already gone is no cleanup error
+                raise RuntimeError("interrupted")
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     def test_block_that_raises_leaves_nothing(self, tmp_path):
         with pytest.raises(RuntimeError):
