@@ -18,6 +18,7 @@ that configuration and seed reproduces the outputs byte for byte.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import math
 import os
@@ -42,7 +43,6 @@ from .files import (
     load_model_file,
     load_sampler_config,
     result_dict,
-    sampler_config_to_dict,
     write_errors_csv,
     write_histogram_csv,
     write_json,
@@ -153,7 +153,7 @@ def _cmd_analyze(args, digest) -> list:
 def _load_sampler(args, digest) -> SamplerConfig:
     """The sampler config of simulate and sweep, also recorded in the manifest."""
     config = load_sampler_config(args.config_file, digest)
-    args.sampler = sampler_config_to_dict(config)
+    args.sampler = result_dict(config)
     return config
 
 
@@ -278,7 +278,8 @@ def _run(args) -> None:
     its one report goes to stdout. ``atomic_paths`` refuses any result path
     or ``<out>.manifest.json`` it could not replace before the command runs,
     and renames each output into place once, after all are written, so a
-    failed write, the manifest's included, leaves every file as it was.
+    failed write, the manifest's included, leaves every file as it was. An
+    empty ``--out`` is refused before all of that, for every command.
     """
     started = time.monotonic()
     digest = hashlib.sha256()
@@ -286,6 +287,8 @@ def _run(args) -> None:
         ((_, text),) = args.func(args, digest)
         sys.stdout.write(text)
         return
+    if not args.out:  # '' + suffix would name hidden files, '.manifest.json' among them
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     paths = [args.out + suffix for suffix in _SUFFIXES.get(args.command, ("",))]
     with atomic_paths(*paths, args.out + ".manifest.json") as tmps:
         for tmp, (write, result) in zip(tmps, args.func(args, digest)):

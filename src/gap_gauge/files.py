@@ -1,20 +1,26 @@
-"""File interchange: model files, sampler configs, and result files.
+"""File interchange, in three jobs.
+
+- Atomic commit: ``atomic_paths`` and ``atomic_open`` write each output to a
+  temporary and rename it into place, so a failed run leaves no part of one.
+- Inputs: ``from_dict`` reads model files and sampler configs, with the
+  dataclass fields as their schema.
+- Outputs: ``result_dict`` encodes every result from its dataclass fields,
+  and four writers put them in files: ``write_json``, ``write_errors_csv``,
+  ``write_histogram_csv`` and ``write_sweep_csv``.
 
 All JSON written here is deterministic (sorted keys, fixed indentation,
 shortest round-trip float repr) and all CSV uses LF line endings, so a rerun
-with identical inputs produces byte-identical files. Every writer has a
-matching reader to keep outputs verifiable.
+with identical inputs produces byte-identical files.
 """
 
 from __future__ import annotations
 
-import csv
 import errno
 import functools
 import json
 import os
 from contextlib import contextmanager, suppress
-from dataclasses import MISSING, asdict, fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 from typing import Any, NamedTuple, get_args, get_type_hints
 
 import numpy as np
@@ -34,15 +40,10 @@ __all__ = [
     "from_dict",
     "model_from_dict",
     "load_model_file",
-    "model_to_dict",
     "load_sampler_config",
     "write_errors_csv",
     "write_histogram_csv",
     "write_sweep_csv",
-    "read_summary_json",
-    "read_errors_csv",
-    "read_histogram_csv",
-    "read_sweep_csv",
 ]
 
 #: Output keys that differ from the dataclass field names; ``None`` drops the
@@ -62,7 +63,7 @@ def _output_fields(cls: type) -> list[tuple[str, str]]:
 
 
 def result_dict(obj: Any) -> Any:
-    """JSON-ready form of a result: dataclasses become dicts, tuples lists.
+    """JSON-ready form of a result or input: dataclasses become dicts, tuples and arrays lists.
 
     Dropped fields are skipped before they are read, so large arrays such as
     ``SimulationResult.errors`` are never copied.
@@ -75,11 +76,12 @@ def result_dict(obj: Any) -> Any:
         return {key: result_dict(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [result_dict(item) for item in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
     return obj
 
 
 SWEEP_HEADER = tuple(key for _, key in _output_fields(SweepPoint))
-SUMMARY_KEYS = tuple(key for _, key in _output_fields(SimulationResult))
 
 
 def dumps_json(obj: Any) -> str:
@@ -167,15 +169,6 @@ def _require_mapping(obj: Any, where: str) -> dict:
     return obj
 
 
-def _check_keys(obj: dict, required: tuple, allowed: tuple, where: str) -> None:
-    for key in required:
-        if key not in obj:
-            raise ValidationError(f"{where} is missing required field {key!r}")
-    for key in obj:
-        if key not in allowed:
-            raise ValidationError(f"{where} has unknown field {key!r}")
-
-
 #: JSON types accepted for each scalar field type, and their name in errors.
 _SCALARS = {float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "a string")}
 
@@ -211,10 +204,13 @@ def from_dict(cls: type, obj: Any, where: str) -> Any:
     """
     obj = _require_mapping(obj, where)
     specs = fields(cls)
-    required = tuple(
-        f.name for f in specs if f.default is MISSING and f.default_factory is MISSING
-    )
-    _check_keys(obj, required, tuple(f.name for f in specs), where)
+    for f in specs:
+        if f.name not in obj and f.default is MISSING and f.default_factory is MISSING:
+            raise ValidationError(f"{where} is missing required field {f.name!r}")
+    names = {f.name for f in specs}
+    for key in obj:
+        if key not in names:
+            raise ValidationError(f"{where} has unknown field {key!r}")
     hints = get_type_hints(cls)
     kwargs = {}
     for f in specs:
@@ -253,28 +249,12 @@ def load_model_file(path, digest=None) -> FullJoint | ReducedModel:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def _without_none(items) -> dict:
-    return {key: value for key, value in items if value is not None}
-
-
-def model_to_dict(model: FullJoint | ReducedModel) -> dict:
-    """Model-file payload; a slice's ``d`` is left out when it is unknown."""
-    if isinstance(model, FullJoint):
-        return {"joint": {"cells": model.cells.tolist()}}
-    return {"reduced": asdict(model, dict_factory=_without_none)}
-
-
 def load_sampler_config(path, digest=None) -> SamplerConfig:
     payload = _load_json(path, digest)  # its errors already name the path
     try:
         return from_dict(SamplerConfig, payload, "sampler config")
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-
-
-def sampler_config_to_dict(config: SamplerConfig) -> dict:
-    """Config payload; the eps budgets are left out in unconstrained mode."""
-    return asdict(config, dict_factory=_without_none)
 
 
 #: Values formatted per ``_repr_lines`` call, which bounds the writer's memory.
@@ -474,60 +454,3 @@ def write_sweep_csv(path, result: SweepResult) -> None:
         handle.write(",".join(SWEEP_HEADER) + "\n")
         for point in result.points:
             handle.write(",".join(repr(v) for v in result_dict(point).values()) + "\n")
-
-
-def read_summary_json(path) -> dict:
-    obj = _require_mapping(_load_json(path), "summary")
-    _check_keys(obj, SUMMARY_KEYS, SUMMARY_KEYS, "summary")
-    return obj
-
-
-def read_errors_csv(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["error"]:
-            raise ValidationError(f"{path}: expected header 'error', got {header!r}")
-        try:
-            return np.array([float(row[0]) for row in reader], dtype=float)
-        except (IndexError, ValueError) as exc:
-            raise ValidationError(f"{path}: malformed error row ({exc})") from exc
-
-
-def read_histogram_csv(path) -> Histogram:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != list(("bin_lo", "bin_hi", "count")):
-            raise ValidationError(
-                f"{path}: expected header 'bin_lo,bin_hi,count', got {header!r}"
-            )
-        edges: list[float] = []
-        counts: list[int] = []
-        for row in reader:
-            if len(row) != 3:
-                raise ValidationError(f"{path}: histogram rows need 3 columns")
-            lo, hi, count = float(row[0]), float(row[1]), int(row[2])
-            if not edges:
-                edges.append(lo)
-            elif edges[-1] != lo:
-                raise ValidationError(f"{path}: histogram bins are not contiguous")
-            edges.append(hi)
-            counts.append(count)
-    return Histogram(bin_edges=tuple(edges), counts=tuple(counts))
-
-
-def read_sweep_csv(path) -> list[dict[str, float]]:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != list(SWEEP_HEADER):
-            raise ValidationError(
-                f"{path}: expected header {','.join(SWEEP_HEADER)!r}, got {header!r}"
-            )
-        rows = []
-        for row in reader:
-            if len(row) != len(SWEEP_HEADER):
-                raise ValidationError(f"{path}: sweep rows need {len(SWEEP_HEADER)} columns")
-            rows.append({key: float(value) for key, value in zip(SWEEP_HEADER, row)})
-        return rows

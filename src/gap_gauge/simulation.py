@@ -273,14 +273,9 @@ def _histogram(errors: np.ndarray, bins: int) -> Histogram:
     counts, _ = np.histogram(errors, bins=edges)
     overflow = int((errors > 1.0).sum())
     if overflow:
-        return Histogram(
-            bin_edges=tuple(float(e) for e in edges) + (2.0,),
-            counts=tuple(int(c) for c in counts) + (overflow,),
-        )
-    return Histogram(
-        bin_edges=tuple(float(e) for e in edges),
-        counts=tuple(int(c) for c in counts),
-    )
+        edges = np.append(edges, 2.0)
+        counts = np.append(counts, overflow)
+    return Histogram(bin_edges=tuple(edges.tolist()), counts=tuple(counts.tolist()))
 
 
 def config_bounds(config: SamplerConfig) -> BoundReport:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gap_gauge import ReducedModel, SliceParams, consistent_marginals, expand
+from gap_gauge import FullJoint, ReducedModel, SliceParams, consistent_marginals, expand
+from gap_gauge.files import result_dict
 
 # Hand-checked worked example used throughout: all gap quantities and
 # structure parameters below are verified by pencil arithmetic in the tests.
@@ -29,6 +30,11 @@ def m1_with_d() -> ReducedModel:
 @pytest.fixture
 def m1_joint():
     return expand(M1_WITH_D, consistent_marginals(M1_WITH_D))
+
+
+def model_payload(model) -> dict:
+    """Model-file payload of ``model``; an unknown ``d`` is written as null."""
+    return {"joint" if isinstance(model, FullJoint) else "reduced": result_dict(model)}
 
 
 def random_reduced(rng: np.random.Generator, with_d: bool = False) -> ReducedModel:

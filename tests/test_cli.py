@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +16,10 @@ from gap_gauge import FullJoint, ReducedModel, SliceParams, cli, empirical, simu
 from gap_gauge.cli import GRID_MAX_POINTS, main, parse_grid
 from gap_gauge.empirical import MAX_REPLICATES
 from gap_gauge.errors import ValidationError
-from gap_gauge.files import model_to_dict, write_json, write_text
-from gap_gauge.simulation import MAX_BINS, MAX_TRIALS
+from gap_gauge.files import from_dict, load_sampler_config, write_json, write_text
+from gap_gauge.simulation import MAX_BINS, MAX_TRIALS, SamplerConfig
 
-from conftest import M1, M1_WITH_D
+from conftest import M1, M1_WITH_D, model_payload
 
 CLASSIFIER = {"p0": 0.05, "r0": 0.1, "p1": 0.07, "r1": 0.09}
 
@@ -64,7 +65,7 @@ def clean_env(monkeypatch):
 @pytest.fixture
 def m1_model_file(tmp_path):
     path = tmp_path / "m1.json"
-    write_json(path, model_to_dict(M1))
+    write_json(path, model_payload(M1))
     return str(path)
 
 
@@ -258,7 +259,7 @@ class TestAnalyze:
             slice1=SliceParams(p=0.2, r=0.2, a=0.5, b=0.9, c=0.1),
         )
         path = tmp_path / "model.json"
-        write_json(path, model_to_dict(model))
+        write_json(path, model_payload(model))
         code, out, _ = run(capsys, "analyze", str(path))
         assert code == 0
         report = json.loads(out)
@@ -272,7 +273,7 @@ class TestAnalyze:
 
         joint = expand(M1_WITH_D, consistent_marginals(M1_WITH_D))
         path = tmp_path / "joint.json"
-        write_json(path, model_to_dict(joint))
+        write_json(path, model_payload(joint))
         code, out, _ = run(capsys, "analyze", str(path))
         assert code == 0
         report = json.loads(out)
@@ -297,7 +298,7 @@ class TestAnalyze:
 
     def test_uniform_joint_has_no_gap(self, capsys, tmp_path):
         path = tmp_path / "uniform.json"
-        write_json(path, model_to_dict(FullJoint(cells=np.full(16, 1 / 16))))
+        write_json(path, model_payload(FullJoint(cells=np.full(16, 1 / 16))))
         code, out, _ = run(capsys, "analyze", str(path))
         assert code == 0
         report = json.loads(out)
@@ -310,7 +311,7 @@ class TestAnalyze:
         cells = np.full(16, 1 / 14)
         cells[[0, 1]] = 0.0
         path = tmp_path / "joint.json"
-        write_json(path, model_to_dict(FullJoint(cells=cells)))
+        write_json(path, model_payload(FullJoint(cells=cells)))
         code, out, err = run(capsys, "analyze", str(path))
         assert code == 0 and err == ""
         report = json.loads(out)
@@ -325,14 +326,14 @@ class TestAnalyze:
         cells[[0, 1]] = 0.0
         model = {"reduced": M1, "joint": m1_joint, "joint_without_v0_vhat0": FullJoint(cells=cells)}
         path = tmp_path / "model.json"
-        write_json(path, model_to_dict(model[kind]))
+        write_json(path, model_payload(model[kind]))
         code, out, err = run(capsys, "analyze", str(path), "--tol", tol)
         assert (code, out) == (2, "")
         assert err == f"gap-gauge: tol must lie in [0, 1], got {float(tol)!r}\n"
 
     def test_invalid_model_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
-        payload = model_to_dict(M1)
+        payload = model_payload(M1)
         payload["reduced"]["slice0"]["p"] = 1.2
         write_json(path, payload)
         code, out, err = run(capsys, "analyze", str(path))
@@ -349,7 +350,7 @@ class TestAnalyze:
         cells[0b0111] = 0.5  # all mass on l=0
         cells[0b0000] = 0.5
         path = tmp_path / "degenerate.json"
-        write_json(path, model_to_dict(FullJoint(cells=cells)))
+        write_json(path, model_payload(FullJoint(cells=cells)))
         code, _, err = run(capsys, "analyze", str(path))
         assert code == 3
         assert "zero mass" in err
@@ -365,7 +366,7 @@ class TestAnalyze:
 
     def test_csv_field_order_with_diagnostics(self, capsys, m1_joint, tmp_path):
         path = tmp_path / "joint.json"
-        write_json(path, model_to_dict(m1_joint))
+        write_json(path, model_payload(m1_joint))
         code, out, _ = run(capsys, "analyze", str(path), "--format", "csv")
         assert code == 0
         assert field_column(out) == (
@@ -426,6 +427,21 @@ class TestSimulate:
         assert manifest["config"]["trials"] == 200
         assert manifest["config"]["sampler"]["eps_b1"] == 0.2
         assert len(manifest["outputs"]) == 3
+
+    @pytest.mark.parametrize("payload", [
+        {**CLASSIFIER, "mode": "unconstrained"},
+        {**CLASSIFIER, "mode": "constrained", "eps_b1": 0.2, "eps_b2": 0.4, "max_rejections": 500},
+    ], ids=["unconstrained", "constrained"])
+    def test_manifest_sampler_reruns_the_study(self, capsys, tmp_path, payload):
+        config_file = tmp_path / "config.json"
+        write_json(config_file, payload)
+        out = str(tmp_path / "run")
+        code, _, err = run(capsys, "simulate", str(config_file), "--trials", "50", "--out", out)
+        assert code == 0, err
+        sampler = json.loads(Path(out + ".manifest.json").read_text())["config"]["sampler"]
+        # every field is listed; an absent budget as null
+        assert set(sampler) == {f.name for f in fields(SamplerConfig)}
+        assert from_dict(SamplerConfig, sampler, "sampler") == load_sampler_config(config_file)
 
     def test_rerun_is_byte_identical(self, capsys, constrained_config_file, tmp_path):
         for prefix in ("one", "two"):
@@ -1011,7 +1027,7 @@ class TestOutputDirectory:
         cells = np.zeros(16)
         cells[0b0111] = cells[0b0000] = 0.5
         model = tmp_path / "degenerate.json"
-        write_json(model, model_to_dict(FullJoint(cells=cells)))
+        write_json(model, model_payload(FullJoint(cells=cells)))
         out = tmp_path / "report.json"
         out.mkdir()
         code, stdout, err = run(capsys, "analyze", str(model), "--out", str(out))
@@ -1064,7 +1080,7 @@ class TestOutputDirectory:
         cells = np.zeros(16)
         cells[0b0111] = cells[0b0000] = 0.5
         model = tmp_path / "degenerate.json"
-        write_json(model, model_to_dict(FullJoint(cells=cells)))
+        write_json(model, model_payload(FullJoint(cells=cells)))
         loaded = []
         monkeypatch.setattr(cli, "load_model_file", lambda *args: loaded.append(args))
         monkeypatch.setattr(cli, "compute_gaps", lambda *args: pytest.fail("the command ran"))
@@ -1078,7 +1094,7 @@ class TestOutputDirectory:
         assert sorted(path.name for path in tmp_path.iterdir()) == ["degenerate.json", "rep.json.tmp"]
         assert not any(blocker.iterdir())
 
-    @pytest.mark.parametrize("command", ["analyze", "sweep", "estimate"])
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "sweep", "estimate"])
     def test_empty_out_fails_before_the_input_is_read(
         self, capsys, monkeypatch, no_monte_carlo, m1_model_file, constrained_config_file,
         tmp_path, command,
@@ -1087,6 +1103,7 @@ class TestOutputDirectory:
         records.write_text("l,v,vhat,y\n0,1,1,1\n1,1,1,0\n")
         argv = {
             "analyze": [m1_model_file],
+            "simulate": [constrained_config_file, "--trials", "50"],
             "sweep": [constrained_config_file, "--varied", "eps_b2", "--grid", "0:0.2:0.1"],
             "estimate": [str(records)],
         }[command]

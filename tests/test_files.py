@@ -1,10 +1,11 @@
 import builtins
+import csv
 import errno
 import json
 import os
 import sys
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from gap_gauge import (
     Histogram,
     ReducedModel,
     SamplerConfig,
+    SimulationResult,
     ValidationError,
     bound_report,
     compute_gaps,
@@ -25,7 +27,6 @@ from gap_gauge import (
 )
 from gap_gauge.cli import main
 from gap_gauge.files import (
-    SUMMARY_KEYS,
     SWEEP_HEADER,
     atomic_open,
     atomic_paths,
@@ -34,21 +35,23 @@ from gap_gauge.files import (
     load_model_file,
     load_sampler_config,
     model_from_dict,
-    model_to_dict,
-    read_errors_csv,
-    read_histogram_csv,
-    read_summary_json,
-    read_sweep_csv,
     result_dict,
-    sampler_config_to_dict,
     write_errors_csv,
     write_histogram_csv,
     write_json,
     write_sweep_csv,
 )
 
+from conftest import model_payload
+
 CLASSIFIER = {"p0": 0.05, "r0": 0.1, "p1": 0.07, "r1": 0.09}
 HUGE = 10**400  # a JSON integer too large for a float
+SAMPLER_CONFIGS = {
+    "unconstrained": SamplerConfig(**CLASSIFIER, mode="unconstrained"),
+    "constrained": SamplerConfig(
+        **CLASSIFIER, mode="constrained", eps_b1=0.2, eps_b2=0.4, max_rejections=500
+    ),
+}
 
 
 class TestDumpsJson:
@@ -69,51 +72,51 @@ class TestDumpsJson:
 class TestModelFiles:
     def test_reduced_round_trip(self, m1, tmp_path):
         path = tmp_path / "model.json"
-        write_json(path, model_to_dict(m1))
+        write_json(path, model_payload(m1))
         loaded = load_model_file(path)
         assert isinstance(loaded, ReducedModel)
         assert loaded == m1
 
     def test_reduced_round_trip_with_d(self, m1_with_d, tmp_path):
         path = tmp_path / "model.json"
-        write_json(path, model_to_dict(m1_with_d))
+        write_json(path, model_payload(m1_with_d))
         assert load_model_file(path) == m1_with_d
 
     def test_joint_round_trip(self, m1_joint, tmp_path):
         path = tmp_path / "model.json"
-        write_json(path, model_to_dict(m1_joint))
+        write_json(path, model_payload(m1_joint))
         loaded = load_model_file(path)
         assert isinstance(loaded, FullJoint)
         assert np.allclose(loaded.cells, m1_joint.cells, atol=0)
 
     def test_requires_exactly_one_variant(self, m1, m1_joint):
-        both = {**model_to_dict(m1), **model_to_dict(m1_joint)}
+        both = {**model_payload(m1), **model_payload(m1_joint)}
         with pytest.raises(ValidationError, match="exactly one"):
             model_from_dict(both)
         with pytest.raises(ValidationError, match="exactly one"):
             model_from_dict({})
 
     def test_rejects_unknown_keys(self, m1):
-        payload = model_to_dict(m1)
+        payload = model_payload(m1)
         payload["reduced"]["slice0"]["q"] = 0.5
         with pytest.raises(ValidationError, match="unknown field 'q'"):
             model_from_dict(payload)
 
     def test_rejects_missing_field(self, m1):
-        payload = model_to_dict(m1)
+        payload = model_payload(m1)
         del payload["reduced"]["slice1"]["c"]
         with pytest.raises(ValidationError, match="missing required field 'c'"):
             model_from_dict(payload)
 
     def test_out_of_range_cites_field(self, m1):
-        payload = model_to_dict(m1)
+        payload = model_payload(m1)
         payload["reduced"]["slice0"]["p"] = 1.2
         with pytest.raises(ValidationError) as err:
             model_from_dict(payload)
         assert "slice0" in str(err.value) and "p" in str(err.value)
 
     def test_rejects_boolean_number(self, m1):
-        payload = model_to_dict(m1)
+        payload = model_payload(m1)
         payload["reduced"]["slice0"]["p"] = True
         with pytest.raises(ValidationError, match="must be a number"):
             model_from_dict(payload)
@@ -144,18 +147,15 @@ def test_load_error_names_path_once(tmp_path, loader, content, reason):
 
 class TestSamplerConfigFiles:
     def test_unconstrained_round_trip(self, tmp_path):
-        config = SamplerConfig(p0=0.05, r0=0.1, p1=0.07, r1=0.09, mode="unconstrained")
+        config = SAMPLER_CONFIGS["unconstrained"]
         path = tmp_path / "config.json"
-        write_json(path, sampler_config_to_dict(config))
+        write_json(path, result_dict(config))
         assert load_sampler_config(path) == config
 
     def test_constrained_round_trip(self, tmp_path):
-        config = SamplerConfig(
-            p0=0.05, r0=0.1, p1=0.07, r1=0.09,
-            mode="constrained", eps_b1=0.2, eps_b2=0.4, max_rejections=500,
-        )
+        config = SAMPLER_CONFIGS["constrained"]
         path = tmp_path / "config.json"
-        write_json(path, sampler_config_to_dict(config))
+        write_json(path, result_dict(config))
         assert load_sampler_config(path) == config
 
     def test_eps_required_for_constrained(self):
@@ -291,13 +291,13 @@ def overflowing_sampler_config(m1, m1_joint):
 
 
 def overflowing_reduced_model(m1, m1_joint):
-    payload = model_to_dict(m1)
+    payload = model_payload(m1)
     payload["reduced"]["slice1"]["b"] = HUGE
     return payload
 
 
 def overflowing_joint_cell(m1, m1_joint):
-    payload = model_to_dict(m1_joint)
+    payload = model_payload(m1_joint)
     payload["joint"]["cells"][3] = HUGE
     return payload
 
@@ -401,8 +401,7 @@ class TestResultDict:
 
     def test_summary_drops_per_trial_fields(self, result):
         payload = result_dict(result)
-        assert tuple(payload) == SUMMARY_KEYS
-        assert SUMMARY_KEYS == ("n_trials", "p95", "bounds", "rejection_rate", "seed")
+        assert tuple(payload) == ("n_trials", "p95", "bounds", "rejection_rate", "seed")
         assert payload["bounds"] == result_dict(result.bounds)
 
     def test_dropped_field_is_never_read(self, monkeypatch):
@@ -430,19 +429,19 @@ class TestResultDict:
 
 
 class TestInputPayloads:
-    def test_unknown_d_is_left_out(self, m1, m1_with_d):
-        assert set(model_to_dict(m1)["reduced"]["slice0"]) == {"p", "r", "a", "b", "c"}
-        assert model_to_dict(m1_with_d)["reduced"]["slice1"]["d"] == 0.2
+    """``result_dict`` is the inputs' encoder too: ``from_dict`` reads its JSON back."""
 
-    def test_joint_cells_are_plain_floats(self, m1_joint):
-        cells = model_to_dict(m1_joint)["joint"]["cells"]
-        assert len(cells) == 16 and all(type(x) is float for x in cells)
-
-    def test_unconstrained_config_has_no_eps(self):
-        config = SamplerConfig(p0=0.05, r0=0.1, p1=0.07, r1=0.09, mode="unconstrained")
-        assert set(sampler_config_to_dict(config)) == {
-            "p0", "r0", "p1", "r1", "mode", "max_rejections",
-        }
+    @pytest.mark.parametrize("name", [*SAMPLER_CONFIGS, "m1", "m1_with_d", "m1_joint"])
+    def test_from_dict_reads_result_dict_back(self, request, name):
+        value = SAMPLER_CONFIGS[name] if name in SAMPLER_CONFIGS else request.getfixturevalue(name)
+        payload = result_dict(value)
+        back = from_dict(type(value), json.loads(dumps_json(payload)), name)
+        if isinstance(value, FullJoint):
+            assert len(payload["cells"]) == 16
+            assert all(type(x) is float for x in payload["cells"])
+            assert back.cells.tolist() == value.cells.tolist()
+        else:
+            assert back == value
 
 
 @pytest.fixture(scope="module")
@@ -463,46 +462,45 @@ def sweep_result():
     return sweep(config, "eps_b2", [0.0, 0.5, 1.0], n_trials=60, seed=7)
 
 
+def errors_column(path) -> list[float]:
+    """The values of an errors file, parsed with ``float`` line by line."""
+    header, *lines = path.read_text(encoding="ascii").splitlines()
+    assert header == "error"
+    return [float(line) for line in lines]
+
+
+def csv_rows(path) -> list[list[str]]:
+    with open(path, encoding="utf-8", newline="") as handle:
+        return list(csv.reader(handle))
+
+
 class TestResultFiles:
     def test_summary_round_trip(self, result, tmp_path):
         path = tmp_path / "summary.json"
         write_json(path, result_dict(result))
-        loaded = read_summary_json(path)
+        with open(path, encoding="utf-8") as handle:
+            loaded = json.load(handle)
+        per_trial = {"errors", "histogram"}
+        assert set(loaded) == {f.name for f in fields(SimulationResult)} - per_trial
         assert loaded["n_trials"] == 300
         assert loaded["p95"] == result.p95
         assert loaded["seed"] == 42
         assert loaded["bounds"]["best"] == result.bounds.best
 
-    def test_summary_rejects_extra_keys(self, result, tmp_path):
-        payload = result_dict(result)
-        payload["extra"] = 1
-        path = tmp_path / "summary.json"
-        write_json(path, payload)
-        with pytest.raises(ValidationError, match="unknown field"):
-            read_summary_json(path)
-
     def test_errors_round_trip(self, result, tmp_path):
         path = tmp_path / "errors.csv"
         write_errors_csv(path, result.errors)
-        back = read_errors_csv(path)
-        assert np.array_equal(back, result.errors)
-
-    def test_errors_header_checked(self, tmp_path):
-        path = tmp_path / "errors.csv"
-        path.write_text("value\n0.1\n")
-        with pytest.raises(ValidationError, match="header"):
-            read_errors_csv(path)
+        assert errors_column(path) == result.errors.tolist()
 
     def test_histogram_round_trip(self, result, tmp_path):
         path = tmp_path / "hist.csv"
         write_histogram_csv(path, result.histogram)
-        assert read_histogram_csv(path) == result.histogram
-
-    def test_histogram_contiguity_checked(self, tmp_path):
-        path = tmp_path / "hist.csv"
-        path.write_text("bin_lo,bin_hi,count\n0.0,0.5,3\n0.6,1.0,2\n")
-        with pytest.raises(ValidationError, match="contiguous"):
-            read_histogram_csv(path)
+        header, *rows = csv_rows(path)
+        assert header == ["bin_lo", "bin_hi", "count"]
+        edges = result.histogram.bin_edges
+        assert [float(lo) for lo, _, _ in rows] == list(edges[:-1])
+        assert [float(hi) for _, hi, _ in rows] == list(edges[1:])
+        assert [int(count) for _, _, count in rows] == list(result.histogram.counts)
 
     def test_write_is_byte_identical(self, result, tmp_path):
         first = tmp_path / "one.csv"
@@ -516,7 +514,7 @@ class TestResultFiles:
         values = [0.1 + 0.2, 1e-17, 0.07 - 0.05]
         path = tmp_path / "errors.csv"
         write_errors_csv(path, values)
-        assert list(read_errors_csv(path)) == values
+        assert errors_column(path) == values
 
 
 def repr_lines(values) -> bytes:
@@ -746,17 +744,11 @@ class TestSweepFiles:
     def test_round_trip(self, sweep_result, tmp_path):
         path = tmp_path / "sweep.csv"
         write_sweep_csv(path, sweep_result)
-        rows = read_sweep_csv(path)
+        header, *rows = csv_rows(path)
+        assert header == list(SWEEP_HEADER)
         assert len(rows) == 3
         for row, point in zip(rows, sweep_result.points):
-            assert row["grid_value"] == point.grid_value
-            assert row["p95"] == point.p95
-            assert row["bound_a"] == point.bound_a
-            assert row["bound_combined_stated"] == point.bound_combined_stated
-            assert row["bound_combined_proof"] == point.bound_combined_proof
-
-    def test_header_checked(self, tmp_path):
-        path = tmp_path / "sweep.csv"
-        path.write_text("grid,p95\n0.0,0.1\n")
-        with pytest.raises(ValidationError, match="header"):
-            read_sweep_csv(path)
+            assert [float(value) for value in row] == [
+                point.grid_value, point.p95, point.bound_a,
+                point.bound_combined_stated, point.bound_combined_proof,
+            ]
