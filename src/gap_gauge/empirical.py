@@ -77,68 +77,111 @@ _BOM = b"\xef\xbb\xbf"
 
 
 def _require_binary_array(values, name: str) -> np.ndarray:
+    """``values`` as a fresh int8 array of 0/1 values."""
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be one-dimensional")
-    # a read-only int8 array that owns its memory cannot change under the
-    # dataset, so it is kept as is; read_records_csv hands its columns over so
-    if arr.dtype != np.int8 or arr.flags.writeable or not arr.flags.owndata:
-        arr = arr.astype(np.int8)
+    arr = arr.astype(np.int8)
     if arr.size and arr.view(np.uint8).max() > 1:
         raise ValidationError(f"{name} must contain only 0/1 values")
+    return arr
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RecordDataset:
-    """Columnar record data in file order; optional columns are None."""
+    """Record data in file order, one cell code a row.
 
-    l: np.ndarray
-    vhat: np.ndarray
-    y: np.ndarray
-    v: np.ndarray | None = None
-    ystar: np.ndarray | None = None
+    ``codes`` holds each row's cell index as a read-only uint8 array:
+    8l + 4v + 2vhat + y, or 4l + 2vhat + y when the dataset has no v. It is
+    the index of ``EstimateReport.counts``, so counting needs no other
+    column. ``ystar``, which no cell index holds, is kept as a read-only int8
+    column, or None. The columns ``l``, ``v``, ``vhat`` and ``y`` are
+    unpacked from the codes on each access, as fresh read-only int8 arrays;
+    ``v`` is None when the dataset has no v.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "l", _require_binary_array(self.l, "l"))
-        object.__setattr__(self, "vhat", _require_binary_array(self.vhat, "vhat"))
-        object.__setattr__(self, "y", _require_binary_array(self.y, "y"))
-        n = self.l.size
-        for name in ("vhat", "y", "v", "ystar"):
-            col = getattr(self, name)
+    codes: np.ndarray
+    v_present: bool
+    ystar: np.ndarray | None
+
+    def __init__(self, l, vhat, y, v=None, ystar=None) -> None:
+        l, vhat, y = (
+            _require_binary_array(column, name)
+            for column, name in ((l, "l"), (vhat, "vhat"), (y, "y"))
+        )
+        n = l.size
+        columns = {"vhat": vhat, "y": y, "v": v, "ystar": ystar}
+        for name, col in columns.items():
             if col is None:
                 continue
             if name in ("v", "ystar"):
-                col = _require_binary_array(col, name)
-                object.__setattr__(self, name, col)
+                col = columns[name] = _require_binary_array(col, name)
             if col.size != n:
-                raise ValidationError(
-                    f"column {name} has {col.size} rows, expected {n}"
-                )
+                raise ValidationError(f"column {name} has {col.size} rows, expected {n}")
+        codes = np.zeros(n, dtype=np.uint8)
+        for column in (l, columns["v"], vhat, y):
+            if column is not None:
+                codes <<= 1
+                codes |= column.view(np.uint8)
+        self._set(codes, v is not None, columns["ystar"])
+
+    def _set(self, codes: np.ndarray, v_present: bool, ystar: np.ndarray | None) -> None:
+        object.__setattr__(self, "codes", _read_only(codes))
+        object.__setattr__(self, "v_present", v_present)
+        object.__setattr__(self, "ystar", None if ystar is None else _read_only(ystar))
+
+    @classmethod
+    def _of_codes(cls, codes, v_present, ystar=None) -> "RecordDataset":
+        """A dataset of codes that are already valid, kept without a copy."""
+        dataset = cls.__new__(cls)
+        dataset._set(codes, v_present, ystar)
+        return dataset
+
+    def _column(self, bit: int) -> np.ndarray:
+        column = np.right_shift(self.codes, bit)
+        column &= 1
+        return _read_only(column.view(np.int8))
+
+    @property
+    def l(self) -> np.ndarray:
+        return self._column(3 if self.v_present else 2)
+
+    @property
+    def v(self) -> np.ndarray | None:
+        return self._column(2) if self.v_present else None
+
+    @property
+    def vhat(self) -> np.ndarray:
+        return self._column(1)
+
+    @property
+    def y(self) -> np.ndarray:
+        return self._column(0)
 
     @property
     def n(self) -> int:
-        return int(self.l.size)
-
-    @property
-    def v_present(self) -> bool:
-        return self.v is not None
+        return int(self.codes.size)
 
     @property
     def ystar_present(self) -> bool:
         return self.ystar is not None
 
     def take(self, indices) -> "RecordDataset":
-        """Row subset (with repetition allowed), preserving columns."""
-        idx = np.asarray(indices, dtype=np.int64)
-        return RecordDataset(
-            l=self.l[idx],
-            vhat=self.vhat[idx],
-            y=self.y[idx],
-            v=None if self.v is None else self.v[idx],
-            ystar=None if self.ystar is None else self.ystar[idx],
-        )
+        """Rows at integer ``indices`` (repetition allowed), preserving columns."""
+        idx = np.asarray(indices)
+        # an empty list has numpy's default float dtype
+        if idx.ndim != 1 or (idx.dtype.kind not in "iu" and idx.size):
+            raise ValidationError(
+                f"row indices must be a one-dimensional integer array, got {idx.ndim}-d {idx.dtype}"
+            )
+        idx = idx.astype(np.intp, copy=False)
+        ystar = None if self.ystar is None else self.ystar[idx]
+        return RecordDataset._of_codes(self.codes[idx], self.v_present, ystar)
 
 
 def _parse_cell(raw: str, column: str, line: int, optional: bool) -> int | None:
@@ -197,11 +240,8 @@ def parse_records(stream) -> RecordDataset:
         )
     width = len(header)
 
-    cols_l: list[int] = []
-    cols_v: list[int | None] = []
-    cols_vhat: list[int] = []
-    cols_y: list[int] = []
-    cols_ystar: list[int | None] = []
+    codes = bytearray()
+    ystars = bytearray()
     v_empty: bool | None = None
     ystar_empty: bool | None = None
 
@@ -217,10 +257,8 @@ def parse_records(stream) -> RecordDataset:
             v_empty = v is None
         elif (v is None) != v_empty:
             raise MixedSchema(line, "column 'v' must be uniformly present or empty")
-        cols_l.append(l)
-        cols_v.append(v)
-        cols_vhat.append(vhat)
-        cols_y.append(y)
+        head = l if v_empty else 2 * l + v
+        codes.append(4 * head + 2 * vhat + y)
         if has_ystar:
             ystar = _parse_cell(row[4], "ystar", line, optional=True)
             if ystar_empty is None:
@@ -229,17 +267,13 @@ def parse_records(stream) -> RecordDataset:
                 raise MixedSchema(
                     line, "column 'ystar' must be uniformly present or empty"
                 )
-            cols_ystar.append(ystar)
+            if ystar is not None:
+                ystars.append(ystar)
 
-    if not cols_l:
+    if not codes:
         raise EmptyInput("no data rows after the header")
-    return RecordDataset(
-        l=cols_l,
-        vhat=cols_vhat,
-        y=cols_y,
-        v=None if v_empty else cols_v,
-        ystar=None if (not has_ystar or ystar_empty) else cols_ystar,
-    )
+    ystar = None if (not has_ystar or ystar_empty) else np.frombuffer(ystars, np.int8)
+    return RecordDataset._of_codes(np.frombuffer(codes, np.uint8), not v_empty, ystar)
 
 
 def _row_layout(first: bytes, width: int) -> tuple[np.ndarray, np.ndarray, list] | None:
@@ -277,17 +311,17 @@ def _row_layout(first: bytes, width: int) -> tuple[np.ndarray, np.ndarray, list]
 
 
 def _read_blocks(handle, digest) -> RecordDataset | None:
-    """Columns of a fixed-width records file, or None for any other file.
+    """The dataset of a fixed-width records file, or None for any other file.
 
     A fixed-width file is an optional UTF-8 BOM, the header ``l,v,vhat,y``
     or ``l,v,vhat,y,ystar`` and at least one row, every row laid out like
     the first (see :func:`_row_layout`); the header and the rows may end in
     ``\\n`` or ``\\r\\n``, and the last row may lack its ending. The row
-    count comes from the file size, so the columns are allocated once;
-    ``_BLOCK_ROWS`` rows at a time are then read into one reused buffer,
-    checked against the layout and written into them. ``handle`` must be a
-    seekable binary stream; on None it is left just past the bytes given to
-    ``digest``.
+    count comes from the file size, so the codes (and ``ystar``) are
+    allocated once; ``_BLOCK_ROWS`` rows at a time are then read into one
+    reused buffer, checked against the layout and packed into them.
+    ``handle`` must be a seekable binary stream; on None it is left just
+    past the bytes given to ``digest``.
     """
     total = handle.seek(0, io.SEEK_END)
     handle.seek(0)
@@ -310,7 +344,10 @@ def _read_blocks(handle, digest) -> RecordDataset | None:
     if missing not in (0, eol.size):
         return None
     n += rest > 0
-    columns = [None if offset is None else np.empty(n, np.int8) for offset in offsets]
+    cells = [offset for offset in offsets[:4] if offset is not None]
+    ystar_offset = offsets[4] if width == 5 else None
+    codes = np.empty(n, np.uint8)
+    ystar = None if ystar_offset is None else np.empty(n, np.int8)
     # the buffers are reused, since touching fresh pages costs more than the checks
     block_rows = min(n, _BLOCK_ROWS)
     buffer = memoryview(bytearray(block_rows * template.size))
@@ -332,21 +369,24 @@ def _read_blocks(handle, digest) -> RecordDataset | None:
         if scratch[:size].any():
             return None
         rows = block.reshape(-1, template.size)
-        for column, offset in zip(columns, offsets):
-            if column is not None:
-                np.bitwise_and(rows[:, offset], 1, out=column[start:stop].view(np.uint8))
-    for column in columns:
-        if column is not None:
-            column.setflags(write=False)
-    l, v, vhat, y, *ystar = columns
-    return RecordDataset(l=l, v=v, vhat=vhat, y=y, ystar=ystar[0] if ystar else None)
+        # a cell byte is ASCII 0x30 or 0x31: shifted and or-ed, the cells'
+        # low bits make the code's low bits, and the 0x30s land above them
+        code = codes[start:stop]
+        np.copyto(code, rows[:, cells[0]])
+        for offset in cells[1:]:
+            code <<= 1
+            code |= rows[:, offset]
+        code &= (1 << len(cells)) - 1
+        if ystar is not None:
+            np.bitwise_and(rows[:, ystar_offset], 1, out=ystar[start:stop].view(np.uint8))
+    return RecordDataset._of_codes(codes, len(cells) == 4, ystar)
 
 
 def read_records_csv(path, digest=None) -> RecordDataset:
     """Parse a records CSV file from disk, a pipe or any other readable path.
 
     The input is read once. A fixed-width file (see :func:`_read_blocks`)
-    goes block by block straight into the dataset's columns; any other
+    goes block by block straight into the dataset's codes; any other
     file, including one that stops matching in some block, is parsed from
     its first byte by :func:`parse_records`, so every error it reports is
     the text parser's. A path that cannot seek, such as a pipe, is read into
@@ -379,13 +419,9 @@ def sample_dataset(joint: FullJoint, n: int, seed: int) -> RecordDataset:
     """
     n = _require_count(n, "n")
     stream = derive_trial_stream(seed, 0)
-    idx = stream.choice(16, size=n, p=joint.cells)
-    return RecordDataset(
-        l=(idx >> 3) & 1,
-        v=(idx >> 2) & 1,
-        vhat=(idx >> 1) & 1,
-        y=idx & 1,
-    )
+    # the drawn cell indices are the codes
+    codes = stream.choice(16, size=n, p=joint.cells).astype(np.uint8)
+    return RecordDataset._of_codes(codes, True)
 
 
 def filter_ystar(dataset: RecordDataset) -> RecordDataset:
@@ -396,20 +432,10 @@ def filter_ystar(dataset: RecordDataset) -> RecordDataset:
     """
     if not dataset.ystar_present:
         raise MissingColumn("dataset has no ystar column to condition on")
-    keep = dataset.ystar == 1
+    keep = dataset.ystar.view(bool)  # ystar holds only 0 and 1
     if not keep.any():
         raise EmptyInput("no rows with ystar = 1")
-
-    def kept(column):
-        # a fresh read-only int8 column is kept by RecordDataset without a copy
-        rows = column[keep]
-        rows.setflags(write=False)
-        return rows
-
-    return RecordDataset(
-        l=kept(dataset.l), vhat=kept(dataset.vhat), y=kept(dataset.y),
-        v=None if dataset.v is None else kept(dataset.v), ystar=kept(dataset.ystar),
-    )
+    return RecordDataset._of_codes(dataset.codes[keep], dataset.v_present, dataset.ystar[keep])
 
 
 def _require_smoothing(smoothing: float) -> float:
@@ -425,17 +451,6 @@ def _require_level(level: float) -> float:
     if math.isnan(level) or not (0.0 < level < 1.0):
         raise ValidationError(f"level must lie in (0, 1), got {level!r}")
     return level
-
-
-def _codes(dataset: RecordDataset) -> np.ndarray:
-    """Each row's cell index as uint8: 8l + 4v + 2vhat + y, or 4l + 2vhat + y without v."""
-    columns = (dataset.l, dataset.v, dataset.vhat, dataset.y)
-    codes = np.zeros(dataset.n, dtype=np.uint8)
-    for column in columns:
-        if column is not None:
-            codes <<= 1
-            codes |= column.view(np.uint8)
-    return codes
 
 
 def _cell_counts(codes: np.ndarray, v_present: bool) -> np.ndarray:
@@ -464,7 +479,7 @@ def fit_joint(dataset: RecordDataset, smoothing: float = 0.0) -> FullJoint:
     if dataset.n == 0:
         raise EmptyInput("cannot fit a joint to zero rows")
     smoothing = _require_smoothing(smoothing)
-    counts = _cell_counts(_codes(dataset), True)
+    counts = _cell_counts(dataset.codes, True)
     return FullJoint(cells=_joint_cells(counts, dataset.n, smoothing))
 
 
@@ -544,7 +559,7 @@ def estimate(dataset: RecordDataset, smoothing: float = 0.0) -> EstimateReport:
     smoothing = _require_smoothing(smoothing)
     if dataset.n == 0:
         raise EmptyInput("cannot estimate from zero rows")
-    counts = _cell_counts(_codes(dataset), dataset.v_present)
+    counts = _cell_counts(dataset.codes, dataset.v_present)
     return _report_from_counts(counts, dataset.n, smoothing)
 
 
@@ -609,11 +624,10 @@ def bootstrap(
     seed = _require_seed(seed)
 
     n = dataset.n
-    codes = _codes(dataset)
     width = 16 if dataset.v_present else 8
     counts = np.empty((replicates, width), dtype=np.int64)
     for i in range(replicates):
-        counts[i] = _resample_counts(codes, derive_trial_stream(seed, i), width)
+        counts[i] = _resample_counts(dataset.codes, derive_trial_stream(seed, i), width)
     values, ok = _replicate_values(counts, n, smoothing)
     if not ok.any():
         raise AllReplicatesDegenerate(

@@ -400,17 +400,20 @@ def _repr_lines(values: np.ndarray) -> bytes:
     shortest digits. Its row holds a sign, ``0.``, its 17 digits padded to 20
     with zeros, and a newline; one boolean mask keeps the live columns of
     every row (``np.compress`` would build an index eight times its size).
-    Values outside that range, zero and non-finite values, and undecided ones
-    go to ``repr``. A power of two needs no case of its own, although its
-    rounding interval is lopsided: in that range it is a decimal of at most
-    ten digits, and no shorter decimal comes near it.
+    Zero takes the same row as one digit 0 after ``0.``: ``0.0`` or
+    ``-0.0``. Other values outside that range, non-finite values and
+    undecided ones go to ``repr``. A power of two needs no case of its own,
+    although its rounding interval is lopsided: in that range it is a
+    decimal of at most ten digits, and no shorter decimal comes near it.
     """
     tables = _tables()
     mags = np.abs(values)
     fast = (mags >= tables.decades[0]) & (mags < 1.0)
     # the others are replaced before any arithmetic, where a NaN could signal
     e, k, digits, undecided = _shortest(np.where(fast, mags, 0.30000000000000004))
-    fast &= ~undecided
+    zero = mags == 0.0
+    e[zero], k[zero], digits[zero] = -1, 1, 0
+    fast = fast & ~undecided | zero
     negative = np.signbit(values)
 
     rows = np.empty((values.size, 24), dtype=np.uint8)

@@ -281,6 +281,37 @@ class TestReadRecordsLayout:
             assert_same_columns(read_records_csv(path), expected)
         assert (not calls) == fast
 
+    @pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+    def test_codes_pack_the_columns(self, tmp_path, case):
+        # both readers store 8l + 4v + 2vhat + y (4l + 2vhat + y without v)
+        # and unpack the columns the csv module reads from the file
+        path = tmp_path / "records.csv"
+        path.write_bytes(LAYOUT_CASES[case][0])
+        try:
+            text_parser_read(path)
+        except (ValidationError, EmptyInput):
+            return  # test_same_outcome_as_text_parser compares the errors
+        with open(path, encoding="utf-8-sig", newline="") as handle:
+            header, *rows = csv.reader(handle)
+        want = {}
+        for name, cells in zip(header, zip(*rows)):
+            if cells[0] != "":
+                want[name] = np.array([int(cell) for cell in cells], dtype=np.int8)
+        packed = np.zeros(len(rows), dtype=np.uint8)
+        for name in ("l", "v", "vhat", "y"):
+            if name in want:
+                packed = 2 * packed + want[name].view(np.uint8)
+        for data in (read_records_csv(path), text_parser_read(path)):
+            assert data.codes.dtype == np.uint8 and not data.codes.flags.writeable
+            assert np.array_equal(data.codes, packed)
+            for name in ("l", "v", "vhat", "y", "ystar"):
+                column = getattr(data, name)
+                if name not in want:
+                    assert column is None, name
+                    continue
+                assert column.dtype == np.int8 and not column.flags.writeable, name
+                assert np.array_equal(column, want[name]), name
+
     def test_mixed_schema_line_number(self, tmp_path):
         path = tmp_path / "records.csv"
         path.write_bytes(LAYOUT_CASES["v empty on one row"][0])
@@ -411,15 +442,13 @@ class TestBlockReader:
         assert digest.hexdigest() == hashlib.sha256(content).hexdigest()
 
     def test_memory_per_row(self, tmp_path):
-        # the columns are 4 bytes a row; no step may hold more than 6 bytes a
-        # row plus the fixed-size block and chunk buffers
-        n = 1_000_000
+        # the codes are one byte a row. Reading holds them and the four
+        # block-sized buffers of 8-byte rows; estimate and bootstrap hold
+        # chunk-sized buffers alone (a chunk's int64 indices, or bincount's
+        # intp copy of a chunk's codes: 512 KiB), whatever the row count
         lines = b"".join(f"{c >> 3 & 1},{c >> 2 & 1},{c >> 1 & 1},{c & 1}\n".encode() for c in range(16))
         table = np.frombuffer(lines, dtype=np.uint8).reshape(16, 8)
-        codes = np.random.default_rng(0).integers(0, 16, size=n)
         path = tmp_path / "records.csv"
-        path.write_bytes(b"l,v,vhat,y\n" + table[codes].tobytes())
-        del codes
 
         def peak(call):
             tracemalloc.start()
@@ -429,18 +458,24 @@ class TestBlockReader:
             finally:
                 tracemalloc.stop()
 
-        bound = 6 * n + 4 * 2**20
-        read_peak, data = peak(lambda: read_records_csv(path))
-        estimate_peak, _ = peak(lambda: estimate(data))
-        bootstrap_peak, _ = peak(lambda: bootstrap(data, 2, seed=0))
-        assert data.n == n
-        assert read_peak <= bound, f"read_records_csv: {read_peak / n:.1f} bytes a row"
-        assert estimate_peak <= bound, f"estimate: {estimate_peak / n:.1f} bytes a row"
-        assert bootstrap_peak <= bound, f"bootstrap: {bootstrap_peak / n:.1f} bytes a row"
+        bound = 2**20
+        for n in (1_000_000, 2_000_000):
+            codes = np.random.default_rng(0).integers(0, 16, size=n)
+            path.write_bytes(b"l,v,vhat,y\n" + table[codes].tobytes())
+            del codes
+            read_bound = n + 4 * empirical._BLOCK_ROWS * 8 + 2**16
+            read_peak, data = peak(lambda: read_records_csv(path))
+            estimate_peak, _ = peak(lambda: estimate(data))
+            bootstrap_peak, _ = peak(lambda: bootstrap(data, 2, seed=0))
+            assert data.n == n
+            assert read_peak <= read_bound, f"read_records_csv: {read_peak / n:.2f} bytes a row at {n}"
+            assert estimate_peak <= bound, f"estimate: {estimate_peak} bytes at {n} rows"
+            assert bootstrap_peak <= bound, f"bootstrap: {bootstrap_peak} bytes at {n} rows"
 
     def test_filter_ystar_memory_per_row(self):
-        # a one-byte mask plus half of the five one-byte columns: 3.5 bytes a
-        # row; an int64 index array alone would be 4
+        # the mask is the ystar column itself, and the kept half of the rows
+        # holds a code and a ystar byte each: 1 byte a row; an int64 index
+        # array alone would be 4
         n = 1_000_000
         rng = np.random.default_rng(1)
         columns = {}
@@ -454,7 +489,7 @@ class TestBlockReader:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * n, f"filter_ystar: {peak / n:.2f} bytes a row"
+        assert peak <= 1.1 * n, f"filter_ystar: {peak / n:.2f} bytes a row"
         assert_same_columns(kept, data.take(np.flatnonzero(data.ystar == 1)))
         assert 0.49 * n < kept.n < 0.51 * n
 
@@ -479,10 +514,21 @@ class TestRecordDataset:
         with pytest.raises(ValueError):
             data.l[0] = 1
 
-    def test_keeps_read_only_owned_int8_columns(self):
-        l = np.array([0, 1, 1], dtype=np.int8)
-        l.setflags(write=False)
-        assert RecordDataset(l=l, vhat=[0, 1, 0], y=[1, 1, 0]).l is l
+    @pytest.mark.parametrize("indices", [[0.9, 2.7], [True, False, True]], ids=["float", "bool"])
+    def test_take_refuses_non_integer_indices(self, indices):
+        data = parse_records(BASIC)
+        with pytest.raises(ValidationError, match="integer") as err:
+            data.take(indices)
+        assert str(err.value) == (
+            f"row indices must be a one-dimensional integer array, "
+            f"got 1-d {np.asarray(indices).dtype}"
+        )
+
+    def test_take_of_no_rows(self):
+        data = parse_records("l,v,vhat,y,ystar\n0,1,1,1,1\n")
+        for indices in ([], np.array([], dtype=np.int8)):
+            empty = data.take(indices)
+            assert empty.n == 0 and empty.v_present and empty.ystar.size == 0
 
     @pytest.mark.parametrize("kind", ["writeable", "read-only view", "int64"])
     def test_copies_columns_others_can_change(self, kind):

@@ -27,6 +27,7 @@ from gap_gauge import (
 )
 from gap_gauge.cli import main
 from gap_gauge.files import (
+    _CHUNK,
     SWEEP_HEADER,
     atomic_open,
     atomic_paths,
@@ -572,6 +573,20 @@ class TestErrorsCsvIsRepr:
         specials = [0.0, -0.0, 5e-324, np.nan, np.inf, -np.inf, sys.float_info.max]
         powers = np.ldexp(1.0, np.arange(-1074, 1024))
         self.assert_writes_repr(errors_path, np.concatenate([specials, with_neighbours(powers)]))
+
+    @pytest.mark.parametrize("kind", ["zeros", "negative zeros", "mixed"])
+    def test_zeros(self, errors_path, kind):
+        # 0.0 and -0.0, alone or between other values, over a whole chunk
+        # and a partial one
+        size = 3 * _CHUNK // 2
+        values = {
+            "zeros": np.zeros(size),
+            "negative zeros": np.full(size, -0.0),
+            "mixed": np.random.default_rng(23).choice(
+                [0.0, -0.0, 0.25, -0.0123, 1e-5, 3.5, np.nan], size=size
+            ) * np.random.default_rng(24).uniform(0.5, 1.0, size=size),
+        }[kind]
+        self.assert_writes_repr(errors_path, values)
 
     def test_ties(self, errors_path):
         # m / 2**(s + 1) with m odd lies halfway between the two nearest
