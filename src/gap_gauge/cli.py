@@ -50,7 +50,7 @@ from .files import (
     write_text,
 )
 from .model import FullJoint, _require_prob, compute_gaps, reduce
-from .simulation import SamplerConfig, _require_seed, run_monte_carlo, sweep
+from .simulation import SamplerConfig, _require_u64, run_monte_carlo, sweep
 
 __all__ = ["main", "parse_grid"]
 
@@ -267,7 +267,7 @@ def _resolve_seed(args) -> int:
                 ) from None
         else:
             seed = _DEFAULT_SEED
-    return _require_seed(seed)
+    return _require_u64(seed, "seed")
 
 
 def _run(args) -> None:

@@ -44,7 +44,7 @@ from .model import (
     FullJoint, GapReport, _require_count, compute_gaps, gap_terms, reduce, require_gap_identities,
     slice_rates,
 )
-from .simulation import _require_seed, derive_trial_stream, percentile
+from .simulation import _require_u64, derive_trial_stream, percentile
 
 __all__ = [
     "RecordDataset",
@@ -81,10 +81,10 @@ def _require_binary_array(values, name: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be one-dimensional")
-    arr = arr.astype(np.int8)
-    if arr.size and arr.view(np.uint8).max() > 1:
+    # checked before the cast, which would wrap 256 to 0 and turn NaN into 0
+    if not ((arr == 0) | (arr == 1)).all():
         raise ValidationError(f"{name} must contain only 0/1 values")
-    return arr
+    return arr.astype(np.int8)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -209,19 +209,22 @@ def parse_records(stream) -> RecordDataset:
     ``,ystar``. Every ``l``/``vhat``/``y`` cell must be 0 or 1; ``v`` and
     ``ystar`` cells may instead be empty, but uniformly so across the file
     (:class:`MixedSchema` otherwise). Raises :class:`MalformedRow` with the
-    1-based line number for anything unparseable and :class:`EmptyInput`
-    when no data rows follow the header.
+    1-based line number for anything unparseable, :class:`EmptyInput`
+    when no data rows follow the header, and :class:`ValidationError` for
+    bytes that are not UTF-8.
     """
-    if isinstance(stream, (bytes, bytearray)):
-        stream = io.StringIO(bytes(stream).decode("utf-8-sig"))
-    elif isinstance(stream, str):
+    if isinstance(stream, str):
         stream = io.StringIO(stream)
-    elif isinstance(stream, (io.RawIOBase, io.BufferedIOBase)) or (
+    elif isinstance(stream, (bytes, bytearray, io.RawIOBase, io.BufferedIOBase)) or (
         hasattr(stream, "read") and isinstance(getattr(stream, "mode", ""), str)
         and "b" in getattr(stream, "mode", "")
     ):
         # no TextIOWrapper: collecting one would close the caller's file
-        stream = io.StringIO(stream.read().decode("utf-8-sig"))
+        data = stream if isinstance(stream, (bytes, bytearray)) else stream.read()
+        try:
+            stream = io.StringIO(data.decode("utf-8-sig"))
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"not UTF-8 text ({exc})") from exc
 
     reader = csv.reader(stream)
     rows = _rows(reader)
@@ -621,7 +624,7 @@ def bootstrap(
     if dataset.n < 2:
         raise ValidationError("bootstrap needs at least 2 rows")
     smoothing = _require_smoothing(smoothing)
-    seed = _require_seed(seed)
+    seed = _require_u64(seed, "seed")
 
     n = dataset.n
     width = 16 if dataset.v_present else 8

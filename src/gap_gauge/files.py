@@ -1,12 +1,15 @@
 """File interchange, in three jobs.
 
-- Atomic commit: ``atomic_paths`` and ``atomic_open`` write each output to a
-  temporary and rename it into place, so a failed run leaves no part of one.
+- Atomic commit: ``atomic_paths`` hands out a temporary for each output and
+  renames them all into place once its block ends, so a failed run leaves no
+  part of one. It is the only code here that renames a file.
 - Inputs: ``from_dict`` reads model files and sampler configs, with the
   dataclass fields as their schema.
 - Outputs: ``result_dict`` encodes every result from its dataclass fields,
   and four writers put them in files: ``write_json``, ``write_errors_csv``,
-  ``write_histogram_csv`` and ``write_sweep_csv``.
+  ``write_histogram_csv`` and ``write_sweep_csv``. Each writes the path it is
+  given, in place; to commit one output, write it inside
+  ``with atomic_paths(path) as (tmp,):``.
 
 All JSON written here is deterministic (sorted keys, fixed indentation,
 shortest round-trip float repr) and all CSV uses LF line endings, so a rerun
@@ -31,7 +34,6 @@ from .model import FullJoint, ReducedModel
 from .simulation import Histogram, SamplerConfig, SimulationResult, SweepPoint, SweepResult
 
 __all__ = [
-    "atomic_open",
     "atomic_paths",
     "dumps_json",
     "write_text",
@@ -88,27 +90,6 @@ def dumps_json(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-class _Temporary(str):
-    """A temporary path handed out by ``atomic_paths``; its block renames it."""
-
-
-@contextmanager
-def atomic_open(path):
-    """Text handle onto ``<path>.tmp``, renamed to ``path`` once the block ends.
-
-    A block that raises removes the temporary file, so ``path`` either keeps
-    its previous state or holds the complete output, never part of it. A
-    temporary from an enclosing ``atomic_paths`` block is opened as it is,
-    since that block renames it into place or removes it.
-    """
-    if isinstance(path, _Temporary):
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            yield handle
-        return
-    with atomic_paths(path) as (tmp,), open(tmp, "w", encoding="utf-8", newline="\n") as handle:
-        yield handle
-
-
 @contextmanager
 def atomic_paths(*paths):
     """Temporary paths ``<path>.tmp``, all renamed onto ``paths`` once the block ends.
@@ -118,7 +99,6 @@ def atomic_paths(*paths):
     or a directory could not be replaced, so it is refused too. Every output
     is written before any is replaced, and a block that raises removes the
     temporaries created here, so a failed write leaves every path as it was.
-    The writers here write a temporary in place, so each output is renamed once.
     """
     tmps = []
     try:
@@ -128,7 +108,7 @@ def atomic_paths(*paths):
             if os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
             open(f"{path}.tmp", "wb").close()
-            tmps.append(_Temporary(f"{path}.tmp"))
+            tmps.append(f"{path}.tmp")
         yield tmps
         for tmp, path in zip(tmps, paths):
             os.replace(tmp, path)
@@ -140,7 +120,7 @@ def atomic_paths(*paths):
 
 
 def write_text(path, text: str) -> None:
-    with atomic_open(path) as handle:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)
 
 
@@ -436,24 +416,20 @@ def _repr_lines(values: np.ndarray) -> bytes:
 def write_errors_csv(path, errors) -> None:
     """One ``repr`` of each error per line, under the header ``error``."""
     values = np.asarray(errors, dtype=float).reshape(-1)
-    with atomic_open(path) as handle:
-        out = handle.buffer  # ASCII throughout, so the bytes go straight to the file
-        out.write(b"error\n")
+    with open(path, "wb") as handle:
+        handle.write(b"error\n")
         for start in range(0, values.size, _CHUNK):
-            out.write(_repr_lines(values[start : start + _CHUNK]))
+            handle.write(_repr_lines(values[start : start + _CHUNK]))
 
 
 def write_histogram_csv(path, histogram: Histogram) -> None:
-    with atomic_open(path) as handle:
-        handle.write("bin_lo,bin_hi,count\n")
-        for lo, hi, count in zip(
-            histogram.bin_edges, histogram.bin_edges[1:], histogram.counts
-        ):
-            handle.write(f"{lo!r},{hi!r},{count}\n")
+    rows = zip(histogram.bin_edges, histogram.bin_edges[1:], histogram.counts)
+    write_text(path, "bin_lo,bin_hi,count\n" + "".join(
+        f"{lo!r},{hi!r},{count}\n" for lo, hi, count in rows
+    ))
 
 
 def write_sweep_csv(path, result: SweepResult) -> None:
-    with atomic_open(path) as handle:
-        handle.write(",".join(SWEEP_HEADER) + "\n")
-        for point in result.points:
-            handle.write(",".join(repr(v) for v in result_dict(point).values()) + "\n")
+    write_text(path, ",".join(SWEEP_HEADER) + "\n" + "".join(
+        ",".join(repr(v) for v in result_dict(point).values()) + "\n" for point in result.points
+    ))

@@ -81,13 +81,14 @@ def _mix64(a: int, b: int) -> int:
     return _splitmix64((a & _MASK64) ^ _splitmix64((b & _MASK64) + _GOLDEN))
 
 
-def _require_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValidationError(f"seed must be an integer, got {seed!r}")
-    seed = int(seed)
-    if not (0 <= seed <= _MASK64):
-        raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return seed
+def _require_u64(value: int, name: str) -> int:
+    """``value`` as an int in [0, 2**64); ``_mix64`` would alias any other."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if not (0 <= value <= _MASK64):
+        raise ValidationError(f"{name} must be a 64-bit unsigned integer, got {value}")
+    return value
 
 
 def derive_trial_stream(seed: int, trial_index: int) -> np.random.Generator:
@@ -99,23 +100,14 @@ def derive_trial_stream(seed: int, trial_index: int) -> np.random.Generator:
     distinct keys, so trials never share randomness and the mapping is stable
     across runs, platforms, and worker counts.
     """
-    seed = _require_seed(seed)
-    if (
-        not isinstance(trial_index, (int, np.integer))
-        or isinstance(trial_index, bool)
-        or not 0 <= int(trial_index) <= _MASK64
-    ):
-        raise ValidationError(
-            f"trial_index must be a 64-bit unsigned integer, got {trial_index!r}"
-        )
-    lo = _mix64(seed, int(trial_index))
+    lo = _mix64(_require_u64(seed, "seed"), _require_u64(trial_index, "trial_index"))
     hi = _splitmix64(lo)
     return np.random.Generator(np.random.Philox(key=(hi << 64) | lo))
 
 
 def derive_point_seed(seed: int, index: int) -> int:
     """Per-point master seed for sweeps: a 64-bit mix of (seed, index)."""
-    return _mix64(_require_seed(seed), int(index))
+    return _mix64(_require_u64(seed, "seed"), _require_u64(index, "index"))
 
 
 _MODES = ("unconstrained", "constrained")
@@ -483,7 +475,7 @@ def run_monte_carlo(
     earliest such trial. At most ``MAX_TRIALS`` trials run and at most
     ``MAX_BINS`` bins are counted, both checked before anything is allocated.
     """
-    seed = _require_seed(seed)
+    seed = _require_u64(seed, "seed")
     n_trials = _require_count(n_trials, "n_trials", MAX_TRIALS)
     bins = _require_count(bins, "bins", MAX_BINS)
 
@@ -553,7 +545,7 @@ def sweep(
             raise ValidationError(f"grid values must lie in [0, 1], got {x!r}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValidationError("grid values must be strictly increasing")
-    seed = _require_seed(seed)
+    seed = _require_u64(seed, "seed")
 
     points = []
     for k, value in enumerate(grid):

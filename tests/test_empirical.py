@@ -72,6 +72,11 @@ class TestParseRecords:
         data = parse_records("l,v,vhat,y,ystar\n0,1,1,1,\n1,0,0,0,\n")
         assert not data.ystar_present
 
+    @pytest.mark.parametrize("wrap", [bytes, io.BytesIO], ids=["bytes", "binary handle"])
+    def test_bytes_not_utf8_are_a_validation_error(self, wrap):
+        with pytest.raises(ValidationError, match=r"^not UTF-8 text \(.*can't decode byte 0xff"):
+            parse_records(wrap(b"l,v,vhat,y\n0,1,\xff,1\n"))
+
     def test_bytes_input_with_bom(self):
         data = parse_records(b"\xef\xbb\xbfl,v,vhat,y\n0,1,1,1\n")
         assert data.n == 1
@@ -498,6 +503,23 @@ class TestRecordDataset:
     def test_rejects_non_binary(self):
         with pytest.raises(ValidationError, match="0/1"):
             RecordDataset(l=[0, 2], vhat=[0, 1], y=[0, 1])
+
+    # an int8 cast first would wrap 256 to 0 and -255 to 1, and turn 0.5 and NaN into 0
+    @pytest.mark.parametrize("l", [
+        [0, 256, 1], [0, -255, 1], [0.5, 1.0, 0.0], [0.0, np.nan, 1.0],
+        np.full(3, 2, dtype=np.int64), np.array([0, 257, 1], dtype=np.int64),
+    ], ids=["256", "-255", "0.5", "nan", "int64 2s", "int64 257"])
+    def test_rejects_values_before_the_cast(self, l):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as err:
+                RecordDataset(l=l, vhat=[0, 1, 0], y=[1, 1, 0])
+        assert str(err.value) == "l must contain only 0/1 values"
+
+    def test_accepts_booleans_and_integral_floats(self):
+        for l in ([False, True, True], np.array([0.0, 1.0, 1.0])):
+            data = RecordDataset(l=l, vhat=[0, 1, 0], y=[1, 1, 0])
+            assert data.l.tolist() == [0, 1, 1] and data.l.dtype == np.int8
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValidationError, match="rows"):

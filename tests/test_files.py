@@ -25,11 +25,11 @@ from gap_gauge import (
     structure_params,
     sweep,
 )
+from gap_gauge import files
 from gap_gauge.cli import main
 from gap_gauge.files import (
     _CHUNK,
     SWEEP_HEADER,
-    atomic_open,
     atomic_paths,
     dumps_json,
     from_dict,
@@ -615,6 +615,25 @@ class TestErrorsCsvIsRepr:
         assert peak < 2 * 2**20, f"write_errors_csv: peak {peak / 2**20:.2f} MiB"
 
 
+def fail_on_second_chunk(monkeypatch, tmp: str) -> list[int]:
+    """Makes ``write_errors_csv`` raise on its second chunk of values.
+
+    The header and first chunk are written by then; the returned list gets
+    the size of ``tmp`` at the failure.
+    """
+    real, chunks, written = files._repr_lines, [], []
+
+    def repr_lines(values):
+        chunks.append(values.size)
+        if len(chunks) == 2:
+            written.append(os.path.getsize(tmp))
+            raise OSError("disk full")
+        return real(values)
+
+    monkeypatch.setattr(files, "_repr_lines", repr_lines)
+    return written
+
+
 class TestAtomicWrites:
     def test_paths_are_replaced_together(self, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.csv"]
@@ -719,29 +738,26 @@ class TestAtomicWrites:
                 raise RuntimeError("interrupted")
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
-    def test_block_that_raises_leaves_nothing(self, tmp_path):
-        with pytest.raises(RuntimeError):
-            with atomic_open(tmp_path / "out.csv") as handle:
-                handle.write("partial\n")
-                raise RuntimeError("interrupted")
+    def test_writer_failing_mid_write_leaves_nothing(self, monkeypatch, tmp_path):
+        path = tmp_path / "errors.csv"
+        written = fail_on_second_chunk(monkeypatch, f"{path}.tmp")
+        with pytest.raises(OSError, match="disk full"):
+            with atomic_paths(path) as (tmp,):
+                write_errors_csv(tmp, np.full(_CHUNK + 1, 0.25))
+        assert written[0] > len("error\n")  # the first chunk had reached the temporary
         assert list(tmp_path.iterdir()) == []
 
-    def test_writer_failing_mid_write_leaves_nothing(self, tmp_path):
-        # the header is written before the bad value is reached
-        with pytest.raises(ValueError):
-            write_errors_csv(tmp_path / "errors.csv", [0.1, "not a number"])
-        with pytest.raises(TypeError):
-            write_json(tmp_path / "summary.json", {"value": object()})
-        assert list(tmp_path.iterdir()) == []
-
-    def test_failed_rewrite_keeps_previous_file(self, tmp_path):
-        path = tmp_path / "summary.json"
-        write_json(path, {"value": 1})
+    def test_failed_rewrite_keeps_previous_file(self, monkeypatch, tmp_path):
+        path = tmp_path / "errors.csv"
+        write_errors_csv(path, [0.5])
         before = path.read_bytes()
-        with pytest.raises(TypeError):
-            write_json(path, {"value": object()})
+        written = fail_on_second_chunk(monkeypatch, f"{path}.tmp")
+        with pytest.raises(OSError, match="disk full"):
+            with atomic_paths(path) as (tmp,):
+                write_errors_csv(tmp, np.full(_CHUNK + 1, 0.25))
+        assert written[0] > len("error\n")
         assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
+        assert [p.name for p in tmp_path.iterdir()] == ["errors.csv"]
 
     def test_output_bytes_and_no_temporaries(self, result, tmp_path):
         write_errors_csv(tmp_path / "errors.csv", result.errors)

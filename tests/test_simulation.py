@@ -76,6 +76,15 @@ class TestStreams:
         last = derive_trial_stream(7, 2**64 - 1).random(3)
         assert not np.array_equal(last, derive_trial_stream(7, 0).random(3))
 
+    def test_point_index_range_enforced(self):
+        # int() of 2.7 is 2, and _mix64 keeps 64 bits, so each would alias another point
+        for index in (2.7, -1, True, 2**64, np.float64(2.0)):
+            with pytest.raises(ValidationError, match="^index must be"):
+                derive_point_seed(1, index)
+        assert derive_point_seed(1, np.uint64(2**64 - 1)) == derive_point_seed(1, 2**64 - 1)
+        with pytest.raises(ValidationError, match="^seed must be"):
+            derive_point_seed(-1, 0)
+
     def test_point_seed_in_range_and_deterministic(self):
         seen = set()
         for k in range(16):
