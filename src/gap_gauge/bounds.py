@@ -130,21 +130,18 @@ def classifier_structure_params(
     r1: float,
     eps_b1: float = 1.0,
     eps_b2: float = 1.0,
-    g_star: float = 0.0,
 ) -> StructureParams:
     """Structure parameters for a known classifier and assumed closeness.
 
     Useful before any outcome data exists: the error rates pin down the gamma
     parameters while the closeness budgets are supplied (defaulting to the
-    vacuous 1.0).
+    vacuous 1.0). ``g_star``, which needs outcome rates, is 0.
     """
     p0 = _require_prob(p0, "p0")
     r0 = _require_prob(r0, "r0")
     p1 = _require_prob(p1, "p1")
     r1 = _require_prob(r1, "r1")
-    return StructureParams(
-        *gamma_terms(p0, r0, p1, r1), eps_B1=eps_b1, eps_B2=eps_b2, g_star=g_star
-    )
+    return StructureParams(*gamma_terms(p0, r0, p1, r1), eps_B1=eps_b1, eps_B2=eps_b2, g_star=0.0)
 
 
 def bound_terms(gamma_A, gamma_B1, gamma_B2, eps_B1, eps_B2) -> tuple:

@@ -28,15 +28,7 @@ import time
 from . import __version__
 from .bounds import independence_diagnostics, bound_report, structure_params
 from .empirical import estimate_with_bootstrap, filter_ystar, read_records_csv
-from .errors import (
-    AllReplicatesDegenerate,
-    EmptyInput,
-    EmptySample,
-    GapGaugeError,
-    RejectionBudgetExhausted,
-    ValidationError,
-    ZeroMassCondition,
-)
+from .errors import GapGaugeError, ValidationError, ZeroMassCondition
 from .files import (
     atomic_paths,
     dumps_json,
@@ -318,15 +310,9 @@ def main(argv=None) -> int:
         args.seed = _resolve_seed(args)
         _run(args)
         return 0
-    except RejectionBudgetExhausted as exc:
+    except (GapGaugeError, OSError) as exc:
         print(f"gap-gauge: {exc}", file=sys.stderr)
-        return 4
-    except (ZeroMassCondition, EmptyInput, EmptySample, AllReplicatesDegenerate) as exc:
-        print(f"gap-gauge: {exc}", file=sys.stderr)
-        return 3
-    except (ValidationError, GapGaugeError, OSError) as exc:
-        print(f"gap-gauge: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

@@ -81,8 +81,9 @@ def _require_binary_array(values, name: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be one-dimensional")
-    # checked before the cast, which would wrap 256 to 0 and turn NaN into 0
-    if not ((arr == 0) | (arr == 1)).all():
+    # checked before the cast, which would wrap 256 to 0, turn NaN into 0
+    # and warn that it drops the imaginary part of a complex column
+    if arr.dtype.kind == "c" or not ((arr == 0) | (arr == 1)).all():
         raise ValidationError(f"{name} must contain only 0/1 values")
     return arr.astype(np.int8)
 
@@ -195,11 +196,14 @@ def _parse_cell(raw: str, column: str, line: int, optional: bool) -> int | None:
 
 
 def _rows(reader):
-    """The rows of a ``csv.reader``; a line it cannot split is a :class:`MalformedRow`."""
+    """The rows of a ``csv.reader``; a line it cannot split is a :class:`MalformedRow`,
+    and text it cannot decode a :class:`ValidationError`."""
     try:
         yield from reader
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
         raise MalformedRow(reader.line_num, str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"not UTF-8 text ({exc})") from exc
 
 
 def parse_records(stream) -> RecordDataset:
@@ -210,21 +214,25 @@ def parse_records(stream) -> RecordDataset:
     ``ystar`` cells may instead be empty, but uniformly so across the file
     (:class:`MixedSchema` otherwise). Raises :class:`MalformedRow` with the
     1-based line number for anything unparseable, :class:`EmptyInput`
-    when no data rows follow the header, and :class:`ValidationError` for
-    bytes that are not UTF-8.
+    when no data rows follow the header, and, whatever the input form,
+    :class:`ValidationError` for bytes that are not UTF-8. Bytes and binary
+    streams are decoded as UTF-8 with an optional BOM, the way
+    :func:`read_records_csv` reads a file, so bytes parse exactly as that
+    file would; a binary stream is left open.
     """
+    binary = (io.RawIOBase, io.BufferedIOBase)
+    if isinstance(stream, (bytes, bytearray)):
+        stream = io.BytesIO(stream)
+    elif not isinstance(stream, binary) and "b" in str(getattr(stream, "mode", "")):
+        stream = io.BytesIO(stream.read())  # TextIOWrapper wraps only io streams
     if isinstance(stream, str):
         stream = io.StringIO(stream)
-    elif isinstance(stream, (bytes, bytearray, io.RawIOBase, io.BufferedIOBase)) or (
-        hasattr(stream, "read") and isinstance(getattr(stream, "mode", ""), str)
-        and "b" in getattr(stream, "mode", "")
-    ):
-        # no TextIOWrapper: collecting one would close the caller's file
-        data = stream if isinstance(stream, (bytes, bytearray)) else stream.read()
+    elif isinstance(stream, binary):
+        text = io.TextIOWrapper(stream, encoding="utf-8-sig", newline="")
         try:
-            stream = io.StringIO(data.decode("utf-8-sig"))
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"not UTF-8 text ({exc})") from exc
+            return parse_records(text)
+        finally:
+            text.detach()  # collecting the wrapper would close the caller's file
 
     reader = csv.reader(stream)
     rows = _rows(reader)
@@ -392,9 +400,10 @@ def read_records_csv(path, digest=None) -> RecordDataset:
     goes block by block straight into the dataset's codes; any other
     file, including one that stops matching in some block, is parsed from
     its first byte by :func:`parse_records`, so every error it reports is
-    the text parser's. A path that cannot seek, such as a pipe, is read into
-    memory first. ``digest``, a :mod:`hashlib` object, is updated with every
-    byte of the input once.
+    the text parser's; the one that cites no line, for bytes that are not
+    UTF-8, also names the path. A path that cannot seek, such as a pipe, is
+    read into memory first. ``digest``, a :mod:`hashlib` object, is updated
+    with every byte of the input once.
     """
     with open(path, "rb") as file:
         handle = file if file.seekable() else io.BytesIO(file.read())
@@ -405,13 +414,12 @@ def read_records_csv(path, digest=None) -> RecordDataset:
             for block in iter(lambda: handle.read(1 << 16), b""):
                 digest.update(block)
         handle.seek(0)
-        text = io.TextIOWrapper(handle, encoding="utf-8-sig", newline="")
         try:
-            return parse_records(text)
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
-        finally:
-            text.detach()
+            return parse_records(handle)
+        except MalformedRow:
+            raise
+        except ValidationError as exc:  # not UTF-8: it cites no line, so it names the file
+            raise ValidationError(f"{path}: {exc}") from exc.__cause__
 
 
 def sample_dataset(joint: FullJoint, n: int, seed: int) -> RecordDataset:

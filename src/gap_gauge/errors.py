@@ -1,8 +1,9 @@
 """Exception types raised by gap-gauge.
 
 Every error the library raises deliberately derives from :class:`GapGaugeError`.
-The CLI maps these onto its exit-code contract: validation and schema problems
-exit 2, undefined quantities exit 3, sampler budget exhaustion exits 4.
+Each error type's ``exit_code`` is the status the CLI exits with when it
+reports one: 2 for validation and schema problems, 3 for undefined
+quantities, 4 for sampler budget exhaustion.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ __all__ = [
 class GapGaugeError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 2
+
 
 class ValidationError(GapGaugeError, ValueError):
     """A value, field, or file violates its declared contract.
@@ -40,6 +43,8 @@ class ZeroMassCondition(GapGaugeError):
 
     Carries the event description so the first undefined quantity can be named.
     """
+
+    exit_code = 3
 
     def __init__(self, event: str):
         self.event = event
@@ -72,22 +77,21 @@ class MalformedRow(ValidationError):
         super().__init__(f"line {line}: {reason}")
 
 
-class MixedSchema(ValidationError):
+class MixedSchema(MalformedRow):
     """Optional columns must be uniformly present or uniformly empty; this
     file mixes both."""
-
-    def __init__(self, line: int, reason: str):
-        self.line = line
-        self.reason = reason
-        super().__init__(f"line {line}: {reason}")
 
 
 class EmptyInput(GapGaugeError):
     """A dataset or filter result contains no rows."""
 
+    exit_code = 3
+
 
 class EmptySample(GapGaugeError):
     """A percentile was requested from an empty collection."""
+
+    exit_code = 3
 
 
 class RejectionBudgetExhausted(GapGaugeError):
@@ -97,6 +101,8 @@ class RejectionBudgetExhausted(GapGaugeError):
     ``trial_index`` identifies the failing trial when raised from a Monte
     Carlo run (None when raised from a direct sampler call).
     """
+
+    exit_code = 4
 
     def __init__(self, max_rejections: int, trial_index: int | None = None):
         self.max_rejections = max_rejections
@@ -109,3 +115,5 @@ class RejectionBudgetExhausted(GapGaugeError):
 
 class AllReplicatesDegenerate(GapGaugeError):
     """Every bootstrap replicate failed to produce an estimate."""
+
+    exit_code = 3

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gap_gauge import FullJoint, ReducedModel, SliceParams, cli, empirical, simulation
+from gap_gauge import FullJoint, ReducedModel, SliceParams, cli, empirical, errors, simulation
 from gap_gauge.cli import GRID_MAX_POINTS, main, parse_grid
 from gap_gauge.empirical import MAX_REPLICATES
 from gap_gauge.errors import ValidationError
@@ -1229,6 +1229,33 @@ class TestTopLevel:
         assert code == 2
         assert err == "gap-gauge: --workers must be at least 1, got 0\n" and stdout == ""
         assert not list(tmp_path.glob("out*"))
+
+    #: the status of each error type, as README's "Exit codes" table gives it
+    EXIT_CODES = {
+        "GapGaugeError": 2, "ValidationError": 2, "InconsistentMarginals": 2, "MissingCell": 2,
+        "MissingColumn": 2, "MalformedRow": 2, "MixedSchema": 2, "OSError": 2,
+        "ZeroMassCondition": 3, "EmptyInput": 3, "EmptySample": 3, "AllReplicatesDegenerate": 3,
+        "RejectionBudgetExhausted": 4,
+    }
+
+    def test_exit_codes_name_every_error(self):
+        assert set(self.EXIT_CODES) == {*errors.__all__, "OSError"}
+
+    @pytest.mark.parametrize("name", sorted(EXIT_CODES))
+    def test_each_error_exits_with_its_code(self, capsys, monkeypatch, m1_model_file, name):
+        error = getattr(errors, name, OSError)
+        exc = error(*{
+            "ZeroMassCondition": ("v = 0",), "MalformedRow": (3, "bad cell"),
+            "MixedSchema": (3, "mixed"), "RejectionBudgetExhausted": (10, 5),
+        }.get(name, ("raised",)))
+
+        def fail(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "load_model_file", fail)
+        code, out, err = run(capsys, "analyze", m1_model_file)
+        assert code == self.EXIT_CODES[name] == getattr(exc, "exit_code", 2)
+        assert (out, err) == ("", f"gap-gauge: {exc}\n")
 
     def test_out_of_range_seed_exits_2(self, capsys, m1_model_file):
         code, _, err = run(capsys, "analyze", m1_model_file, "--seed", "-1")

@@ -44,6 +44,15 @@ def all_combinations_dataset() -> RecordDataset:
     return RecordDataset(l=l, vhat=vhat, y=y, v=v)
 
 
+class BinaryFileLike:
+    """A binary file that is no io stream: ``read`` and ``mode`` alone."""
+
+    mode = "rb"
+
+    def __init__(self, data: bytes):
+        self.read = io.BytesIO(data).read
+
+
 class TestParseRecords:
     def test_basic_file(self):
         data = parse_records(BASIC)
@@ -72,7 +81,10 @@ class TestParseRecords:
         data = parse_records("l,v,vhat,y,ystar\n0,1,1,1,\n1,0,0,0,\n")
         assert not data.ystar_present
 
-    @pytest.mark.parametrize("wrap", [bytes, io.BytesIO], ids=["bytes", "binary handle"])
+    @pytest.mark.parametrize("wrap", [
+        bytes, io.BytesIO, BinaryFileLike,
+        lambda data: io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"),
+    ], ids=["bytes", "binary handle", "binary file-like", "text stream"])
     def test_bytes_not_utf8_are_a_validation_error(self, wrap):
         with pytest.raises(ValidationError, match=r"^not UTF-8 text \(.*can't decode byte 0xff"):
             parse_records(wrap(b"l,v,vhat,y\n0,1,\xff,1\n"))
@@ -87,6 +99,9 @@ class TestParseRecords:
         with open(path, "rb") as handle:
             data = parse_records(handle)
         assert data.n == 4
+
+    def test_binary_file_like_object(self):
+        assert parse_records(BinaryFileLike(BASIC.encode())).n == 4
 
     def test_binary_file_object_stays_open(self, tmp_path):
         path = tmp_path / "records.csv"
@@ -148,6 +163,15 @@ class TestParseRecords:
             parse_records("l,v,vhat,y\n0,1,1,1\n0,,1,1\n")
         assert err.value.line == 3
 
+    def test_mixed_schema_is_a_malformed_row(self):
+        try:
+            parse_records("l,v,vhat,y,ystar\n0,1,1,1,1\n0,1,1,1,\n")
+        except MalformedRow as exc:
+            assert type(exc) is MixedSchema
+            assert (exc.line, exc.reason) == (3, "column 'ystar' must be uniformly present or empty")
+        else:
+            pytest.fail("no MalformedRow raised")
+
     def test_header_mismatch(self):
         with pytest.raises(MalformedRow) as err:
             parse_records("l,vhat,v,y\n0,1,1,1\n")
@@ -163,12 +187,18 @@ class TestParseRecords:
 
 
 def text_parser_read(path) -> RecordDataset:
-    """Reading a records file through the line-by-line text parser alone."""
+    """Reading a records file through the line-by-line text parser alone.
+
+    As ``read_records_csv`` does, the error for bytes that are not UTF-8
+    names the path.
+    """
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         try:
             return parse_records(handle)
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
+        except ValidationError as exc:
+            if not str(exc).startswith("not UTF-8 text ("):
+                raise
+            raise ValidationError(f"{path}: {exc}") from exc
 
 
 GOOD_ROWS = b"".join(
@@ -382,7 +412,8 @@ class TestBlockReader:
             assert err.value.line == 402
         else:
             assert_same_columns(read_records_csv(path), expected)
-        assert len(calls) == 1
+        # the file is handed over once, and parsed once through its text wrapper
+        assert [type(stream) for stream in calls] == [io.BufferedReader, io.TextIOWrapper]
 
     @pytest.mark.parametrize("content", [
         b"".join(layout_rows(True, b"\r\n", False, "present")),
@@ -504,11 +535,12 @@ class TestRecordDataset:
         with pytest.raises(ValidationError, match="0/1"):
             RecordDataset(l=[0, 2], vhat=[0, 1], y=[0, 1])
 
-    # an int8 cast first would wrap 256 to 0 and -255 to 1, and turn 0.5 and NaN into 0
+    # an int8 cast first would wrap 256 to 0 and -255 to 1, turn 0.5 and NaN
+    # into 0, and warn that it drops the imaginary part of a complex column
     @pytest.mark.parametrize("l", [
         [0, 256, 1], [0, -255, 1], [0.5, 1.0, 0.0], [0.0, np.nan, 1.0],
-        np.full(3, 2, dtype=np.int64), np.array([0, 257, 1], dtype=np.int64),
-    ], ids=["256", "-255", "0.5", "nan", "int64 2s", "int64 257"])
+        np.full(3, 2, dtype=np.int64), np.array([0, 257, 1], dtype=np.int64), [1 + 0j, 0, 1],
+    ], ids=["256", "-255", "0.5", "nan", "int64 2s", "int64 257", "complex 0/1"])
     def test_rejects_values_before_the_cast(self, l):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
