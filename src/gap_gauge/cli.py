@@ -184,8 +184,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="64-bit master seed (default 42; GAPGAUGE_SEED overrides the default)",
     )
     common.add_argument(
-        "--workers", type=int, default=None,
-        help="accepted and recorded in the manifest; never affects results",
+        "--workers", type=int, default=1,
+        help="accepted and recorded in the manifest (default 1); never affects results",
     )
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument(
@@ -299,11 +299,6 @@ def _run(args) -> None:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.workers is None:
-        args.workers = (
-            len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1
-        )
     try:
         if args.workers < 1:
             raise ValidationError(f"--workers must be at least 1, got {args.workers}")

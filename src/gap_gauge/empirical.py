@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -81,9 +82,12 @@ def _require_binary_array(values, name: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be one-dimensional")
-    # checked before the cast, which would wrap 256 to 0, turn NaN into 0
-    # and warn that it drops the imaginary part of a complex column
-    if arr.dtype.kind == "c" or not ((arr == 0) | (arr == 1)).all():
+    # checked before the cast, which would wrap 256 to 0, turn NaN into 0,
+    # warn that it drops the imaginary part of a complex column and fail on
+    # a complex element of an object column
+    if arr.dtype.kind == "c" or (
+        arr.dtype.kind == "O" and not all(isinstance(v, numbers.Real) for v in arr)
+    ) or not ((arr == 0) | (arr == 1)).all():
         raise ValidationError(f"{name} must contain only 0/1 values")
     return arr.astype(np.int8)
 

@@ -10,7 +10,8 @@ are independent of execution order and identical runs are bit-identical.
 
 ``run_monte_carlo`` does not build those streams one by one. Philox is
 counter-based, so double j of trial i is a pure function of (s, i, j): the
-engine below computes it for a whole block of trials at once with numpy
+engine below takes a whole block's keys from ``_trial_key``, the function
+that keys ``derive_trial_stream``, computes the doubles with numpy
 array arithmetic, and repeats the float operations of the scalar samplers
 in the same order. The errors come from :func:`model.gap_terms`, the one
 gap formula that ``compute_gaps`` wraps, applied to whole arrays of trials.
@@ -68,17 +69,27 @@ MAX_TRIALS = 10**8
 MAX_BINS = 10**6
 
 
-def _splitmix64(z: int) -> int:
-    """One output of the splitmix64 generator for state ``z`` (64-bit)."""
+def _splitmix64(z):
+    """One output of the splitmix64 generator for state ``z`` (64-bit).
+
+    ``z`` is a Python int or a uint64 array. Arrays wrap modulo 2**64 by
+    themselves, so the masks leave them unchanged.
+    """
     z = (z + _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
 
 
-def _mix64(a: int, b: int) -> int:
-    """Mix two 64-bit words into one, splitmix64 over both."""
+def _mix64(a, b):
+    """Mix two 64-bit words into one, splitmix64 over both (ints or uint64 arrays)."""
     return _splitmix64((a & _MASK64) ^ _splitmix64((b & _MASK64) + _GOLDEN))
+
+
+def _trial_key(seed, index):
+    """Philox key words ``(lo, hi)`` of trial ``index`` (an int or a uint64 array)."""
+    lo = _mix64(seed, index)
+    return lo, _splitmix64(lo)
 
 
 def _require_u64(value: int, name: str) -> int:
@@ -95,13 +106,14 @@ def derive_trial_stream(seed: int, trial_index: int) -> np.random.Generator:
     """Dedicated random stream for one trial of one run.
 
     The pair (seed, trial_index) is hashed through splitmix64 into a 128-bit
-    Philox key: ``lo = mix(seed, index)``, ``hi = splitmix(lo)``. Distinct
-    pairs yield distinct keys, and Philox guarantees independent streams for
-    distinct keys, so trials never share randomness and the mapping is stable
-    across runs, platforms, and worker counts.
+    Philox key: ``lo = mix(seed, index)``, ``hi = splitmix(lo)``. The one
+    ``_trial_key`` derives it here and, for whole blocks of trials, in the
+    engine of ``run_monte_carlo``. Distinct pairs yield distinct keys, and
+    Philox guarantees independent streams for distinct keys, so trials never
+    share randomness and the mapping is stable across runs, platforms, and
+    worker counts.
     """
-    lo = _mix64(_require_u64(seed, "seed"), _require_u64(trial_index, "trial_index"))
-    hi = _splitmix64(lo)
+    lo, hi = _trial_key(_require_u64(seed, "seed"), _require_u64(trial_index, "trial_index"))
     return np.random.Generator(np.random.Philox(key=(hi << 64) | lo))
 
 
@@ -313,21 +325,6 @@ _PHILOX_W0 = _U64(0x9E3779B97F4A7C15)
 _PHILOX_W1 = _U64(0xBB67AE8584CAA73B)
 
 
-def _splitmix64_array(z: np.ndarray) -> np.ndarray:
-    """``_splitmix64`` over a uint64 array; numpy wraps modulo 2**64."""
-    z = z + _U64(_GOLDEN)
-    z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
-    return z ^ (z >> _U64(31))
-
-
-def _trial_keys(seed: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Philox key words (lo, hi) of trials [start, stop), as in derive_trial_stream."""
-    index = np.arange(start, stop, dtype=np.uint64)
-    lo = _splitmix64_array(_U64(seed) ^ _splitmix64_array(index + _U64(_GOLDEN)))
-    return lo, _splitmix64_array(lo)
-
-
 def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """High and low 64-bit words of the 128-bit products ``m * x``.
 
@@ -430,7 +427,7 @@ def _block_errors(
     trials leave, so a pass never covers more than about ``_BLOCK`` attempts
     and the last stragglers do not cost one pass per attempt.
     """
-    k0, k1 = _trial_keys(seed, start, stop)
+    k0, k1 = _trial_key(seed, np.arange(start, stop, dtype=np.uint64))
     if config.mode != "constrained":
         cells, attempts = _stream_doubles(k0, k1, 0, 6), stop - start
     else:

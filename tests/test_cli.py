@@ -906,7 +906,7 @@ class TestEstimate:
         manifest = json.loads((tmp_path / "estimate.json.manifest.json").read_text())
         assert manifest["command"] == "estimate"
         assert manifest["config"]["bootstrap"] == 0
-        assert manifest["config"]["workers"] >= 1
+        assert manifest["config"]["workers"] == 1
 
     PIPE_CONTENTS = {
         "canonical": b"l,v,vhat,y\n" + b"".join(

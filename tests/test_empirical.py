@@ -273,6 +273,7 @@ LAYOUT_CASES = {
     "wrong header": (b"l,vhat,v,y\n" + GOOD_ROWS, False),
     "quoted header": (b'"l",v,vhat,y\n' + GOOD_ROWS, False),
     "not UTF-8 after 100 rows": (b"l,v,vhat,y\n" + GOOD_ROWS + b"0,1,\xff,1\n", False),
+    "first row cut short": (b"l,v,vhat,y\n0,1,1\n" + GOOD_ROWS, False),
     **{
         f"layout {layout_id(layout)}": (b"".join(layout_rows(*layout)), True)
         for layout in BLOCK_LAYOUTS
@@ -353,6 +354,14 @@ class TestReadRecordsLayout:
         with pytest.raises(MixedSchema) as err:
             read_records_csv(path)
         assert err.value.line == 102
+
+    def test_short_first_row_names_line_2(self, tmp_path):
+        # _row_layout refuses the first row, so the text parser reports it
+        path = tmp_path / "records.csv"
+        path.write_bytes(LAYOUT_CASES["first row cut short"][0])
+        with pytest.raises(MalformedRow) as err:
+            read_records_csv(path)
+        assert str(err.value) == "line 2: expected 4 columns, got 3"
 
     def test_non_utf8_names_path(self, tmp_path):
         path = tmp_path / "records.csv"
@@ -536,11 +545,14 @@ class TestRecordDataset:
             RecordDataset(l=[0, 2], vhat=[0, 1], y=[0, 1])
 
     # an int8 cast first would wrap 256 to 0 and -255 to 1, turn 0.5 and NaN
-    # into 0, and warn that it drops the imaginary part of a complex column
+    # into 0, warn that it drops the imaginary part of a complex column and
+    # raise TypeError on a complex element of an object column
     @pytest.mark.parametrize("l", [
         [0, 256, 1], [0, -255, 1], [0.5, 1.0, 0.0], [0.0, np.nan, 1.0],
         np.full(3, 2, dtype=np.int64), np.array([0, 257, 1], dtype=np.int64), [1 + 0j, 0, 1],
-    ], ids=["256", "-255", "0.5", "nan", "int64 2s", "int64 257", "complex 0/1"])
+        np.array([1 + 0j, 0, 1], dtype=object), np.array(["0", "1", "0"], dtype=object),
+    ], ids=["256", "-255", "0.5", "nan", "int64 2s", "int64 257", "complex 0/1",
+            "object complex 0/1", "object strings"])
     def test_rejects_values_before_the_cast(self, l):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -549,8 +561,10 @@ class TestRecordDataset:
         assert str(err.value) == "l must contain only 0/1 values"
 
     def test_accepts_booleans_and_integral_floats(self):
-        for l in ([False, True, True], np.array([0.0, 1.0, 1.0])):
-            data = RecordDataset(l=l, vhat=[0, 1, 0], y=[1, 1, 0])
+        for l in ([False, True, True], np.array([0.0, 1.0, 1.0]), np.array([0, 1, 1], dtype=object)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                data = RecordDataset(l=l, vhat=[0, 1, 0], y=[1, 1, 0])
             assert data.l.tolist() == [0, 1, 1] and data.l.dtype == np.int8
 
     def test_rejects_length_mismatch(self):
@@ -645,6 +659,11 @@ class TestFitJoint:
         with pytest.raises(ValidationError, match="smoothing"):
             fit_joint(all_combinations_dataset(), smoothing=-0.5)
 
+    def test_rejects_zero_rows(self):
+        with pytest.raises(EmptyInput) as err:
+            fit_joint(RecordDataset(l=[], v=[], vhat=[], y=[]))
+        assert str(err.value) == "cannot fit a joint to zero rows"
+
     # 1e308 is finite, but the joint's denominator n + 16 smoothing is not
     @pytest.mark.parametrize("smoothing", [np.inf, np.nan, 1e308])
     @pytest.mark.parametrize("fit", ["fit_joint", "estimate", "bootstrap"])
@@ -705,6 +724,11 @@ class TestEstimate:
         assert report.gap.G_hat == pytest.approx(0.0, abs=1e-12)
         assert report.structure.gamma_A == pytest.approx(0.5, abs=1e-12)
         assert report.bounds is not None
+
+    def test_rejects_zero_rows(self):
+        with pytest.raises(EmptyInput) as err:
+            estimate(RecordDataset(l=[], v=[], vhat=[], y=[]))
+        assert str(err.value) == "cannot estimate from zero rows"
 
     def test_recovers_m1_from_large_sample(self, m1_joint):
         data = sample_dataset(m1_joint, 100_000, seed=3)
@@ -767,6 +791,11 @@ class TestBootstrap:
         two = bootstrap(data, replicates=50, seed=9)
         assert one.intervals == two.intervals
         assert one.skipped == two.skipped
+
+    def test_rejects_one_row(self):
+        with pytest.raises(ValidationError) as err:
+            bootstrap(RecordDataset(l=[1], v=[0], vhat=[1], y=[0]), replicates=10)
+        assert str(err.value) == "bootstrap needs at least 2 rows"
 
     def test_seed_changes_intervals(self, m1_joint):
         data = sample_dataset(m1_joint, 2000, seed=5)

@@ -126,6 +126,19 @@ class TestModelFiles:
         with pytest.raises(ValidationError, match="16"):
             model_from_dict({"joint": {"cells": [0.25, 0.25, 0.25, 0.25]}})
 
+    def test_rejects_cells_that_are_a_number(self):
+        with pytest.raises(ValidationError) as err:
+            model_from_dict({"joint": {"cells": 0.5}})
+        assert str(err.value) == "joint.cells must be a list of numbers, got 0.5"
+
+    def test_rejects_json_nan_cell(self, tmp_path):
+        # json reads the non-standard NaN token as a float, which passes the type check
+        path = tmp_path / "model.json"
+        path.write_text('{"joint": {"cells": [NaN' + ", 0.0625" * 15 + "]}}")
+        with pytest.raises(ValidationError) as err:
+            load_model_file(path)
+        assert str(err.value) == f"{path}: joint: joint cells contain NaN"
+
     def test_load_error_names_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -162,6 +162,20 @@ class TestSliceParams:
             SliceParams(p=0.1, r=0.1, a=0.5, b=0.5, c=0.5, d=-0.1)
 
 
+class TestSliceMarginals:
+    UNIFORM = (0.25, 0.25, 0.25, 0.25)
+
+    @pytest.mark.parametrize("pr_l1, vvhat0, message", [
+        (0.5, (0.5, 0.25, 0.25), "vvhat0 needs 4 entries, got 3"),
+        (0.5, (0.6, -0.1, 0.25, 0.25), "vvhat0[1] must be >= 0, got -0.1"),
+        (1.0, UNIFORM, "pr_l1 must lie in (0, 1), got 1.0"),
+    ], ids=["3 entries", "negative entry", "pr_l1 1"])
+    def test_rejects_bad_tables(self, pr_l1, vvhat0, message):
+        with pytest.raises(ValidationError) as err:
+            SliceMarginals(pr_l1=pr_l1, vvhat0=vvhat0, vvhat1=self.UNIFORM)
+        assert str(err.value) == message
+
+
 class TestGapOps:
     def test_m1_outcome_rates_by_hand(self, m1_joint):
         def rate(given):
@@ -243,8 +257,21 @@ class TestReduceExpand:
             slice0=SliceParams(p=0.3, r=0.3, a=0.5, b=0.5, c=0.5, d=0.5),
             slice1=SliceParams(p=0.3, r=0.3, a=0.5, b=0.5, c=0.5, d=0.5),
         )
-        with pytest.raises(InconsistentMarginals):
+        with pytest.raises(InconsistentMarginals) as err:
             expand(m1_with_d, consistent_marginals(other))
+        assert str(err.value) == "slice 0: marginals imply p = 0.3, model has 0.05"
+
+    def test_expand_rejects_marginals_without_vhat_1(self, m1_with_d):
+        marginals = SliceMarginals(
+            pr_l1=0.5,
+            vvhat0=(0.5, 0.0, 0.5, 0.0),
+            vvhat1=consistent_marginals(m1_with_d).vvhat1,
+        )
+        with pytest.raises(InconsistentMarginals) as err:
+            expand(m1_with_d, marginals)
+        assert str(err.value) == (
+            "marginals give Pr[vhat=1 | l=0] = 0, so no precision is expressible"
+        )
 
     def test_expand_rejects_degenerate_marginals(self, m1_with_d):
         # no (v=1, vhat=0) mass on slice 0 contradicts the model's r0 = 0.1
@@ -363,6 +390,17 @@ class TestConsistentMarginals:
         )
         with pytest.raises(InconsistentMarginals, match="slice 0"):
             consistent_marginals(model, pr_v1=(0.9, 0.5))
+
+    @pytest.mark.parametrize("pr_v1, message", [
+        ((0.0, 0.5), "slice 0: Pr[v=1 | l] must be positive"),
+        ((0.5, 0.0), "slice 1: Pr[v=1 | l] must be positive"),
+        ((1.0, 0.5), "slice 0: pr_v1 = 1.0 needs total mass 1.0473684210526315 > 1"),
+        ((0.5, 1.0), "slice 1: pr_v1 = 1.0 needs total mass 1.068494623655914 > 1"),
+    ])
+    def test_rejects_pr_v1_at_the_ends(self, m1_with_d, pr_v1, message):
+        with pytest.raises(InconsistentMarginals) as err:
+            consistent_marginals(m1_with_d, pr_v1=pr_v1)
+        assert str(err.value) == message
 
     def test_rejects_p_equal_one(self):
         model = ReducedModel(

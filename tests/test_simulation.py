@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from gap_gauge import (
     structure_params,
     sweep,
 )
-from gap_gauge.simulation import _constrained_attempt, _philox4x64
+from gap_gauge.simulation import _constrained_attempt, _philox4x64, _trial_key
 
 CLASSIFIER = dict(p0=0.05, r0=0.1, p1=0.07, r1=0.09)
 
@@ -93,6 +95,50 @@ class TestStreams:
             assert derived == derive_point_seed(42, k)
             seen.add(derived)
         assert len(seen) == 16
+
+
+def textbook_splitmix64(state: int) -> int:
+    """splitmix64 (Steele, Lea and Flood, OOPSLA 2014) with explicit reductions."""
+    z = (state + 0x9E3779B97F4A7C15) % 2**64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+    return z ^ (z >> 31)
+
+
+def textbook_trial_key(seed: int, index: int) -> tuple[int, int]:
+    """The seeding contract: lo = mix(seed, index), hi = splitmix(lo)."""
+    lo = textbook_splitmix64(seed ^ textbook_splitmix64((index + 0x9E3779B97F4A7C15) % 2**64))
+    return lo, textbook_splitmix64(lo)
+
+
+_EXTREMES = [0, 1, 2**63, 2**64 - 1]
+_KEY_PAIRS = list(itertools.product(_EXTREMES, repeat=2)) + np.random.default_rng(2024).integers(
+    0, 2**64, size=(64, 2), dtype=np.uint64
+).tolist()
+
+
+class TestSeedingContract:
+    """Trial keys and point seeds, pinned apart from the code that derives them."""
+
+    def test_trial_key_of_ints_is_textbook_splitmix64(self):
+        for seed, index in _KEY_PAIRS:
+            assert _trial_key(seed, index) == textbook_trial_key(seed, index), (seed, index)
+
+    def test_trial_key_of_arrays_is_textbook_splitmix64(self):
+        indices = [index for _, index in _KEY_PAIRS]
+        for seed in sorted({seed for seed, _ in _KEY_PAIRS}):
+            lo, hi = _trial_key(seed, np.array(indices, dtype=np.uint64))
+            assert lo.dtype == hi.dtype == np.uint64
+            want = [textbook_trial_key(seed, index) for index in indices]
+            assert list(zip(lo.tolist(), hi.tolist())) == want, seed
+
+    def test_point_seeds_pinned(self):
+        assert derive_point_seed(42, 0) == 0x7C247ADEFCC8B7D8
+        assert derive_point_seed(0, 2**64 - 1) == 0x7F46A57C92DBEE5F
+
+    def test_trial_stream_key_pinned(self):
+        key = derive_trial_stream(42, 0).bit_generator.state["state"]["key"]
+        assert tuple(int(word) for word in key) == (0x7C247ADEFCC8B7D8, 0xB7DEC772A06527AC)
 
 
 _WORD = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
