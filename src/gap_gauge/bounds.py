@@ -20,13 +20,12 @@ smallest budget the model actually satisfies.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError, ZeroMassCondition
-from .model import FullJoint, ReducedModel, _rate, _require_prob, slice_rates
+from .model import FullJoint, ReducedModel, _rate, _require_real, slice_rates
 
 __all__ = [
     "StructureParams",
@@ -64,11 +63,8 @@ class StructureParams:
 
     def __post_init__(self) -> None:
         for field in ("gamma_A", "gamma_B1", "gamma_B2", "eps_B1", "eps_B2"):
-            object.__setattr__(self, field, _require_prob(getattr(self, field), field))
-        g = float(self.g_star)
-        if math.isnan(g) or not (-1.0 <= g <= 1.0):
-            raise ValidationError(f"g_star must lie in [-1, 1], got {g!r}")
-        object.__setattr__(self, "g_star", g)
+            object.__setattr__(self, field, _require_real(getattr(self, field), field, 0.0, 1.0))
+        object.__setattr__(self, "g_star", _require_real(self.g_star, "g_star", -1.0, 1.0))
 
 
 def _first_max(*values):
@@ -137,10 +133,8 @@ def classifier_structure_params(
     parameters while the closeness budgets are supplied (defaulting to the
     vacuous 1.0). ``g_star``, which needs outcome rates, is 0.
     """
-    p0 = _require_prob(p0, "p0")
-    r0 = _require_prob(r0, "r0")
-    p1 = _require_prob(p1, "p1")
-    r1 = _require_prob(r1, "r1")
+    named = {"p0": p0, "r0": r0, "p1": p1, "r1": r1, "eps_b1": eps_b1, "eps_b2": eps_b2}
+    p0, r0, p1, r1, eps_b1, eps_b2 = (_require_real(x, n, 0.0, 1.0) for n, x in named.items())
     return StructureParams(*gamma_terms(p0, r0, p1, r1), eps_B1=eps_b1, eps_B2=eps_b2, g_star=0.0)
 
 
@@ -181,10 +175,7 @@ class BoundReport:
     def __post_init__(self) -> None:
         for field in ("bound_A", "bound_B1", "bound_B2", "bound_combined_stated",
                       "bound_combined_proof", "best"):
-            value = float(getattr(self, field))
-            if math.isnan(value) or value < 0.0:
-                raise ValidationError(f"{field} must be >= 0, got {value!r}")
-            object.__setattr__(self, field, value)
+            object.__setattr__(self, field, _require_real(getattr(self, field), field, 0.0))
         sound = min(self.bound_A, self.bound_B1, self.bound_B2, self.bound_combined_proof)
         if abs(self.best - sound) > 1e-12:
             raise ValidationError("best must be the minimum of the four sound bounds")
@@ -241,7 +232,7 @@ def independence_diagnostics(
     appropriate for exactly constructed joints; fitted joints warrant a
     larger value.
     """
-    tol = _require_prob(tol, "tol")
+    tol = _require_real(tol, "tol", 0.0, 1.0)
     halves = joint.cells.reshape(2, 8)
     cell = np.arange(8).reshape(2, 2, 2)  # a slice's cell 4v + 2vhat + y at [v, vhat, y]
     # Pr[y=1 | v, vhat, l] at [l, v, vhat]; each coarser event below contains

@@ -41,8 +41,8 @@ from .files import (
     write_sweep_csv,
     write_text,
 )
-from .model import FullJoint, _require_prob, compute_gaps, reduce
-from .simulation import SamplerConfig, _require_u64, run_monte_carlo, sweep
+from .model import FullJoint, _require_real, _require_u64, compute_gaps, reduce
+from .simulation import SamplerConfig, run_monte_carlo, sweep
 
 __all__ = ["main", "parse_grid"]
 
@@ -123,7 +123,7 @@ def _report(args, report) -> list:
 
 
 def _cmd_analyze(args, digest) -> list:
-    _require_prob(args.tol, "tol")
+    _require_real(args.tol, "tol", 0.0, 1.0)
     model = load_model_file(args.model, digest)
     independence = None
     if isinstance(model, FullJoint):

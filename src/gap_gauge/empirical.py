@@ -42,10 +42,10 @@ from .errors import (
     ZeroMassCondition,
 )
 from .model import (
-    FullJoint, GapReport, _require_count, compute_gaps, gap_terms, reduce, require_gap_identities,
-    slice_rates,
+    FullJoint, GapReport, _require_count, _require_real, _require_u64, compute_gaps, gap_terms,
+    reduce, require_gap_identities, slice_rates,
 )
-from .simulation import _require_u64, derive_trial_stream, percentile
+from .simulation import derive_trial_stream, percentile
 
 __all__ = [
     "RecordDataset",
@@ -454,18 +454,11 @@ def filter_ystar(dataset: RecordDataset) -> RecordDataset:
 
 
 def _require_smoothing(smoothing: float) -> float:
-    smoothing = float(smoothing)
+    smoothing = _require_real(smoothing, "smoothing")
     # the joint divides by n + 16 smoothing, which must stay finite too
     if not (smoothing >= 0.0 and math.isfinite(16.0 * smoothing)):
         raise ValidationError(f"smoothing must be a finite number >= 0, got {smoothing!r}")
     return smoothing
-
-
-def _require_level(level: float) -> float:
-    level = float(level)
-    if math.isnan(level) or not (0.0 < level < 1.0):
-        raise ValidationError(f"level must lie in (0, 1), got {level!r}")
-    return level
 
 
 def _cell_counts(codes: np.ndarray, v_present: bool) -> np.ndarray:
@@ -632,7 +625,7 @@ def bootstrap(
     ``MAX_REPLICATES`` replicates run, checked before the first is drawn.
     """
     replicates = _require_count(replicates, "replicates", MAX_REPLICATES)
-    level = _require_level(level)
+    level = _require_real(level, "level", 0.0, 1.0, "()")
     if dataset.n < 2:
         raise ValidationError("bootstrap needs at least 2 rows")
     smoothing = _require_smoothing(smoothing)
@@ -674,7 +667,7 @@ def estimate_with_bootstrap(
 
     ``level`` is checked even when no bootstrap runs.
     """
-    _require_level(level)
+    _require_real(level, "level", 0.0, 1.0, "()")
     report = estimate(dataset, smoothing)
     if replicates:
         ci = bootstrap(dataset, replicates, level=level, seed=seed, smoothing=smoothing)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .empirical import EstimateReport
 from .errors import ValidationError
-from .model import FullJoint, ReducedModel
+from .model import FullJoint, ReducedModel, _require_real
 from .simulation import Histogram, SamplerConfig, SimulationResult, SweepPoint, SweepResult
 
 __all__ = [
@@ -149,28 +149,24 @@ def _require_mapping(obj: Any, where: str) -> dict:
     return obj
 
 
-#: JSON types accepted for each scalar field type, and their name in errors.
-_SCALARS = {float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "a string")}
+#: JSON types accepted for each non-float scalar field type, and their name in errors.
+_SCALARS = {int: (int, "an integer"), str: (str, "a string")}
 
 
 def _decode(hint: Any, value: Any, where: str) -> Any:
     """One JSON value as a field of type ``hint``; ``where`` names it in errors."""
     if is_dataclass(hint):
         return from_dict(hint, value, where)
+    if hint is float:
+        return _require_real(value, where)
     if hint is np.ndarray:
         if not isinstance(value, list):
             raise ValidationError(f"{where} must be a list of numbers, got {value!r}")
-        items = [_decode(float, item, f"{where}[{i}]") for i, item in enumerate(value)]
-        return np.array(items, dtype=float)
+        return np.array([_require_real(x, f"{where}[{i}]") for i, x in enumerate(value)])
     accepted, kind = _SCALARS[hint]
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ValidationError(f"{where} must be {kind}, got {value!r}")
-    if hint is not float:
-        return value
-    try:
-        return float(value)
-    except OverflowError:  # an integer past 1.8e308; its digits are not shown
-        raise ValidationError(f"{where} is an integer too large for a float") from None
+    return value
 
 
 def from_dict(cls: type, obj: Any, where: str) -> Any:

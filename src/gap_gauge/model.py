@@ -39,6 +39,7 @@ The reduced form is sufficient for every gap quantity:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
@@ -77,11 +78,34 @@ VARIABLES = ("l", "v", "vhat", "y")
 VALIDATION_TOL = 1e-9
 
 
-def _require_prob(value: float, field: str) -> float:
-    value = float(value)
-    if math.isnan(value) or not (0.0 <= value <= 1.0):
-        raise ValidationError(f"{field} must lie in [0, 1], got {value!r}")
-    return value
+def _require_real(value, name: str, lo=None, hi=math.inf, ends: str = "[]") -> float:
+    """``value``, a real number but no bool, as a float; with ``lo``, one not NaN from ``lo``
+    to ``hi``, each end closed or open as ``ends`` shows it: ``[]``, ``(]`` and so on."""
+    # float first: every float is a ``numbers.Real``, but the ABC's check is slow
+    if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an integer past 1.8e308; its digits are not shown
+        raise ValidationError(f"{name} is an integer too large for a float") from None
+    if lo is not None and (
+        not lo <= x <= hi or (x == lo and ends[0] == "(") or (x == hi and ends[1] == ")")
+    ):
+        raise ValidationError(f"{name} must lie in {ends[0]}{lo:g}, {hi:g}{ends[1]}, got {x!r}")
+    return x
+
+
+def _require_real_array(values, name: str, flat: bool = False) -> np.ndarray:
+    """``values`` as a flat float array, not copied if it is one. numpy must read it as a
+    sequence of ints or floats, or with ``flat`` as any nesting of them, so bools, text,
+    ``None`` and ragged nestings fail."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or not (flat or arr.ndim == 1):
+        raise ValidationError(f"{name} must be a sequence of real numbers")
+    return arr.astype(float, copy=False).reshape(-1)
 
 
 def _require_count(value: int, name: str, most: int | None = None) -> int:
@@ -91,6 +115,16 @@ def _require_count(value: int, name: str, most: int | None = None) -> int:
     if most is not None and value > most:
         raise ValidationError(f"{name} must be at most {most}, got {value}")
     return int(value)
+
+
+def _require_u64(value: int, name: str) -> int:
+    """``value`` as an int in [0, 2**64); a seed or stream index of any other would alias."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if not (0 <= value < 1 << 64):
+        raise ValidationError(f"{name} must be a 64-bit unsigned integer, got {value}")
+    return value
 
 
 def _clip_unit(x: float) -> float:
@@ -110,7 +144,7 @@ class FullJoint:
     cells: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.cells, dtype=float).reshape(-1)
+        arr = _require_real_array(self.cells, "cells", flat=True).copy()
         if arr.size != 16:
             raise ValidationError(f"joint needs 16 cells, got {arr.size}")
         if np.any(np.isnan(arr)):
@@ -195,9 +229,9 @@ class SliceParams:
 
     def __post_init__(self) -> None:
         for field in ("p", "r", "a", "b", "c"):
-            object.__setattr__(self, field, _require_prob(getattr(self, field), field))
+            object.__setattr__(self, field, _require_real(getattr(self, field), field, 0.0, 1.0))
         if self.d is not None:
-            object.__setattr__(self, "d", _require_prob(self.d, "d"))
+            object.__setattr__(self, "d", _require_real(self.d, "d", 0.0, 1.0))
 
 
 class SliceRates(NamedTuple):
@@ -227,10 +261,7 @@ class ReducedModel:
 
 
 def _require_vvhat_table(values, field: str) -> tuple[float, float, float, float]:
-    try:
-        table = tuple(float(x) for x in values)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{field} must be four probabilities") from exc
+    table = tuple(_require_real_array(values, field).tolist())
     if len(table) != 4:
         raise ValidationError(f"{field} needs 4 entries, got {len(table)}")
     for i, x in enumerate(table):
@@ -257,10 +288,7 @@ class SliceMarginals:
     vvhat1: tuple[float, float, float, float]
 
     def __post_init__(self) -> None:
-        pr = float(self.pr_l1)
-        if math.isnan(pr) or not (0.0 < pr < 1.0):
-            raise ValidationError(f"pr_l1 must lie in (0, 1), got {pr!r}")
-        object.__setattr__(self, "pr_l1", pr)
+        object.__setattr__(self, "pr_l1", _require_real(self.pr_l1, "pr_l1", 0.0, 1.0, "()"))
         object.__setattr__(self, "vvhat0", _require_vvhat_table(self.vvhat0, "vvhat0"))
         object.__setattr__(self, "vvhat1", _require_vvhat_table(self.vvhat1, "vvhat1"))
 
@@ -280,7 +308,7 @@ class GapReport:
 
     def __post_init__(self) -> None:
         for field in ("G", "G_hat", "delta0", "delta1", "error"):
-            value = float(getattr(self, field))
+            value = _require_real(getattr(self, field), field)
             if math.isnan(value):
                 raise ValidationError(f"{field} is NaN")
             object.__setattr__(self, field, value)
@@ -464,9 +492,12 @@ def consistent_marginals(
     from the model's error rates. Raises :class:`InconsistentMarginals` when
     no table with these choices exists (p = 1, or the implied mass exceeds 1).
     """
+    pr_v1 = _require_real_array(pr_v1, "pr_v1")
+    if len(pr_v1) != 2:
+        raise ValidationError(f"pr_v1 needs one probability per slice, got {len(pr_v1)}")
     tables = []
     for l, params in enumerate(model.slices()):
-        t = _require_prob(pr_v1[l], f"pr_v1[{l}]")
+        t = _require_real(pr_v1[l], f"pr_v1[{l}]", 0.0, 1.0)
         if t <= 0.0:
             raise InconsistentMarginals(f"slice {l}: Pr[v=1 | l] must be positive")
         m11 = (1.0 - params.r) * t

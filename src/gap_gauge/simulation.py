@@ -34,7 +34,8 @@ from .errors import (
     ValidationError,
 )
 from .model import (
-    ReducedModel, SliceParams, SliceRates, _require_count, _require_prob, gap_terms,
+    ReducedModel, SliceParams, SliceRates, _require_count, _require_real, _require_real_array,
+    _require_u64, gap_terms,
 )
 
 __all__ = [
@@ -92,16 +93,6 @@ def _trial_key(seed, index):
     return lo, _splitmix64(lo)
 
 
-def _require_u64(value: int, name: str) -> int:
-    """``value`` as an int in [0, 2**64); ``_mix64`` would alias any other."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    value = int(value)
-    if not (0 <= value <= _MASK64):
-        raise ValidationError(f"{name} must be a 64-bit unsigned integer, got {value}")
-    return value
-
-
 def derive_trial_stream(seed: int, trial_index: int) -> np.random.Generator:
     """Dedicated random stream for one trial of one run.
 
@@ -147,7 +138,7 @@ class SamplerConfig:
 
     def __post_init__(self) -> None:
         for field in ("p0", "r0", "p1", "r1"):
-            object.__setattr__(self, field, _require_prob(getattr(self, field), field))
+            object.__setattr__(self, field, _require_real(getattr(self, field), field, 0.0, 1.0))
         if self.mode not in _MODES:
             raise ValidationError(
                 f"mode must be one of {_MODES}, got {self.mode!r}"
@@ -157,7 +148,7 @@ class SamplerConfig:
                 value = getattr(self, field)
                 if value is None:
                     raise ValidationError(f"constrained mode requires {field}")
-                object.__setattr__(self, field, _require_prob(value, field))
+                object.__setattr__(self, field, _require_real(value, field, 0.0, 1.0))
         else:
             for field in ("eps_b1", "eps_b2"):
                 if getattr(self, field) is not None:
@@ -238,10 +229,8 @@ def percentile(values, q: float) -> float:
     (:class:`EmptySample` otherwise). The result is always an element of
     ``values``.
     """
-    q = float(q)
-    if math.isnan(q) or not (0.0 < q <= 1.0):
-        raise ValidationError(f"q must lie in (0, 1], got {q!r}")
-    arr = np.asarray(values, dtype=float).reshape(-1)
+    q = _require_real(q, "q", 0.0, 1.0, "(]")
+    arr = _require_real_array(values, "values", flat=True)
     if arr.size == 0:
         raise EmptySample("percentile of an empty collection")
     # round before ceil so float dust in q * N cannot shift the rank
@@ -261,9 +250,11 @@ class Histogram:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.bin_edges) != len(self.counts) + 1:
+        edges = tuple(_require_real_array(self.bin_edges, "bin_edges").tolist())
+        object.__setattr__(self, "bin_edges", edges)
+        if len(edges) != len(self.counts) + 1:
             raise ValidationError("histogram needs one more edge than counts")
-        for lo, hi in zip(self.bin_edges, self.bin_edges[1:]):
+        for lo, hi in zip(edges, edges[1:]):
             if not lo < hi:
                 raise ValidationError("histogram edges must strictly increase")
         if any(c < 0 for c in self.counts):
@@ -279,7 +270,7 @@ def _histogram(errors: np.ndarray, bins: int) -> Histogram:
     if overflow:
         edges = np.append(edges, 2.0)
         counts = np.append(counts, overflow)
-    return Histogram(bin_edges=tuple(edges.tolist()), counts=tuple(counts.tolist()))
+    return Histogram(bin_edges=edges, counts=tuple(counts.tolist()))
 
 
 def config_bounds(config: SamplerConfig) -> BoundReport:
@@ -311,7 +302,7 @@ class SimulationResult:
     seed: int
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.errors, dtype=float).reshape(-1)
+        arr = _require_real_array(self.errors, "errors", flat=True)
         arr.setflags(write=False)
         object.__setattr__(self, "errors", arr)
 
@@ -534,12 +525,9 @@ def sweep(
         raise ValidationError(f"varied must be eps_b1 or eps_b2, got {varied!r}")
     if base.mode != "constrained":
         raise ValidationError("sweep requires a constrained base config")
-    grid = [float(x) for x in grid]
+    grid = [_require_real(x, "grid values", 0.0, 1.0) for x in _require_real_array(grid, "grid")]
     if not grid:
         raise ValidationError("grid must be non-empty")
-    for x in grid:
-        if math.isnan(x) or not (0.0 <= x <= 1.0):
-            raise ValidationError(f"grid values must lie in [0, 1], got {x!r}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValidationError("grid values must be strictly increasing")
     seed = _require_u64(seed, "seed")
