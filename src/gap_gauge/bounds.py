@@ -25,7 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, ZeroMassCondition
-from .model import FullJoint, ReducedModel, _rate, _require_real, slice_rates
+from .model import (
+    FullJoint, NonNegative, ReducedModel, Signed, Unit, _check_fields, _rate,
+    _require_instance, _require_real, slice_rates,
+)
 
 __all__ = [
     "StructureParams",
@@ -54,17 +57,14 @@ class StructureParams:
               slices (model closeness), with g_star the minimizing shift
     """
 
-    gamma_A: float
-    gamma_B1: float
-    gamma_B2: float
-    eps_B1: float
-    eps_B2: float
-    g_star: float
+    gamma_A: Unit
+    gamma_B1: Unit
+    gamma_B2: Unit
+    eps_B1: Unit
+    eps_B2: Unit
+    g_star: Signed
 
-    def __post_init__(self) -> None:
-        for field in ("gamma_A", "gamma_B1", "gamma_B2", "eps_B1", "eps_B2"):
-            object.__setattr__(self, field, _require_real(getattr(self, field), field, 0.0, 1.0))
-        object.__setattr__(self, "g_star", _require_real(self.g_star, "g_star", -1.0, 1.0))
+    __post_init__ = _check_fields
 
 
 def _first_max(*values):
@@ -112,6 +112,7 @@ def closeness_terms(a0, b0, c0, a1, b1, c1) -> tuple:
 
 def structure_params(model: ReducedModel) -> StructureParams:
     """Every structure parameter at its tightest value (see :func:`closeness_terms`)."""
+    _require_instance(model, "model", ReducedModel)
     s0, s1 = model.slices()
     return StructureParams(
         *gamma_terms(s0.p, s0.r, s1.p, s1.r),
@@ -165,17 +166,15 @@ def bound_terms(gamma_A, gamma_B1, gamma_B2, eps_B1, eps_B2) -> tuple:
 class BoundReport:
     """All bound values for one parameter set, plus the smallest sound one."""
 
-    bound_A: float
-    bound_B1: float
-    bound_B2: float
-    bound_combined_stated: float
-    bound_combined_proof: float
-    best: float
+    bound_A: NonNegative
+    bound_B1: NonNegative
+    bound_B2: NonNegative
+    bound_combined_stated: NonNegative
+    bound_combined_proof: NonNegative
+    best: NonNegative
 
     def __post_init__(self) -> None:
-        for field in ("bound_A", "bound_B1", "bound_B2", "bound_combined_stated",
-                      "bound_combined_proof", "best"):
-            object.__setattr__(self, field, _require_real(getattr(self, field), field, 0.0))
+        _check_fields(self)
         sound = min(self.bound_A, self.bound_B1, self.bound_B2, self.bound_combined_proof)
         if abs(self.best - sound) > 1e-12:
             raise ValidationError("best must be the minimum of the four sound bounds")
@@ -183,6 +182,7 @@ class BoundReport:
 
 def bound_report_from_params(params: StructureParams) -> BoundReport:
     """Evaluate every bound at the given parameters."""
+    _require_instance(params, "params", StructureParams)
     return BoundReport(*bound_terms(
         params.gamma_A, params.gamma_B1, params.gamma_B2, params.eps_B1, params.eps_B2
     ))
@@ -209,7 +209,7 @@ class IndependenceDiagnostics:
     holds it is guaranteed within ``4 * tol``.
     """
 
-    tol: float
+    tol: Unit
     case1_deviation: float
     case2_deviation: float
     case3_deviation: float
@@ -219,6 +219,8 @@ class IndependenceDiagnostics:
     bound_case2: float | None
     bound_case3: float | None
     gap_error: float
+
+    __post_init__ = _check_fields
 
 
 def independence_diagnostics(
@@ -232,6 +234,7 @@ def independence_diagnostics(
     appropriate for exactly constructed joints; fitted joints warrant a
     larger value.
     """
+    _require_instance(joint, "joint", FullJoint)
     tol = _require_real(tol, "tol", 0.0, 1.0)
     halves = joint.cells.reshape(2, 8)
     cell = np.arange(8).reshape(2, 2, 2)  # a slice's cell 4v + 2vhat + y at [v, vhat, y]

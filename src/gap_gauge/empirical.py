@@ -42,8 +42,9 @@ from .errors import (
     ZeroMassCondition,
 )
 from .model import (
-    FullJoint, GapReport, _require_count, _require_real, _require_u64, compute_gaps, gap_terms,
-    reduce, require_gap_identities, slice_rates,
+    FullJoint, GapReport, NonNegative, OpenUnit, _check_fields, _require_count, _require_instance,
+    _require_real, _require_u64, compute_gaps, gap_terms, reduce, require_gap_identities,
+    slice_rates,
 )
 from .simulation import derive_trial_stream, percentile
 
@@ -432,6 +433,7 @@ def sample_dataset(joint: FullJoint, n: int, seed: int) -> RecordDataset:
     Rows come from the dedicated stream ``derive_trial_stream(seed, 0)``, so
     datasets are reproducible under the package-wide seeding contract.
     """
+    _require_instance(joint, "joint", FullJoint)
     n = _require_count(n, "n")
     stream = derive_trial_stream(seed, 0)
     # the drawn cell indices are the codes
@@ -445,6 +447,7 @@ def filter_ystar(dataset: RecordDataset) -> RecordDataset:
     Raises :class:`MissingColumn` when the dataset lacks ystar and
     :class:`EmptyInput` when no rows remain.
     """
+    _require_instance(dataset, "dataset", RecordDataset)
     if not dataset.ystar_present:
         raise MissingColumn("dataset has no ystar column to condition on")
     keep = dataset.ystar.view(bool)  # ystar holds only 0 and 1
@@ -482,6 +485,7 @@ def fit_joint(dataset: RecordDataset, smoothing: float = 0.0) -> FullJoint:
     smoothing, empty conditioning events surface later as
     :class:`ZeroMassCondition`.
     """
+    _require_instance(dataset, "dataset", RecordDataset)
     if not dataset.v_present:
         raise MissingColumn("fitting the full joint needs the v column")
     if dataset.n == 0:
@@ -498,8 +502,10 @@ class BootstrapResult:
     intervals: dict[str, tuple[float, float]]
     replicates: int
     skipped: int
-    level: float
+    level: OpenUnit
     seed: int
+
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
@@ -515,11 +521,13 @@ class EstimateReport:
     counts: tuple[int, ...]
     counts_index: str
     g_hat: float
-    smoothing: float
+    smoothing: NonNegative
     gap: GapReport | None = None
     structure: StructureParams | None = None
     bounds: BoundReport | None = None
     bootstrap: BootstrapResult | None = None
+
+    __post_init__ = _check_fields
 
 
 def _g_hat_from_counts8(counts: np.ndarray, smoothing: float) -> tuple[np.ndarray, np.ndarray]:
@@ -564,6 +572,7 @@ def estimate(dataset: RecordDataset, smoothing: float = 0.0) -> EstimateReport:
     Raises :class:`ZeroMassCondition` naming the first conditioning event
     with zero (smoothed) count.
     """
+    _require_instance(dataset, "dataset", RecordDataset)
     smoothing = _require_smoothing(smoothing)
     if dataset.n == 0:
         raise EmptyInput("cannot estimate from zero rows")
@@ -624,6 +633,7 @@ def bootstrap(
     the same nearest-rank rule as the simulation percentiles. At most
     ``MAX_REPLICATES`` replicates run, checked before the first is drawn.
     """
+    _require_instance(dataset, "dataset", RecordDataset)
     replicates = _require_count(replicates, "replicates", MAX_REPLICATES)
     level = _require_real(level, "level", 0.0, 1.0, "()")
     if dataset.n < 2:
@@ -667,6 +677,7 @@ def estimate_with_bootstrap(
 
     ``level`` is checked even when no bootstrap runs.
     """
+    _require_instance(dataset, "dataset", RecordDataset)
     _require_real(level, "level", 0.0, 1.0, "()")
     report = estimate(dataset, smoothing)
     if replicates:

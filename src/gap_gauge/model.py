@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -95,17 +95,64 @@ def _require_real(value, name: str, lo=None, hi=math.inf, ends: str = "[]") -> f
     return x
 
 
-def _require_real_array(values, name: str, flat: bool = False) -> np.ndarray:
+#: Domains of real-valued dataclass fields. Each is ``float`` to Python and to
+#: ``files.from_dict``; ``_check_fields`` reads the annotation string.
+Unit = float  # [0, 1]
+OpenUnit = float  # (0, 1)
+Signed = float  # [-1, 1]
+NonNegative = float  # [0, inf]
+
+#: ``_require_real``'s bounds for each annotation of a real-valued field; ``float``
+#: is any real number, NaN included.
+_DOMAINS = {
+    "float": (),
+    "Unit": (0.0, 1.0),
+    "OpenUnit": (0.0, 1.0, "()"),
+    "Signed": (-1.0, 1.0),
+    "NonNegative": (0.0,),
+}
+
+
+def _check_fields(obj) -> None:
+    """Convert each real-valued field of dataclass ``obj`` with ``_require_real``, in order.
+
+    A field is real-valued when its annotation is ``float`` or one of the domains
+    above, or that with ``| None``, which also takes ``None``. The annotation is
+    read as a string, so a module using this keeps ``from __future__ import
+    annotations``.
+    """
+    for f in fields(obj):
+        kind = f.type.removesuffix(" | None")
+        value = getattr(obj, f.name)
+        if kind in _DOMAINS and not (value is None and kind != f.type):
+            object.__setattr__(obj, f.name, _require_real(value, f.name, *_DOMAINS[kind]))
+
+
+def _require_real_array(
+    values, name: str, flat: bool = False, integer: bool = False
+) -> np.ndarray:
     """``values`` as a flat float array, not copied if it is one. numpy must read it as a
     sequence of ints or floats, or with ``flat`` as any nesting of them, so bools, text,
-    ``None`` and ragged nestings fail."""
+    ``None`` and ragged nestings fail. With ``integer``, floats fail too, and the flat
+    array keeps the integer type numpy read."""
     try:
         arr = np.asarray(values)
     except ValueError:  # a ragged nesting
         arr = None
-    if arr is None or arr.dtype.kind not in "iuf" or not (flat or arr.ndim == 1):
-        raise ValidationError(f"{name} must be a sequence of real numbers")
-    return arr.astype(float, copy=False).reshape(-1)
+    kinds, what = ("iu", "integers") if integer else ("iuf", "real numbers")
+    # numpy reads an empty sequence as floats, but it holds no float
+    if arr is None or not (arr.dtype.kind in kinds or integer and arr.size == 0) or not (
+        flat or arr.ndim == 1
+    ):
+        raise ValidationError(f"{name} must be a sequence of {what}")
+    return (arr if integer else arr.astype(float, copy=False)).reshape(-1)
+
+
+def _require_instance(value, name: str, cls: type) -> None:
+    """Raise unless ``value`` is a ``cls``, so that a model, config or dataset of another
+    class fails here and not deep inside the computation."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{name} must be a {cls.__name__}")
 
 
 def _require_count(value: int, name: str, most: int | None = None) -> int:
@@ -132,16 +179,24 @@ def _clip_unit(x: float) -> float:
     return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FullJoint:
     """Joint distribution of (l, v, vhat, y) as 16 cell probabilities.
 
     ``cells`` is flat with index 8l + 4v + 2vhat + y. Cells must be
     non-negative and sum to 1 within ``VALIDATION_TOL``. The array is
-    copied and frozen on construction.
+    copied and frozen on construction. Two joints are equal when their
+    cells are; a joint is not hashable.
     """
 
     cells: np.ndarray
+
+    __hash__ = None
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FullJoint):
+            return NotImplemented
+        return bool(np.array_equal(self.cells, other.cells))
 
     def __post_init__(self) -> None:
         arr = _require_real_array(self.cells, "cells", flat=True).copy()
@@ -190,6 +245,7 @@ def conditional_prob(
     ``VARIABLES`` to 0/1 values. Raises :class:`ZeroMassCondition` when the
     conditioning event has probability zero.
     """
+    _require_instance(joint, "joint", FullJoint)
     if not target:
         raise ValidationError("target must name at least one variable")
     for name, assign in (("target", target), ("given", given)):
@@ -220,18 +276,14 @@ class SliceParams:
     ``d`` is optional: it never enters a gap quantity and may be unknown.
     """
 
-    p: float
-    r: float
-    a: float
-    b: float
-    c: float
-    d: float | None = None
+    p: Unit
+    r: Unit
+    a: Unit
+    b: Unit
+    c: Unit
+    d: Unit | None = None
 
-    def __post_init__(self) -> None:
-        for field in ("p", "r", "a", "b", "c"):
-            object.__setattr__(self, field, _require_real(getattr(self, field), field, 0.0, 1.0))
-        if self.d is not None:
-            object.__setattr__(self, "d", _require_real(self.d, "d", 0.0, 1.0))
+    __post_init__ = _check_fields
 
 
 class SliceRates(NamedTuple):
@@ -253,8 +305,7 @@ class ReducedModel:
 
     def __post_init__(self) -> None:
         for name in ("slice0", "slice1"):
-            if not isinstance(getattr(self, name), SliceParams):
-                raise ValidationError(f"{name} must be a SliceParams")
+            _require_instance(getattr(self, name), name, SliceParams)
 
     def slices(self) -> tuple[SliceParams, SliceParams]:
         return (self.slice0, self.slice1)
@@ -283,12 +334,12 @@ class SliceMarginals:
     2v + vhat, i.e. in the order (0,0), (0,1), (1,0), (1,1).
     """
 
-    pr_l1: float
+    pr_l1: OpenUnit
     vvhat0: tuple[float, float, float, float]
     vvhat1: tuple[float, float, float, float]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pr_l1", _require_real(self.pr_l1, "pr_l1", 0.0, 1.0, "()"))
+        _check_fields(self)
         object.__setattr__(self, "vvhat0", _require_vvhat_table(self.vvhat0, "vvhat0"))
         object.__setattr__(self, "vvhat1", _require_vvhat_table(self.vvhat1, "vvhat1"))
 
@@ -300,18 +351,14 @@ class SliceMarginals:
 class GapReport:
     """True gap, proxy gap, their per-slice discrepancies, and the error."""
 
-    G: float
-    G_hat: float
-    delta0: float
-    delta1: float
-    error: float
+    G: Signed
+    G_hat: Signed
+    delta0: Signed
+    delta1: Signed
+    error: NonNegative
 
     def __post_init__(self) -> None:
-        for field in ("G", "G_hat", "delta0", "delta1", "error"):
-            value = _require_real(getattr(self, field), field)
-            if math.isnan(value):
-                raise ValidationError(f"{field} is NaN")
-            object.__setattr__(self, field, value)
+        _check_fields(self)
         require_gap_identities(self.G, self.G_hat, self.delta0, self.delta1, self.error)
 
 
@@ -333,6 +380,7 @@ def gap_terms(s0: SliceParams | SliceRates, s1: SliceParams | SliceRates) -> tup
 
 def compute_gaps(model: ReducedModel) -> GapReport:
     """True gap, proxy gap, per-slice deltas, and error for a reduced model."""
+    _require_instance(model, "model", ReducedModel)
     return GapReport(*gap_terms(model.slice0, model.slice1))
 
 
@@ -343,6 +391,7 @@ def gaps_from_joint(joint: FullJoint) -> GapReport:
     independent computation path (exact cell summation instead of the reduced
     polynomial), which makes it useful as a cross-check.
     """
+    _require_instance(joint, "joint", FullJoint)
     py_v1 = [conditional_prob(joint, {"y": 1}, {"v": 1, "l": l}) for l in (0, 1)]
     py_vhat1 = [conditional_prob(joint, {"y": 1}, {"vhat": 1, "l": l}) for l in (0, 1)]
     g = py_v1[1] - py_v1[0]
@@ -368,6 +417,7 @@ def reduce(joint: FullJoint) -> ReducedModel:
     not in the data. The d cell alone is optional and is omitted when its
     cell has zero mass.
     """
+    _require_instance(joint, "joint", FullJoint)
     *rates, ok = slice_rates(joint.cells)
     halves = joint.cells.reshape(2, 8)
     if not ok:
@@ -449,6 +499,8 @@ def expand(model: ReducedModel, marginals: SliceMarginals) -> FullJoint:
     recovers ``m`` exactly up to float rounding whenever all cells end up
     with positive mass.
     """
+    _require_instance(model, "model", ReducedModel)
+    _require_instance(marginals, "marginals", SliceMarginals)
     cells = np.zeros(16)
     for l, (params, table) in enumerate(zip(model.slices(), marginals.tables())):
         if params.d is None:
@@ -492,6 +544,7 @@ def consistent_marginals(
     from the model's error rates. Raises :class:`InconsistentMarginals` when
     no table with these choices exists (p = 1, or the implied mass exceeds 1).
     """
+    _require_instance(model, "model", ReducedModel)
     pr_v1 = _require_real_array(pr_v1, "pr_v1")
     if len(pr_v1) != 2:
         raise ValidationError(f"pr_v1 needs one probability per slice, got {len(pr_v1)}")

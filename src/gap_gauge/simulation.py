@@ -34,8 +34,8 @@ from .errors import (
     ValidationError,
 )
 from .model import (
-    ReducedModel, SliceParams, SliceRates, _require_count, _require_real, _require_real_array,
-    _require_u64, gap_terms,
+    NonNegative, ReducedModel, SliceParams, SliceRates, Unit, _check_fields, _require_count,
+    _require_instance, _require_real, _require_real_array, _require_u64, gap_terms,
 )
 
 __all__ = [
@@ -127,32 +127,27 @@ class SamplerConfig:
     trial.
     """
 
-    p0: float
-    r0: float
-    p1: float
-    r1: float
+    p0: Unit
+    r0: Unit
+    p1: Unit
+    r1: Unit
     mode: str
-    eps_b1: float | None = None
-    eps_b2: float | None = None
+    eps_b1: Unit | None = None
+    eps_b2: Unit | None = None
     max_rejections: int = 10000
 
     def __post_init__(self) -> None:
-        for field in ("p0", "r0", "p1", "r1"):
-            object.__setattr__(self, field, _require_real(getattr(self, field), field, 0.0, 1.0))
+        _check_fields(self)
         if self.mode not in _MODES:
             raise ValidationError(
                 f"mode must be one of {_MODES}, got {self.mode!r}"
             )
-        if self.mode == "constrained":
-            for field in ("eps_b1", "eps_b2"):
-                value = getattr(self, field)
-                if value is None:
-                    raise ValidationError(f"constrained mode requires {field}")
-                object.__setattr__(self, field, _require_real(value, field, 0.0, 1.0))
-        else:
-            for field in ("eps_b1", "eps_b2"):
-                if getattr(self, field) is not None:
-                    raise ValidationError(f"{field} only applies to constrained mode")
+        for field in ("eps_b1", "eps_b2"):
+            absent = getattr(self, field) is None
+            if absent and self.mode == "constrained":
+                raise ValidationError(f"constrained mode requires {field}")
+            if not absent and self.mode != "constrained":
+                raise ValidationError(f"{field} only applies to constrained mode")
         object.__setattr__(
             self, "max_rejections", _require_count(self.max_rejections, "max_rejections")
         )
@@ -165,6 +160,8 @@ def sample_unconstrained(
 
     Consumes exactly six uniforms in the order a0, b0, c0, a1, b1, c1.
     """
+    _require_instance(config, "config", SamplerConfig)
+    _require_instance(stream, "stream", np.random.Generator)
     a0, b0, c0, a1, b1, c1 = stream.random(6)
     return ReducedModel(
         slice0=SliceParams(p=config.p0, r=config.r0, a=a0, b=b0, c=c0),
@@ -208,6 +205,8 @@ def sample_constrained(
     :class:`RejectionBudgetExhausted` after ``max_rejections`` failed
     attempts.
     """
+    _require_instance(config, "config", SamplerConfig)
+    _require_instance(stream, "stream", np.random.Generator)
     if config.mode != "constrained":
         raise ValidationError("sample_constrained needs a constrained config")
     for attempt in range(1, config.max_rejections + 1):
@@ -243,7 +242,8 @@ class Histogram:
     """Equal-width histogram of errors over [0, 1].
 
     When any value exceeds 1 an overflow bin [1, 2] is appended, so
-    ``counts`` always sums to the number of values.
+    ``counts`` always sums to the number of values. Counts are integers of
+    at least 0.
     """
 
     bin_edges: tuple[float, ...]
@@ -252,13 +252,15 @@ class Histogram:
     def __post_init__(self) -> None:
         edges = tuple(_require_real_array(self.bin_edges, "bin_edges").tolist())
         object.__setattr__(self, "bin_edges", edges)
-        if len(edges) != len(self.counts) + 1:
+        counts = _require_real_array(self.counts, "counts", integer=True)
+        if len(edges) != counts.size + 1:
             raise ValidationError("histogram needs one more edge than counts")
         for lo, hi in zip(edges, edges[1:]):
             if not lo < hi:
                 raise ValidationError("histogram edges must strictly increase")
-        if any(c < 0 for c in self.counts):
+        if (counts < 0).any():
             raise ValidationError("histogram counts must be >= 0")
+        object.__setattr__(self, "counts", tuple(counts.tolist()))
 
 
 def _histogram(errors: np.ndarray, bins: int) -> Histogram:
@@ -270,7 +272,7 @@ def _histogram(errors: np.ndarray, bins: int) -> Histogram:
     if overflow:
         edges = np.append(edges, 2.0)
         counts = np.append(counts, overflow)
-    return Histogram(bin_edges=edges, counts=tuple(counts.tolist()))
+    return Histogram(bin_edges=edges, counts=counts)
 
 
 def config_bounds(config: SamplerConfig) -> BoundReport:
@@ -279,6 +281,7 @@ def config_bounds(config: SamplerConfig) -> BoundReport:
     Unconstrained runs place no closeness structure on the draws, so both
     eps budgets are the vacuous 1.0 there.
     """
+    _require_instance(config, "config", SamplerConfig)
     if config.mode == "constrained":
         eps_b1, eps_b2 = config.eps_b1, config.eps_b2
     else:
@@ -302,6 +305,7 @@ class SimulationResult:
     seed: int
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         arr = _require_real_array(self.errors, "errors", flat=True)
         arr.setflags(write=False)
         object.__setattr__(self, "errors", arr)
@@ -463,6 +467,7 @@ def run_monte_carlo(
     earliest such trial. At most ``MAX_TRIALS`` trials run and at most
     ``MAX_BINS`` bins are counted, both checked before anything is allocated.
     """
+    _require_instance(config, "config", SamplerConfig)
     seed = _require_u64(seed, "seed")
     n_trials = _require_count(n_trials, "n_trials", MAX_TRIALS)
     bins = _require_count(bins, "bins", MAX_BINS)
@@ -489,11 +494,13 @@ def run_monte_carlo(
 class SweepPoint:
     """Summary of one grid point of a sweep."""
 
-    grid_value: float
+    grid_value: Unit
     p95: float
-    bound_a: float
-    bound_combined_stated: float
-    bound_combined_proof: float
+    bound_a: NonNegative
+    bound_combined_stated: NonNegative
+    bound_combined_proof: NonNegative
+
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
@@ -501,11 +508,13 @@ class SweepResult:
     """p95 and bound trajectories along one closeness-budget grid."""
 
     varied: str
-    fixed_value: float
+    fixed_value: Unit
     grid: tuple[float, ...]
     points: tuple[SweepPoint, ...]
     n_trials: int
     seed: int
+
+    __post_init__ = _check_fields
 
 
 def sweep(
@@ -521,6 +530,7 @@ def sweep(
     points are mutually independent yet the whole sweep is reproducible from
     the single master seed.
     """
+    _require_instance(base, "base", SamplerConfig)
     if varied not in ("eps_b1", "eps_b2"):
         raise ValidationError(f"varied must be eps_b1 or eps_b2, got {varied!r}")
     if base.mode != "constrained":
@@ -548,7 +558,7 @@ def sweep(
     fixed = base.eps_b2 if varied == "eps_b1" else base.eps_b1
     return SweepResult(
         varied=varied,
-        fixed_value=float(fixed),
+        fixed_value=fixed,
         grid=tuple(grid),
         points=tuple(points),
         n_trials=int(n_trials),

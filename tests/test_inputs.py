@@ -4,29 +4,44 @@ Every real-valued argument of the library goes through one check,
 ``model._require_real``, and every array of reals through
 ``model._require_real_array``: a bool, text, ``None``, a complex number, an
 integer too large for a float or a ragged or wrongly sized sequence is a
-``ValidationError`` that names the argument. The probes pin one case of each
-kind; the property tests give every real-valued parameter of the package's
-public dataclasses and functions values of every kind, and give the command
-line arbitrary bytes as each of its input files.
+``ValidationError`` that names the argument. A real-valued dataclass field
+declares its domain in its annotation, and ``model._check_fields`` checks it
+on construction: ``Unit`` is [0, 1], ``OpenUnit`` (0, 1), ``Signed``
+[-1, 1], ``NonNegative`` [0, inf] and a plain ``float`` any real number.
+Histogram counts must be integers of at least 0. A model, joint, sampler
+config, dataset or other library object of the wrong class is a
+``ValidationError`` that names the parameter and the class it expects. The
+probes pin one case of each kind; one test gives every real-valued field of
+every public dataclass text, a bool and ``None``; the property tests give
+every real-valued parameter of the package's public dataclasses and
+functions values of every kind, and give the command line arbitrary bytes as
+each of its input files.
 """
 
 import contextlib
+import dataclasses
+import inspect
 import io
 import json
 import math
 import re
+import typing
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import gap_gauge
 from gap_gauge import (
     BootstrapResult, BoundReport, EstimateReport, FullJoint, GapGaugeError, GapReport, Histogram,
     IndependenceDiagnostics, SamplerConfig, SimulationResult, SliceMarginals, SliceParams,
-    StructureParams, SweepPoint, SweepResult, ValidationError, bootstrap,
-    classifier_structure_params, consistent_marginals, estimate, estimate_with_bootstrap,
-    fit_joint, independence_diagnostics, percentile, sample_dataset, sweep,
+    StructureParams, SweepPoint, SweepResult, ValidationError, bootstrap, bound_report,
+    bound_report_from_params, classifier_structure_params, compute_gaps, conditional_prob,
+    config_bounds, consistent_marginals, derive_trial_stream, estimate, estimate_with_bootstrap,
+    expand, filter_ystar, fit_joint, gaps_from_joint, independence_diagnostics, percentile, reduce,
+    run_monte_carlo, sample_constrained, sample_dataset, sample_unconstrained, structure_params,
+    sweep,
 )
 from gap_gauge.cli import main
 
@@ -82,6 +97,8 @@ PROBES = [
           "consistent_marginals-one-pr_v1"),
     probe(lambda: consistent_marginals(M1, pr_v1=None), "pr_v1",
           "consistent_marginals-None-pr_v1"),
+    probe(lambda: Histogram(bin_edges=(0.0, 1.0), counts=("x",)), "counts",
+          "Histogram-text-count"),
     # and each of these was accepted
     probe(lambda: SliceParams(**{**SLICE, "p": "0.5"}), "p", "SliceParams-numeric-text"),
     probe(lambda: SliceParams(**{**SLICE, "p": True}), "p", "SliceParams-bool"),
@@ -97,6 +114,8 @@ PROBES = [
     probe(lambda: consistent_marginals(M1, pr_v1=(0.5, 0.5, 0.5)), "pr_v1",
           "consistent_marginals-three-pr_v1"),
     probe(lambda: percentile([None], 0.5), "values", "percentile-None"),
+    probe(lambda: Histogram(bin_edges=(0.0, 1.0), counts=(1.5,)), "counts",
+          "Histogram-fractional-count"),
 ]
 
 
@@ -111,6 +130,8 @@ def test_checked_values_are_floats_and_messages_keep_their_wording():
     params = SliceParams(p=np.float32(0.5), r=1, a=np.int64(0), b=0.25, c=1.0)
     assert [type(getattr(params, f)) for f in "prabc"] == [float] * 5
     assert Histogram(bin_edges=np.array([0.0, 1.0]), counts=(1,)).bin_edges == (0.0, 1.0)
+    counts = Histogram(bin_edges=(0.0, 0.5, 1.0), counts=(np.int64(2), 0)).counts
+    assert counts == (2, 0) and [type(c) for c in counts] == [int, int]
     for call, message in (
         (lambda: SliceParams(**{**SLICE, "p": 10**400}), "p is an integer too large for a float"),
         (lambda: SliceParams(**{**SLICE, "p": math.nan}), "p must lie in [0, 1], got nan"),
@@ -122,6 +143,8 @@ def test_checked_values_are_floats_and_messages_keep_their_wording():
          "pr_v1 needs one probability per slice, got 3"),
         (lambda: Histogram(bin_edges=[[0.0, 1.0], [2.0, 3.0]], counts=(1,)),
          "bin_edges must be a sequence of real numbers"),
+        (lambda: Histogram(bin_edges=(0.0, 1.0), counts=(True,)),
+         "counts must be a sequence of integers"),
     ):
         with pytest.raises(ValidationError) as err:
             call()
@@ -225,6 +248,86 @@ def test_library_input_returns_or_raises_gap_gauge_error(target, data):
     }
     with contextlib.suppress(GapGaugeError):
         call(**kwargs)
+
+
+def real_fields():
+    """(class, field, takes None) of each real-valued field of each public dataclass."""
+    found = []
+    for name in gap_gauge.__all__:
+        cls = getattr(gap_gauge, name)
+        if dataclasses.is_dataclass(cls):
+            hints = typing.get_type_hints(cls)
+            for field in dataclasses.fields(cls):
+                hint = hints[field.name]
+                if hint in (float, float | None):
+                    found.append(pytest.param(
+                        name, field.name, hint is not float, id=f"{name}.{field.name}"
+                    ))
+    return found
+
+
+@pytest.mark.parametrize("target, field, optional", real_fields())
+def test_every_real_field_refuses_text_bools_and_none(target, field, optional):
+    call, valid = TARGETS[target]
+    assert field in valid
+    for value in ("x", True) if optional else ("x", True, None):
+        with pytest.raises(ValidationError) as err:
+            call(**{**valid, field: value})
+        assert str(err.value).startswith(f"{field} "), str(err.value)
+
+
+def object_parameters():
+    """(function, parameter, class) of each parameter of a public function that takes a
+    library dataclass or a random stream."""
+    found = []
+    for name in gap_gauge.__all__:
+        function = getattr(gap_gauge, name)
+        if inspect.isfunction(function):
+            hints = typing.get_type_hints(function)
+            for parameter in inspect.signature(function).parameters:
+                cls = hints.get(parameter)
+                if dataclasses.is_dataclass(cls) or cls is np.random.Generator:
+                    found.append(pytest.param(name, parameter, cls, id=f"{name}-{parameter}"))
+    return found
+
+
+UNCONSTRAINED = SamplerConfig(**CLASSIFIER, mode="unconstrained")
+
+#: Each public function called with text in place of one library object it takes.
+WRONG_CLASS = {
+    ("conditional_prob", "joint"): lambda: conditional_prob("x", {"y": 1}, {}),
+    ("reduce", "joint"): lambda: reduce("x"),
+    ("expand", "model"): lambda: expand("x", consistent_marginals(M1_WITH_D)),
+    ("expand", "marginals"): lambda: expand(M1_WITH_D, "x"),
+    ("consistent_marginals", "model"): lambda: consistent_marginals("x"),
+    ("compute_gaps", "model"): lambda: compute_gaps("x"),
+    ("gaps_from_joint", "joint"): lambda: gaps_from_joint("x"),
+    ("structure_params", "model"): lambda: structure_params("x"),
+    ("bound_report", "model"): lambda: bound_report("x"),
+    ("bound_report_from_params", "params"): lambda: bound_report_from_params("x"),
+    ("independence_diagnostics", "joint"): lambda: independence_diagnostics("x"),
+    ("sample_unconstrained", "config"):
+        lambda: sample_unconstrained("x", derive_trial_stream(1, 0)),
+    ("sample_unconstrained", "stream"): lambda: sample_unconstrained(UNCONSTRAINED, "x"),
+    ("sample_constrained", "config"): lambda: sample_constrained("x", derive_trial_stream(1, 0)),
+    ("sample_constrained", "stream"): lambda: sample_constrained(CFG, "x"),
+    ("config_bounds", "config"): lambda: config_bounds("x"),
+    ("run_monte_carlo", "config"): lambda: run_monte_carlo("x", 10, 1),
+    ("sweep", "base"): lambda: sweep("x", "eps_b1", [0.5], 10, 1),
+    ("sample_dataset", "joint"): lambda: sample_dataset("x", 10, 1),
+    ("filter_ystar", "dataset"): lambda: filter_ystar("x"),
+    ("fit_joint", "dataset"): lambda: fit_joint("x"),
+    ("estimate", "dataset"): lambda: estimate("x"),
+    ("bootstrap", "dataset"): lambda: bootstrap("x", 10),
+    ("estimate_with_bootstrap", "dataset"): lambda: estimate_with_bootstrap("x"),
+}
+
+
+@pytest.mark.parametrize("function, parameter, cls", object_parameters())
+def test_object_of_another_class_is_refused_naming_the_class(function, parameter, cls):
+    with pytest.raises(ValidationError) as err:
+        WRONG_CLASS[function, parameter]()
+    assert str(err.value) == f"{parameter} must be a {cls.__name__}"
 
 
 RECORDS = b"l,v,vhat,y\n" + b"".join(

@@ -99,6 +99,16 @@ class TestFullJoint:
         with pytest.raises(ValueError):
             joint.cells[0] = 0.5
 
+    def test_compares_by_value_and_is_unhashable(self):
+        joint = uniform_joint()
+        assert joint == FullJoint(cells=joint.cells.copy())
+        cells = joint.cells.copy()
+        cells[0], cells[1] = 0.0, 0.125
+        assert joint != FullJoint(cells=cells)
+        assert joint != reduce(joint)
+        with pytest.raises(TypeError):
+            hash(joint)
+
 
 class TestConditionalProb:
     def test_uniform_marginals(self):
