@@ -19,7 +19,8 @@ import csv
 import io
 import math
 import numbers
-from dataclasses import dataclass, replace
+import os
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,9 +43,9 @@ from .errors import (
     ZeroMassCondition,
 )
 from .model import (
-    FullJoint, GapReport, NonNegative, OpenUnit, _check_fields, _require_count, _require_instance,
-    _require_real, _require_u64, compute_gaps, gap_terms, reduce, require_gap_identities,
-    slice_rates,
+    U64, Count, FullJoint, GapReport, NonNegative, OpenUnit, _check_fields, _require_count,
+    _require_instance, _require_real, _require_u64, compute_gaps, gap_terms, reduce,
+    require_gap_identities, slice_rates,
 )
 from .simulation import derive_trial_stream, percentile
 
@@ -211,8 +212,18 @@ def _rows(reader):
         raise ValidationError(f"not UTF-8 text ({exc})") from exc
 
 
+def _text_lines(lines):
+    """The items of iterator ``lines``, each of which must be a str: ``csv.reader`` would
+    report another as line 0."""
+    for line in lines:
+        if not isinstance(line, str):
+            raise ValidationError(f"stream must yield lines of text, got {type(line).__name__}")
+        yield line
+
+
 def parse_records(stream) -> RecordDataset:
-    """Parse CSV records from a text or byte stream (or a string of content).
+    """Parse CSV records from a text or byte stream, a string or bytes of content, or an
+    iterable of lines of text; anything else is a :class:`ValidationError`.
 
     The header must be exactly ``l,v,vhat,y`` optionally followed by
     ``,ystar``. Every ``l``/``vhat``/``y`` cell must be 0 or 1; ``v`` and
@@ -238,6 +249,13 @@ def parse_records(stream) -> RecordDataset:
             return parse_records(text)
         finally:
             text.detach()  # collecting the wrapper would close the caller's file
+    elif not isinstance(stream, io.TextIOBase):
+        try:
+            stream = _text_lines(iter(stream))
+        except TypeError:
+            raise ValidationError(
+                f"stream must be text, bytes, a file or lines of text, got {type(stream).__name__}"
+            ) from None
 
     reader = csv.reader(stream)
     rows = _rows(reader)
@@ -410,6 +428,9 @@ def read_records_csv(path, digest=None) -> RecordDataset:
     read into memory first. ``digest``, a :mod:`hashlib` object, is updated
     with every byte of the input once.
     """
+    # not an int either: ``open`` takes it as a descriptor, and closing the file would close it
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise ValidationError(f"path must be a file path, got {path!r}")
     with open(path, "rb") as file:
         handle = file if file.seekable() else io.BytesIO(file.read())
         dataset = _read_blocks(handle, digest)
@@ -500,10 +521,10 @@ class BootstrapResult:
     """Percentile confidence intervals from row resampling."""
 
     intervals: dict[str, tuple[float, float]]
-    replicates: int
+    replicates: Count
     skipped: int
     level: OpenUnit
-    seed: int
+    seed: U64
 
     __post_init__ = _check_fields
 
@@ -517,7 +538,7 @@ class EstimateReport:
     is estimable and ``counts`` has 8 entries over (l, vhat, y).
     """
 
-    n: int
+    n: Count
     counts: tuple[int, ...]
     counts_index: str
     g_hat: float
@@ -525,7 +546,7 @@ class EstimateReport:
     gap: GapReport | None = None
     structure: StructureParams | None = None
     bounds: BoundReport | None = None
-    bootstrap: BootstrapResult | None = None
+    bootstrap: BootstrapResult | None = field(default=None, metadata={"key": "bootstrap_ci"})
 
     __post_init__ = _check_fields
 

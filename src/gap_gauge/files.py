@@ -6,7 +6,8 @@
 - Inputs: ``from_dict`` reads model files and sampler configs, with the
   dataclass fields as their schema.
 - Outputs: ``result_dict`` encodes every result from its dataclass fields,
-  and four writers put them in files: ``write_json``, ``write_errors_csv``,
+  each under its name or the ``key`` its metadata declares, and four
+  writers put them in files: ``write_json``, ``write_errors_csv``,
   ``write_histogram_csv`` and ``write_sweep_csv``. Each writes the path it is
   given, in place; to commit one output, write it inside
   ``with atomic_paths(path) as (tmp,):``.
@@ -28,10 +29,9 @@ from typing import Any, NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
-from .empirical import EstimateReport
 from .errors import ValidationError
 from .model import FullJoint, ReducedModel, _require_real
-from .simulation import Histogram, SamplerConfig, SimulationResult, SweepPoint, SweepResult
+from .simulation import Histogram, SamplerConfig, SweepPoint, SweepResult
 
 __all__ = [
     "atomic_paths",
@@ -48,19 +48,10 @@ __all__ = [
     "write_sweep_csv",
 ]
 
-#: Output keys that differ from the dataclass field names; ``None`` drops the
-#: field. Every other field is written under its own name, in declaration order.
-OUTPUT_KEYS: dict[tuple[type, str], str | None] = {
-    (EstimateReport, "bootstrap"): "bootstrap_ci",
-    # written to <out>.errors.csv and <out>.hist.csv, not to the summary
-    (SimulationResult, "errors"): None,
-    (SimulationResult, "histogram"): None,
-}
-
-
 def _output_fields(cls: type) -> list[tuple[str, str]]:
-    """(attribute, output key) pairs of a result dataclass, in declaration order."""
-    pairs = [(f.name, OUTPUT_KEYS.get((cls, f.name), f.name)) for f in fields(cls)]
+    """(attribute, output key) pairs of a result dataclass, in declaration order: a field's
+    ``key`` metadata, if any, renames it, or with None drops it."""
+    pairs = [(f.name, f.metadata.get("key", f.name)) for f in fields(cls)]
     return [(name, key) for name, key in pairs if key is not None]
 
 

@@ -40,7 +40,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+import sys
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -95,37 +96,47 @@ def _require_real(value, name: str, lo=None, hi=math.inf, ends: str = "[]") -> f
     return x
 
 
-#: Domains of real-valued dataclass fields. Each is ``float`` to Python and to
+#: Domains of dataclass fields. Each is ``float`` or ``int`` to Python and to
 #: ``files.from_dict``; ``_check_fields`` reads the annotation string.
 Unit = float  # [0, 1]
 OpenUnit = float  # (0, 1)
 Signed = float  # [-1, 1]
 NonNegative = float  # [0, inf]
+Count = int  # 1, 2, ...
+U64 = int  # [0, 2**64)
 
-#: ``_require_real``'s bounds for each annotation of a real-valued field; ``float``
-#: is any real number, NaN included.
-_DOMAINS = {
-    "float": (),
-    "Unit": (0.0, 1.0),
-    "OpenUnit": (0.0, 1.0, "()"),
-    "Signed": (-1.0, 1.0),
-    "NonNegative": (0.0,),
+#: The check of each annotation above, and of ``float``: any real number, NaN included.
+_CHECKS = {
+    "float": _require_real,
+    "Unit": lambda value, name: _require_real(value, name, 0.0, 1.0),
+    "OpenUnit": lambda value, name: _require_real(value, name, 0.0, 1.0, "()"),
+    "Signed": lambda value, name: _require_real(value, name, -1.0, 1.0),
+    "NonNegative": lambda value, name: _require_real(value, name, 0.0),
+    "Count": lambda value, name: _require_count(value, name),
+    "U64": lambda value, name: _require_u64(value, name),
 }
 
 
 def _check_fields(obj) -> None:
-    """Convert each real-valued field of dataclass ``obj`` with ``_require_real``, in order.
+    """Check each field of dataclass ``obj`` as its annotation declares, in order.
 
-    A field is real-valued when its annotation is ``float`` or one of the domains
-    above, or that with ``| None``, which also takes ``None``. The annotation is
-    read as a string, so a module using this keeps ``from __future__ import
-    annotations``.
+    An annotation in ``_CHECKS`` names its check, whose result the field keeps. A
+    dataclass ``X`` of the module that defines ``obj``'s class is checked with
+    ``_require_instance``, and ``tuple[X, ...]`` as a tuple of ``X``. With ``| None``
+    each also takes ``None``; no other field is checked. The annotation is read as a
+    string, so a module using this keeps ``from __future__ import annotations``.
     """
+    namespace = vars(sys.modules[type(obj).__module__])
     for f in fields(obj):
-        kind = f.type.removesuffix(" | None")
-        value = getattr(obj, f.name)
-        if kind in _DOMAINS and not (value is None and kind != f.type):
-            object.__setattr__(obj, f.name, _require_real(value, f.name, *_DOMAINS[kind]))
+        kind, value = f.type.removesuffix(" | None"), getattr(obj, f.name)
+        if value is None and kind != f.type:
+            continue
+        if kind in _CHECKS:
+            object.__setattr__(obj, f.name, _CHECKS[kind](value, f.name))
+            continue
+        item = namespace.get(kind.removeprefix("tuple[").removesuffix(", ...]"))
+        if isinstance(item, type) and is_dataclass(item):
+            _require_instance(value, f.name, item, many=kind.startswith("tuple["))
 
 
 def _require_real_array(
@@ -148,11 +159,14 @@ def _require_real_array(
     return (arr if integer else arr.astype(float, copy=False)).reshape(-1)
 
 
-def _require_instance(value, name: str, cls: type) -> None:
-    """Raise unless ``value`` is a ``cls``, so that a model, config or dataset of another
-    class fails here and not deep inside the computation."""
-    if not isinstance(value, cls):
-        raise ValidationError(f"{name} must be a {cls.__name__}")
+def _require_instance(value, name: str, cls: type, many: bool = False) -> None:
+    """Raise unless ``value`` is a ``cls`` (with ``many``, a tuple of them), so that a model,
+    config or dataset of another class fails here and not deep inside the computation."""
+    if not (
+        isinstance(value, tuple) and all(isinstance(x, cls) for x in value)
+        if many else isinstance(value, cls)
+    ):
+        raise ValidationError(f"{name} must be a {'tuple of ' * many}{cls.__name__}")
 
 
 def _require_count(value: int, name: str, most: int | None = None) -> int:
@@ -303,9 +317,7 @@ class ReducedModel:
     slice0: SliceParams
     slice1: SliceParams
 
-    def __post_init__(self) -> None:
-        for name in ("slice0", "slice1"):
-            _require_instance(getattr(self, name), name, SliceParams)
+    __post_init__ = _check_fields
 
     def slices(self) -> tuple[SliceParams, SliceParams]:
         return (self.slice0, self.slice1)

@@ -23,7 +23,7 @@ the reference the engine is tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,8 +34,8 @@ from .errors import (
     ValidationError,
 )
 from .model import (
-    NonNegative, ReducedModel, SliceParams, SliceRates, Unit, _check_fields, _require_count,
-    _require_instance, _require_real, _require_real_array, _require_u64, gap_terms,
+    U64, Count, NonNegative, ReducedModel, SliceParams, SliceRates, Unit, _check_fields,
+    _require_count, _require_instance, _require_real, _require_real_array, _require_u64, gap_terms,
 )
 
 __all__ = [
@@ -134,7 +134,7 @@ class SamplerConfig:
     mode: str
     eps_b1: Unit | None = None
     eps_b2: Unit | None = None
-    max_rejections: int = 10000
+    max_rejections: Count = 10000
 
     def __post_init__(self) -> None:
         _check_fields(self)
@@ -142,15 +142,12 @@ class SamplerConfig:
             raise ValidationError(
                 f"mode must be one of {_MODES}, got {self.mode!r}"
             )
-        for field in ("eps_b1", "eps_b2"):
-            absent = getattr(self, field) is None
+        for name in ("eps_b1", "eps_b2"):
+            absent = getattr(self, name) is None
             if absent and self.mode == "constrained":
-                raise ValidationError(f"constrained mode requires {field}")
+                raise ValidationError(f"constrained mode requires {name}")
             if not absent and self.mode != "constrained":
-                raise ValidationError(f"{field} only applies to constrained mode")
-        object.__setattr__(
-            self, "max_rejections", _require_count(self.max_rejections, "max_rejections")
-        )
+                raise ValidationError(f"{name} only applies to constrained mode")
 
 
 def sample_unconstrained(
@@ -296,13 +293,13 @@ def config_bounds(config: SamplerConfig) -> BoundReport:
 class SimulationResult:
     """Aggregate of one Monte Carlo run; ``errors`` is in trial order."""
 
-    n_trials: int
-    errors: np.ndarray
+    n_trials: Count
+    errors: np.ndarray = field(metadata={"key": None})
     p95: float
-    histogram: Histogram
+    histogram: Histogram = field(metadata={"key": None})
     bounds: BoundReport
     rejection_rate: float
-    seed: int
+    seed: U64
 
     def __post_init__(self) -> None:
         _check_fields(self)
@@ -511,8 +508,8 @@ class SweepResult:
     fixed_value: Unit
     grid: tuple[float, ...]
     points: tuple[SweepPoint, ...]
-    n_trials: int
-    seed: int
+    n_trials: Count
+    seed: U64
 
     __post_init__ = _check_fields
 
@@ -561,6 +558,6 @@ def sweep(
         fixed_value=fixed,
         grid=tuple(grid),
         points=tuple(points),
-        n_trials=int(n_trials),
+        n_trials=n_trials,
         seed=seed,
     )

@@ -8,14 +8,17 @@ integer too large for a float or a ragged or wrongly sized sequence is a
 declares its domain in its annotation, and ``model._check_fields`` checks it
 on construction: ``Unit`` is [0, 1], ``OpenUnit`` (0, 1), ``Signed``
 [-1, 1], ``NonNegative`` [0, inf] and a plain ``float`` any real number.
-Histogram counts must be integers of at least 0. A model, joint, sampler
-config, dataset or other library object of the wrong class is a
-``ValidationError`` that names the parameter and the class it expects. The
-probes pin one case of each kind; one test gives every real-valued field of
-every public dataclass text, a bool and ``None``; the property tests give
-every real-valued parameter of the package's public dataclasses and
-functions values of every kind, and give the command line arbitrary bytes as
-each of its input files.
+So does an integer field, ``Count`` (1, 2, ...) or ``U64`` ([0, 2**64)), and
+a field holding a library dataclass or a tuple of them. Histogram counts
+must be integers of at least 0. A model, joint, sampler config, dataset or
+other library object of the wrong class is a ``ValidationError`` that names
+the parameter and the class it expects, and so is a records input that is
+no text, bytes, file or lines of text. The probes pin one case of each
+kind; one test gives every real-valued field of every public dataclass
+text, a bool and ``None``, another gives every integer or nested field wrong
+values; the property tests give every real-valued parameter of the
+package's public dataclasses and functions values of every kind, and give
+the command line arbitrary bytes as each of its input files.
 """
 
 import contextlib
@@ -39,9 +42,9 @@ from gap_gauge import (
     StructureParams, SweepPoint, SweepResult, ValidationError, bootstrap, bound_report,
     bound_report_from_params, classifier_structure_params, compute_gaps, conditional_prob,
     config_bounds, consistent_marginals, derive_trial_stream, estimate, estimate_with_bootstrap,
-    expand, filter_ystar, fit_joint, gaps_from_joint, independence_diagnostics, percentile, reduce,
-    run_monte_carlo, sample_constrained, sample_dataset, sample_unconstrained, structure_params,
-    sweep,
+    expand, filter_ystar, fit_joint, gaps_from_joint, independence_diagnostics, parse_records,
+    percentile, read_records_csv, reduce, run_monte_carlo, sample_constrained, sample_dataset,
+    sample_unconstrained, structure_params, sweep,
 )
 from gap_gauge.cli import main
 
@@ -99,6 +102,16 @@ PROBES = [
           "consistent_marginals-None-pr_v1"),
     probe(lambda: Histogram(bin_edges=(0.0, 1.0), counts=("x",)), "counts",
           "Histogram-text-count"),
+    probe(lambda: parse_records(5), "stream", "parse_records-int"),
+    probe(lambda: parse_records(None), "stream", "parse_records-None"),
+    probe(lambda: parse_records(3.5), "stream", "parse_records-float"),
+    probe(lambda: parse_records(object()), "stream", "parse_records-object"),
+    probe(lambda: read_records_csv(None), "path", "read_records_csv-None"),
+    probe(lambda: read_records_csv(5.5), "path", "read_records_csv-float"),
+    # this one raised a MalformedRow citing line 0
+    probe(lambda: parse_records([b"l,v,vhat,y"]), "stream", "parse_records-bytes-lines"),
+    # this one read file descriptor 1, stdout, and closed it
+    probe(lambda: read_records_csv(True), "path", "read_records_csv-bool"),
     # and each of these was accepted
     probe(lambda: SliceParams(**{**SLICE, "p": "0.5"}), "p", "SliceParams-numeric-text"),
     probe(lambda: SliceParams(**{**SLICE, "p": True}), "p", "SliceParams-bool"),
@@ -168,7 +181,8 @@ ANY_VALUE = st.one_of(
                        st.lists(st.floats(0.0, 1.0), max_size=2)), max_size=4),
 )
 
-#: Each public callable with a real-valued parameter, and a valid value of each.
+#: Each public callable with a real-valued parameter or a records input, and a valid
+#: value of each.
 TARGETS = {
     "FullJoint": (FullJoint, {"cells": np.full(16, 1 / 16)}),
     "SliceParams": (SliceParams, {**SLICE, "d": 0.3}),
@@ -217,6 +231,7 @@ TARGETS = {
         {"fixed_value": 0.2, "grid": (0.0,)},
     ),
     "percentile": (percentile, {"values": [0.1, 0.2], "q": 0.5}),
+    "parse_records": (parse_records, {"stream": "l,v,vhat,y\n0,1,1,1\n"}),
     "sweep": (lambda **kw: sweep(CFG, "eps_b1", n_trials=5, seed=1, **kw), {"grid": [0.0, 0.5]}),
     "fit_joint": (lambda **kw: fit_joint(DS, **kw), {"smoothing": 0.5}),
     "estimate": (lambda **kw: estimate(DS, **kw), {"smoothing": 0.5}),
@@ -273,6 +288,71 @@ def test_every_real_field_refuses_text_bools_and_none(target, field, optional):
     for value in ("x", True) if optional else ("x", True, None):
         with pytest.raises(ValidationError) as err:
             call(**{**valid, field: value})
+        assert str(err.value).startswith(f"{field} "), str(err.value)
+
+
+#: A valid instance of each public dataclass with an integer or nested field.
+INSTANCES = {
+    "ReducedModel": M1,
+    "SamplerConfig": CFG,
+    "SimulationResult": run_monte_carlo(CFG, 5, seed=1),
+    "SweepResult": sweep(CFG, "eps_b1", [0.5], 5, seed=1),
+    "EstimateReport": estimate_with_bootstrap(DS, replicates=5),
+    "BootstrapResult": bootstrap(DS, 5),
+}
+
+#: Values each kind of integer or nested field refuses (and ``None``, unless it is optional).
+WRONG_VALUES = {
+    "Count": ("x", True, 0, -3, 1.5, np.float64(2.0), [1]),
+    "U64": ("x", True, -1, 2**64, 1.5, np.float64(2.0), [1]),
+    "class": ("x", 1.5, object(), JOINT),
+    "tuple": ("y", ("y",), (JOINT,), []),
+}
+
+#: The int fields that are plain tallies, not counts or seeds.
+TALLIES = {("BootstrapResult", "skipped")}
+
+
+def declared_fields():
+    """(class, field, kind, takes None) of each integer or nested field of each public dataclass;
+    the kind of an integer field is its annotation, ``Count`` or ``U64``."""
+    found = []
+    for name in gap_gauge.__all__:
+        cls = getattr(gap_gauge, name)
+        if dataclasses.is_dataclass(cls):
+            hints = typing.get_type_hints(cls)
+            for field in dataclasses.fields(cls):
+                hint, annotation = hints[field.name], field.type.removesuffix(" | None")
+                args = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+                if hint is int:
+                    kind = annotation
+                elif dataclasses.is_dataclass(hint) or args and dataclasses.is_dataclass(args[0]):
+                    kind = "tuple" if typing.get_origin(hint) is tuple else "class"
+                else:
+                    continue
+                optional = annotation != field.type
+                found.append(pytest.param(
+                    name, field.name, kind, optional, id=f"{name}.{field.name}"
+                ))
+    return found
+
+
+def test_every_int_field_is_a_count_a_seed_or_a_tally():
+    kinds = {(p.values[0], p.values[1]): p.values[2] for p in declared_fields()}
+    assert {key for key, kind in kinds.items() if kind == "int"} == TALLIES
+    seeds = [kind for (_, field), kind in kinds.items() if field == "seed"]
+    assert seeds == ["U64"] * 3
+
+
+@pytest.mark.parametrize(
+    "target, field, kind, optional", [p for p in declared_fields() if p.values[2] != "int"]
+)
+def test_every_integer_and_nested_field_refuses_wrong_values(target, field, kind, optional):
+    valid = INSTANCES[target]
+    dataclasses.replace(valid, **{field: getattr(valid, field)})
+    for value in WRONG_VALUES[kind] + (() if optional else (None,)):
+        with pytest.raises(ValidationError) as err:
+            dataclasses.replace(valid, **{field: value})
         assert str(err.value).startswith(f"{field} "), str(err.value)
 
 
