@@ -18,8 +18,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     **dict.fromkeys((
         "FullJoint", "SliceParams", "ReducedModel", "SliceMarginals", "GapReport",
-        "conditional_prob", "reduce", "expand", "consistent_marginals",
-        "compute_gaps", "gaps_from_joint",
+        "reduce", "expand", "consistent_marginals", "compute_gaps",
     ), "model"),
     **dict.fromkeys((
         "StructureParams", "BoundReport", "IndependenceDiagnostics",

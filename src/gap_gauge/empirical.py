@@ -74,6 +74,9 @@ _BLOCK_ROWS = 1 << 16
 #: Most replicates one bootstrap may run: a million take over an hour on 5e5 rows.
 MAX_REPLICATES = 10**6
 
+#: Most rows ``sample_dataset`` draws: a row takes 9 bytes while it is drawn.
+MAX_ROWS = 10**9
+
 _HEADER = ("l", "v", "vhat", "y")
 _HEADER_YSTAR = ("l", "v", "vhat", "y", "ystar")
 _BOM = b"\xef\xbb\xbf"
@@ -179,13 +182,16 @@ class RecordDataset:
         return self.ystar is not None
 
     def take(self, indices) -> "RecordDataset":
-        """Rows at integer ``indices`` (repetition allowed), preserving columns."""
+        """Rows at integer ``indices`` in [0, n) (repetition allowed), preserving columns."""
         idx = np.asarray(indices)
         # an empty list has numpy's default float dtype
         if idx.ndim != 1 or (idx.dtype.kind not in "iu" and idx.size):
             raise ValidationError(
                 f"row indices must be a one-dimensional integer array, got {idx.ndim}-d {idx.dtype}"
             )
+        outside = (idx < 0) | (idx >= self.n)
+        if outside.any():
+            raise ValidationError(f"row indices must lie in [0, {self.n}), got {idx[outside][0]}")
         idx = idx.astype(np.intp, copy=False)
         ystar = None if self.ystar is None else self.ystar[idx]
         return RecordDataset._of_codes(self.codes[idx], self.v_present, ystar)
@@ -449,13 +455,13 @@ def read_records_csv(path, digest=None) -> RecordDataset:
 
 
 def sample_dataset(joint: FullJoint, n: int, seed: int) -> RecordDataset:
-    """Draw ``n`` independent records from a joint (all four columns).
+    """Draw ``n`` independent records, at most ``MAX_ROWS``, from a joint (all four columns).
 
     Rows come from the dedicated stream ``derive_trial_stream(seed, 0)``, so
     datasets are reproducible under the package-wide seeding contract.
     """
     _require_instance(joint, "joint", FullJoint)
-    n = _require_count(n, "n")
+    n = _require_count(n, "n", MAX_ROWS)
     stream = derive_trial_stream(seed, 0)
     # the drawn cell indices are the codes
     codes = stream.choice(16, size=n, p=joint.cells).astype(np.uint8)
@@ -696,10 +702,13 @@ def estimate_with_bootstrap(
 ) -> EstimateReport:
     """Point estimates plus, when ``replicates`` > 0, bootstrap intervals.
 
-    ``level`` is checked even when no bootstrap runs.
+    ``level`` is checked even when no bootstrap runs, and ``replicates`` before
+    the point estimate.
     """
     _require_instance(dataset, "dataset", RecordDataset)
     _require_real(level, "level", 0.0, 1.0, "()")
+    if replicates:
+        _require_count(replicates, "replicates", MAX_REPLICATES)
     report = estimate(dataset, smoothing)
     if replicates:
         ci = bootstrap(dataset, replicates, level=level, seed=seed, smoothing=smoothing)

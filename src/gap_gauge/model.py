@@ -42,7 +42,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,7 +54,6 @@ from .errors import (
 )
 
 __all__ = [
-    "VARIABLES",
     "FullJoint",
     "SliceParams",
     "SliceRates",
@@ -62,18 +61,13 @@ __all__ = [
     "SliceMarginals",
     "GapReport",
     "require_gap_identities",
-    "conditional_prob",
     "reduce",
     "expand",
     "consistent_marginals",
     "gap_terms",
     "compute_gaps",
-    "gaps_from_joint",
     "slice_rates",
 ]
-
-#: Variable names in axis order; flat cell index is 8l + 4v + 2vhat + y.
-VARIABLES = ("l", "v", "vhat", "y")
 
 #: Tolerance for validation checks (probability sums, marginal consistency).
 VALIDATION_TOL = 1e-9
@@ -105,7 +99,8 @@ NonNegative = float  # [0, inf]
 Count = int  # 1, 2, ...
 U64 = int  # [0, 2**64)
 
-#: The check of each annotation above, and of ``float``: any real number, NaN included.
+#: The check of each annotation above, of ``float`` (any real number, NaN included),
+#: of ``int`` (a tally: 0, 1, ...), of ``str`` and of ``bool``.
 _CHECKS = {
     "float": _require_real,
     "Unit": lambda value, name: _require_real(value, name, 0.0, 1.0),
@@ -114,6 +109,9 @@ _CHECKS = {
     "NonNegative": lambda value, name: _require_real(value, name, 0.0),
     "Count": lambda value, name: _require_count(value, name),
     "U64": lambda value, name: _require_u64(value, name),
+    "int": lambda value, name: _require_count(value, name, least=0),
+    "str": lambda value, name: _require_kind(value, name, str, "a string"),
+    "bool": lambda value, name: bool(_require_kind(value, name, (bool, np.bool_), "a bool")),
 }
 
 
@@ -169,10 +167,18 @@ def _require_instance(value, name: str, cls: type, many: bool = False) -> None:
         raise ValidationError(f"{name} must be a {'tuple of ' * many}{cls.__name__}")
 
 
-def _require_count(value: int, name: str, most: int | None = None) -> int:
-    """``value`` as an int from 1 to ``most``; a bool is not a count."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
-        raise ValidationError(f"{name} must be a positive integer, got {value!r}")
+def _require_kind(value, name: str, kind, what: str):
+    """``value``, which must be an instance of ``kind``, described as ``what``."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def _require_count(value: int, name: str, most: int | None = None, least: int = 1) -> int:
+    """``value`` as an int from ``least``, 1 or 0, to ``most``; a bool is not a count."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+        what = "positive" if least else "non-negative"
+        raise ValidationError(f"{name} must be a {what} integer, got {value!r}")
     if most is not None and value > most:
         raise ValidationError(f"{name} must be at most {most}, got {value}")
     return int(value)
@@ -232,55 +238,9 @@ class FullJoint:
         arr.setflags(write=False)
         object.__setattr__(self, "cells", arr)
 
-    def table(self) -> np.ndarray:
-        """The cells as a (2, 2, 2, 2) array indexed [l, v, vhat, y]."""
-        return self.cells.reshape(2, 2, 2, 2)
-
 
 def _cell_name(i: int) -> str:
     return f"l={i >> 3 & 1},v={i >> 2 & 1},vhat={i >> 1 & 1},y={i & 1}"
-
-
-def _event_name(assign: Mapping[str, int]) -> str:
-    return ", ".join(f"{k}={assign[k]}" for k in VARIABLES if k in assign)
-
-
-def _mass(table: np.ndarray, assign: Mapping[str, int]) -> float:
-    idx = tuple(assign.get(name, slice(None)) for name in VARIABLES)
-    return float(table[idx].sum())
-
-
-def conditional_prob(
-    joint: FullJoint, target: Mapping[str, int], given: Mapping[str, int]
-) -> float:
-    """Pr[target | given] under ``joint`` by exact cell summation.
-
-    ``target`` and ``given`` map disjoint variable names from
-    ``VARIABLES`` to 0/1 values. Raises :class:`ZeroMassCondition` when the
-    conditioning event has probability zero.
-    """
-    _require_instance(joint, "joint", FullJoint)
-    if not target:
-        raise ValidationError("target must name at least one variable")
-    for name, assign in (("target", target), ("given", given)):
-        for var, val in assign.items():
-            if var not in VARIABLES:
-                raise ValidationError(f"{name} names unknown variable {var!r}")
-            if val not in (0, 1):
-                raise ValidationError(
-                    f"{name} value for {var!r} must be 0 or 1, got {val!r}"
-                )
-    overlap = set(target) & set(given)
-    if overlap:
-        raise ValidationError(
-            f"target and given must be disjoint, both set {sorted(overlap)}"
-        )
-    table = joint.table()
-    den = _mass(table, given)
-    if den == 0.0:
-        raise ZeroMassCondition(_event_name(given) or "(unconditional)")
-    num = _mass(table, {**target, **given})
-    return _clip_unit(num / den)
 
 
 @dataclass(frozen=True, slots=True)
@@ -396,27 +356,6 @@ def compute_gaps(model: ReducedModel) -> GapReport:
     return GapReport(*gap_terms(model.slice0, model.slice1))
 
 
-def gaps_from_joint(joint: FullJoint) -> GapReport:
-    """Gap report computed directly from a joint by conditional queries.
-
-    Algebraically identical to ``compute_gaps(reduce(joint))`` but follows an
-    independent computation path (exact cell summation instead of the reduced
-    polynomial), which makes it useful as a cross-check.
-    """
-    _require_instance(joint, "joint", FullJoint)
-    py_v1 = [conditional_prob(joint, {"y": 1}, {"v": 1, "l": l}) for l in (0, 1)]
-    py_vhat1 = [conditional_prob(joint, {"y": 1}, {"vhat": 1, "l": l}) for l in (0, 1)]
-    g = py_v1[1] - py_v1[0]
-    g_hat = py_vhat1[1] - py_vhat1[0]
-    return GapReport(
-        G=g,
-        G_hat=g_hat,
-        delta0=py_v1[0] - py_vhat1[0],
-        delta1=py_v1[1] - py_vhat1[1],
-        error=abs(g - g_hat),
-    )
-
-
 def reduce(joint: FullJoint) -> ReducedModel:
     """Extract per-slice proxy error rates and confusion-cell outcome rates.
 
@@ -443,8 +382,8 @@ def reduce(joint: FullJoint) -> ReducedModel:
 
 
 #: p, r, a, b and c as their conditioning event and the slice's cells
-#: (4v + 2vhat + y) in the numerator and in the event, in the order ``_mass``
-#: sums them.
+#: (4v + 2vhat + y) in the numerator and in the event, in the order the
+#: cell-summing oracle of ``tests/oracles.py`` sums them.
 _RATES = (
     ("vhat=1", [2, 3], [2, 3, 6, 7]),
     ("v=1", [4, 5], [4, 5, 6, 7]),
@@ -458,8 +397,8 @@ def _rate(halves: np.ndarray, num, den) -> tuple[np.ndarray, np.ndarray]:
     """Pr[cells ``num`` | cells ``den``] of slice tables (..., 8), and where it is defined.
 
     Index arrays of shape (..., k) give one rate per row. ``np.take`` lays each
-    group out contiguously (a fancy index may not), so numpy sums it as ``_mass``
-    does, pairwise from eight cells on, and a rate is ``conditional_prob``'s bit for bit.
+    group out contiguously (a fancy index may not), so numpy sums it pairwise from
+    eight cells on, and a rate equals the cell-summing oracle's of ``tests/oracles.py`` bit for bit.
     """
     total = np.take(halves, den, axis=-1).sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):

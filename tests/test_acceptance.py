@@ -26,7 +26,6 @@ from gap_gauge import (
     consistent_marginals,
     estimate,
     expand,
-    gaps_from_joint,
     run_monte_carlo,
     sample_dataset,
     structure_params,
@@ -38,6 +37,7 @@ from gap_gauge.files import write_json
 from gap_gauge.model import SliceRates, gap_terms
 
 from conftest import M1_WITH_D, record_criterion
+from oracles import gaps_from_joint
 
 CLASSIFIER = dict(p0=0.05, r0=0.1, p1=0.07, r1=0.09)
 

@@ -19,12 +19,12 @@ from gap_gauge import (
     ZeroMassCondition,
     bound_report,
     compute_gaps,
-    conditional_prob,
     reduce,
     structure_params,
 )
 from gap_gauge.bounds import bound_terms, closeness_terms, gamma_terms
 from gap_gauge.model import SliceRates, gap_terms, slice_rates
+from oracles import conditional_prob
 
 # ties and signed zeros are drawn often, not left to chance
 UNIT = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5]), st.floats(0.0, 1.0))

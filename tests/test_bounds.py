@@ -13,14 +13,13 @@ from gap_gauge import (
     bound_report_from_params,
     classifier_structure_params,
     compute_gaps,
-    conditional_prob,
     consistent_marginals,
     expand,
-    gaps_from_joint,
     independence_diagnostics,
     structure_params,
 )
 from conftest import random_reduced
+from oracles import conditional_prob, gaps_from_joint
 
 
 def brute_force_translation(model: ReducedModel, step: float = 1e-4):

@@ -993,6 +993,19 @@ class TestEstimate:
         )
         assert list(tmp_path.glob("estimate*")) == []
 
+    @pytest.mark.parametrize("replicates, message", [
+        (MAX_REPLICATES + 1, f"at most {MAX_REPLICATES}, got {MAX_REPLICATES + 1}"),
+        (-1, "a positive integer, got -1"),
+    ])
+    def test_bad_bootstrap_exits_2_before_the_point_estimate(
+        self, capsys, tmp_path, replicates, message
+    ):
+        # the point estimate of these rows raises ZeroMassCondition, exit 3
+        path = tmp_path / "records.csv"
+        path.write_text("l,v,vhat,y\n0,1,1,1\n1,1,1,0\n0,1,0,1\n1,0,1,1\n")
+        code, out, err = run(capsys, "estimate", str(path), "--bootstrap", str(replicates))
+        assert (code, out, err) == (2, "", f"gap-gauge: replicates must be {message}\n")
+
 
 class TestOutputDirectory:
     @pytest.mark.parametrize("command", ["simulate", "sweep"])

@@ -1050,3 +1050,10 @@ class TestEstimateWithBootstrap:
         data = sample_dataset(m1_joint, 1000, seed=2)
         report = estimate_with_bootstrap(data)
         assert report.bootstrap is None
+
+    @pytest.mark.parametrize("replicates", [-1, 0.5, "x", empirical.MAX_REPLICATES + 1])
+    def test_replicates_are_checked_before_the_point_estimate(self, replicates):
+        # no v = 0 row in slice 0, so the point estimate raises ZeroMassCondition
+        data = parse_records("l,v,vhat,y\n0,1,1,1\n1,1,1,0\n0,1,0,1\n1,0,1,1\n")
+        with pytest.raises(ValidationError, match="^replicates "):
+            estimate_with_bootstrap(data, replicates=replicates)

@@ -8,17 +8,19 @@ integer too large for a float or a ragged or wrongly sized sequence is a
 declares its domain in its annotation, and ``model._check_fields`` checks it
 on construction: ``Unit`` is [0, 1], ``OpenUnit`` (0, 1), ``Signed``
 [-1, 1], ``NonNegative`` [0, inf] and a plain ``float`` any real number.
-So does an integer field, ``Count`` (1, 2, ...) or ``U64`` ([0, 2**64)), and
-a field holding a library dataclass or a tuple of them. Histogram counts
-must be integers of at least 0. A model, joint, sampler config, dataset or
-other library object of the wrong class is a ``ValidationError`` that names
-the parameter and the class it expects, and so is a records input that is
-no text, bytes, file or lines of text. The probes pin one case of each
+So does an integer field, ``Count`` (1, 2, ...), ``U64`` ([0, 2**64)) or a
+plain ``int`` tally (0, 1, ...), a ``str`` or ``bool`` field, and a field
+holding a library dataclass or a tuple of them. Histogram counts must be
+integers of at least 0, a dataset's row indices must lie in [0, n), and
+``sample_dataset`` draws at most ``MAX_ROWS`` rows. A model, joint, sampler
+config, dataset or other library object of the wrong class is a
+``ValidationError`` that names the parameter and the class it expects, and
+so is a records input that is no text, bytes, file or lines of text. The probes pin one case of each
 kind; one test gives every real-valued field of every public dataclass
-text, a bool and ``None``, another gives every integer or nested field wrong
-values; the property tests give every real-valued parameter of the
-package's public dataclasses and functions values of every kind, and give
-the command line arbitrary bytes as each of its input files.
+text, a bool and ``None``, another gives every integer, text, flag or
+nested field wrong values; the property tests give every real-valued
+parameter of the package's public dataclasses and functions values of every
+kind, and give the command line arbitrary bytes as each of its input files.
 """
 
 import contextlib
@@ -40,9 +42,9 @@ from gap_gauge import (
     BootstrapResult, BoundReport, EstimateReport, FullJoint, GapGaugeError, GapReport, Histogram,
     IndependenceDiagnostics, SamplerConfig, SimulationResult, SliceMarginals, SliceParams,
     StructureParams, SweepPoint, SweepResult, ValidationError, bootstrap, bound_report,
-    bound_report_from_params, classifier_structure_params, compute_gaps, conditional_prob,
+    bound_report_from_params, classifier_structure_params, compute_gaps,
     config_bounds, consistent_marginals, derive_trial_stream, estimate, estimate_with_bootstrap,
-    expand, filter_ystar, fit_joint, gaps_from_joint, independence_diagnostics, parse_records,
+    expand, filter_ystar, fit_joint, independence_diagnostics, parse_records,
     percentile, read_records_csv, reduce, run_monte_carlo, sample_constrained, sample_dataset,
     sample_unconstrained, structure_params, sweep,
 )
@@ -108,11 +110,15 @@ PROBES = [
     probe(lambda: parse_records(object()), "stream", "parse_records-object"),
     probe(lambda: read_records_csv(None), "path", "read_records_csv-None"),
     probe(lambda: read_records_csv(5.5), "path", "read_records_csv-float"),
+    probe(lambda: DS.take([1000]), "row indices", "take-past-the-end"),
+    probe(lambda: sample_dataset(JOINT, 10**20, 1), "n", "sample_dataset-huge"),
+    probe(lambda: sample_dataset(JOINT, 2**62, 1), "n", "sample_dataset-too-big"),
     # this one raised a MalformedRow citing line 0
     probe(lambda: parse_records([b"l,v,vhat,y"]), "stream", "parse_records-bytes-lines"),
     # this one read file descriptor 1, stdout, and closed it
     probe(lambda: read_records_csv(True), "path", "read_records_csv-bool"),
     # and each of these was accepted
+    probe(lambda: DS.take([-1]), "row indices", "take-negative"),
     probe(lambda: SliceParams(**{**SLICE, "p": "0.5"}), "p", "SliceParams-numeric-text"),
     probe(lambda: SliceParams(**{**SLICE, "p": True}), "p", "SliceParams-bool"),
     probe(lambda: SamplerConfig(**CLASSIFIER, mode="constrained", eps_b1="0.1", eps_b2=0.2),
@@ -291,9 +297,10 @@ def test_every_real_field_refuses_text_bools_and_none(target, field, optional):
         assert str(err.value).startswith(f"{field} "), str(err.value)
 
 
-#: A valid instance of each public dataclass with an integer or nested field.
+#: A valid instance of each public dataclass with an integer, text, flag or nested field.
 INSTANCES = {
     "ReducedModel": M1,
+    "IndependenceDiagnostics": independence_diagnostics(JOINT),
     "SamplerConfig": CFG,
     "SimulationResult": run_monte_carlo(CFG, 5, seed=1),
     "SweepResult": sweep(CFG, "eps_b1", [0.5], 5, seed=1),
@@ -301,10 +308,13 @@ INSTANCES = {
     "BootstrapResult": bootstrap(DS, 5),
 }
 
-#: Values each kind of integer or nested field refuses (and ``None``, unless it is optional).
+#: Values each kind of checked field refuses (and ``None``, unless it is optional).
 WRONG_VALUES = {
     "Count": ("x", True, 0, -3, 1.5, np.float64(2.0), [1]),
     "U64": ("x", True, -1, 2**64, 1.5, np.float64(2.0), [1]),
+    "int": ("x", True, -1, 1.5, np.float64(2.0), [1]),
+    "str": (5, b"x", ["x"]),
+    "bool": ("x", 1, 0, np.float64(1.0)),
     "class": ("x", 1.5, object(), JOINT),
     "tuple": ("y", ("y",), (JOINT,), []),
 }
@@ -314,17 +324,19 @@ TALLIES = {("BootstrapResult", "skipped")}
 
 
 def declared_fields():
-    """(class, field, kind, takes None) of each integer or nested field of each public dataclass;
-    the kind of an integer field is its annotation, ``Count`` or ``U64``."""
+    """(class, field, kind, takes None) of each integer, text, flag or nested field of each
+    public dataclass; the kind of an integer field is its annotation, ``Count``, ``U64`` or
+    ``int``, and of a text or flag field ``str`` or ``bool``. A ``RecordDataset`` is built
+    from its columns, not from its fields."""
     found = []
     for name in gap_gauge.__all__:
         cls = getattr(gap_gauge, name)
-        if dataclasses.is_dataclass(cls):
+        if dataclasses.is_dataclass(cls) and name != "RecordDataset":
             hints = typing.get_type_hints(cls)
             for field in dataclasses.fields(cls):
                 hint, annotation = hints[field.name], field.type.removesuffix(" | None")
                 args = [arg for arg in typing.get_args(hint) if arg is not type(None)]
-                if hint is int:
+                if hint in (int, str, bool):
                     kind = annotation
                 elif dataclasses.is_dataclass(hint) or args and dataclasses.is_dataclass(args[0]):
                     kind = "tuple" if typing.get_origin(hint) is tuple else "class"
@@ -344,9 +356,7 @@ def test_every_int_field_is_a_count_a_seed_or_a_tally():
     assert seeds == ["U64"] * 3
 
 
-@pytest.mark.parametrize(
-    "target, field, kind, optional", [p for p in declared_fields() if p.values[2] != "int"]
-)
+@pytest.mark.parametrize("target, field, kind, optional", declared_fields())
 def test_every_integer_and_nested_field_refuses_wrong_values(target, field, kind, optional):
     valid = INSTANCES[target]
     dataclasses.replace(valid, **{field: getattr(valid, field)})
@@ -375,13 +385,11 @@ UNCONSTRAINED = SamplerConfig(**CLASSIFIER, mode="unconstrained")
 
 #: Each public function called with text in place of one library object it takes.
 WRONG_CLASS = {
-    ("conditional_prob", "joint"): lambda: conditional_prob("x", {"y": 1}, {}),
     ("reduce", "joint"): lambda: reduce("x"),
     ("expand", "model"): lambda: expand("x", consistent_marginals(M1_WITH_D)),
     ("expand", "marginals"): lambda: expand(M1_WITH_D, "x"),
     ("consistent_marginals", "model"): lambda: consistent_marginals("x"),
     ("compute_gaps", "model"): lambda: compute_gaps("x"),
-    ("gaps_from_joint", "joint"): lambda: gaps_from_joint("x"),
     ("structure_params", "model"): lambda: structure_params("x"),
     ("bound_report", "model"): lambda: bound_report("x"),
     ("bound_report_from_params", "params"): lambda: bound_report_from_params("x"),

@@ -14,14 +14,13 @@ from gap_gauge import (
     ValidationError,
     ZeroMassCondition,
     compute_gaps,
-    conditional_prob,
     consistent_marginals,
     expand,
-    gaps_from_joint,
     reduce,
 )
 from gap_gauge.model import gap_terms
 from conftest import random_reduced
+from oracles import conditional_prob, gaps_from_joint
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 # bounded away from 0 and 1 so every (v, vhat) cell keeps positive mass
@@ -136,22 +135,6 @@ class TestConditionalProb:
         with pytest.raises(ZeroMassCondition) as err:
             conditional_prob(joint, {"y": 1}, {"vhat": 1, "l": 0})
         assert "vhat=1" in str(err.value) and "l=0" in str(err.value)
-
-    def test_rejects_unknown_variable(self):
-        with pytest.raises(ValidationError, match="unknown variable"):
-            conditional_prob(uniform_joint(), {"z": 1}, {})
-
-    def test_rejects_non_binary_value(self):
-        with pytest.raises(ValidationError, match="0 or 1"):
-            conditional_prob(uniform_joint(), {"y": 2}, {})
-
-    def test_rejects_overlap(self):
-        with pytest.raises(ValidationError, match="disjoint"):
-            conditional_prob(uniform_joint(), {"y": 1}, {"y": 0})
-
-    def test_rejects_empty_target(self):
-        with pytest.raises(ValidationError, match="target"):
-            conditional_prob(uniform_joint(), {}, {"l": 1})
 
 
 class TestSliceParams:

@@ -20,8 +20,7 @@ SRC = Path(gap_gauge.__file__).resolve().parent.parent
 PUBLIC = [
     "__version__",
     "FullJoint", "SliceParams", "ReducedModel", "SliceMarginals", "GapReport",
-    "conditional_prob", "reduce", "expand", "consistent_marginals",
-    "compute_gaps", "gaps_from_joint",
+    "reduce", "expand", "consistent_marginals", "compute_gaps",
     "StructureParams", "BoundReport", "IndependenceDiagnostics",
     "structure_params", "classifier_structure_params", "bound_report",
     "bound_report_from_params", "independence_diagnostics",
