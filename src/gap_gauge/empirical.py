@@ -573,7 +573,7 @@ def _report_from_counts(counts: np.ndarray, n: int, smoothing: float) -> Estimat
         gap = compute_gaps(model)
         return EstimateReport(
             n=n,
-            counts=tuple(int(c) for c in counts),
+            counts=counts,
             counts_index="8*l + 4*v + 2*vhat + y",
             g_hat=gap.G_hat,
             smoothing=smoothing,
@@ -586,7 +586,7 @@ def _report_from_counts(counts: np.ndarray, n: int, smoothing: float) -> Estimat
         raise ZeroMassCondition(f"l={int(nonempty.argmin())}, vhat=1")
     return EstimateReport(
         n=n,
-        counts=tuple(int(c) for c in counts),
+        counts=counts,
         counts_index="4*l + 2*vhat + y",
         g_hat=float(g_hat),
         smoothing=smoothing,
@@ -703,14 +703,18 @@ def estimate_with_bootstrap(
     """Point estimates plus, when ``replicates`` > 0, bootstrap intervals.
 
     ``level`` is checked even when no bootstrap runs, and ``replicates`` before
-    the point estimate.
+    the point estimate: 0 (an int or numpy integer) runs no bootstrap, and any
+    other value must be a count up to ``MAX_REPLICATES``.
     """
     _require_instance(dataset, "dataset", RecordDataset)
     _require_real(level, "level", 0.0, 1.0, "()")
-    if replicates:
+    runs = replicates is False or not (
+        isinstance(replicates, (int, np.integer)) and replicates == 0
+    )
+    if runs:
         _require_count(replicates, "replicates", MAX_REPLICATES)
     report = estimate(dataset, smoothing)
-    if replicates:
+    if runs:
         ci = bootstrap(dataset, replicates, level=level, seed=seed, smoothing=smoothing)
         report = replace(report, bootstrap=ci)
     return report

@@ -4,7 +4,9 @@
   renames them all into place once its block ends, so a failed run leaves no
   part of one. It is the only code here that renames a file.
 - Inputs: ``from_dict`` reads model files and sampler configs, with the
-  dataclass fields as their schema.
+  dataclass fields, checked as the dataclass checks them, as their schema:
+  an error reads ``<where>.<field> ...``, or ``<where>: ...`` for a rule
+  across fields.
 - Outputs: ``result_dict`` encodes every result from its dataclass fields,
   each under its name or the ``key`` its metadata declares, and four
   writers put them in files: ``write_json``, ``write_errors_csv``,
@@ -25,12 +27,12 @@ import json
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import MISSING, fields, is_dataclass
-from typing import Any, NamedTuple, get_args, get_type_hints
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
-from .model import FullJoint, ReducedModel, _require_real
+from .model import _CHECKS, FullJoint, ReducedModel, _annotation
 from .simulation import Histogram, SamplerConfig, SweepPoint, SweepResult
 
 __all__ = [
@@ -140,34 +142,15 @@ def _require_mapping(obj: Any, where: str) -> dict:
     return obj
 
 
-#: JSON types accepted for each non-float scalar field type, and their name in errors.
-_SCALARS = {int: (int, "an integer"), str: (str, "a string")}
-
-
-def _decode(hint: Any, value: Any, where: str) -> Any:
-    """One JSON value as a field of type ``hint``; ``where`` names it in errors."""
-    if is_dataclass(hint):
-        return from_dict(hint, value, where)
-    if hint is float:
-        return _require_real(value, where)
-    if hint is np.ndarray:
-        if not isinstance(value, list):
-            raise ValidationError(f"{where} must be a list of numbers, got {value!r}")
-        return np.array([_require_real(x, f"{where}[{i}]") for i, x in enumerate(value)])
-    accepted, kind = _SCALARS[hint]
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ValidationError(f"{where} must be {kind}, got {value!r}")
-    return value
-
-
 def from_dict(cls: type, obj: Any, where: str) -> Any:
     """Dataclass ``cls`` from a JSON object; the fields are the schema.
 
     A field without a default is required, a key that is not a field is
     rejected, and an ``X | None`` field also takes ``null``, meaning absent.
-    Checks run in order: missing fields, unknown keys, value types (nested
-    dataclasses at ``<where>.<field>``), then ``cls.__post_init__``, whose
-    errors are prefixed with ``where``.
+    Checks run in order: missing fields, unknown keys, then each field, a
+    nested dataclass read the same way and any other with the check its
+    annotation declares, named ``<where>.<field>``; then ``cls`` itself, whose
+    errors, from its rules across fields, are prefixed with ``<where>: ``.
     """
     obj = _require_mapping(obj, where)
     specs = fields(cls)
@@ -178,17 +161,18 @@ def from_dict(cls: type, obj: Any, where: str) -> Any:
     for key in obj:
         if key not in names:
             raise ValidationError(f"{where} has unknown field {key!r}")
-    hints = get_type_hints(cls)
     kwargs = {}
     for f in specs:
         if f.name not in obj:
             continue
-        hint, value = hints[f.name], obj[f.name]
-        if type(None) in get_args(hint):  # X | None
-            if value is None:
-                continue
-            (hint,) = (arg for arg in get_args(hint) if arg is not type(None))
-        kwargs[f.name] = _decode(hint, value, f"{where}.{f.name}")
+        kind, optional, item = _annotation(cls, f)
+        value, name = obj[f.name], f"{where}.{f.name}"
+        if value is None and optional:
+            continue
+        if kind in _CHECKS:
+            kwargs[f.name] = _CHECKS[kind](value, name)
+        else:  # each field of an input is checked or a nested dataclass
+            kwargs[f.name] = from_dict(item, value, name)
     try:
         return cls(**kwargs)
     except ValidationError as exc:

@@ -38,6 +38,7 @@ The reduced form is sufficient for every gap quantity:
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
@@ -90,8 +91,8 @@ def _require_real(value, name: str, lo=None, hi=math.inf, ends: str = "[]") -> f
     return x
 
 
-#: Domains of dataclass fields. Each is ``float`` or ``int`` to Python and to
-#: ``files.from_dict``; ``_check_fields`` reads the annotation string.
+#: Domains of dataclass fields. Each is ``float`` or ``int`` to Python;
+#: ``_annotation`` reads the annotation string.
 Unit = float  # [0, 1]
 OpenUnit = float  # (0, 1)
 Signed = float  # [-1, 1]
@@ -100,7 +101,7 @@ Count = int  # 1, 2, ...
 U64 = int  # [0, 2**64)
 
 #: The check of each annotation above, of ``float`` (any real number, NaN included),
-#: of ``int`` (a tally: 0, 1, ...), of ``str`` and of ``bool``.
+#: of ``int`` (a tally: 0, 1, ...), of ``str``, of ``bool`` and of three containers.
 _CHECKS = {
     "float": _require_real,
     "Unit": lambda value, name: _require_real(value, name, 0.0, 1.0),
@@ -112,49 +113,67 @@ _CHECKS = {
     "int": lambda value, name: _require_count(value, name, least=0),
     "str": lambda value, name: _require_kind(value, name, str, "a string"),
     "bool": lambda value, name: bool(_require_kind(value, name, (bool, np.bool_), "a bool")),
+    "tuple[float, ...]": lambda value, name: tuple(_require_real_array(value, name).tolist()),
+    "tuple[int, ...]": lambda value, name: tuple(
+        _require_real_array(value, name, tally=True).tolist()
+    ),
+    "np.ndarray": lambda value, name: _require_real_array(value, name, flat=True),
 }
 
 
-def _check_fields(obj) -> None:
-    """Check each field of dataclass ``obj`` as its annotation declares, in order.
+@functools.cache  # once per field, not on each construction
+def _annotation(cls: type, f) -> tuple[str, bool, type | None]:
+    """Field ``f`` of dataclass ``cls``: its annotation without ``| None``, whether it takes
+    ``None``, and the dataclass it names, alone or as ``tuple[X, ...]``, or None. Names are
+    looked up in ``cls``'s module, which keeps ``from __future__ import annotations``."""
+    kind = f.type.removesuffix(" | None")
+    name = kind.removeprefix("tuple[").removesuffix(", ...]")
+    item = vars(sys.modules[cls.__module__]).get(name)
+    return kind, kind != f.type, item if isinstance(item, type) and is_dataclass(item) else None
 
-    An annotation in ``_CHECKS`` names its check, whose result the field keeps. A
-    dataclass ``X`` of the module that defines ``obj``'s class is checked with
-    ``_require_instance``, and ``tuple[X, ...]`` as a tuple of ``X``. With ``| None``
-    each also takes ``None``; no other field is checked. The annotation is read as a
-    string, so a module using this keeps ``from __future__ import annotations``.
-    """
-    namespace = vars(sys.modules[type(obj).__module__])
+
+def _check_fields(obj) -> None:
+    """Check each field of dataclass ``obj`` as ``_annotation`` reads it, in order: with its
+    ``_CHECKS`` entry, whose result the field keeps, or, naming a dataclass ``X`` alone or as
+    ``tuple[X, ...]``, with ``_require_instance``. An optional field also takes ``None``; no
+    other field is checked."""
     for f in fields(obj):
-        kind, value = f.type.removesuffix(" | None"), getattr(obj, f.name)
-        if value is None and kind != f.type:
+        kind, optional, item = _annotation(type(obj), f)
+        value = getattr(obj, f.name)
+        if value is None and optional:
             continue
         if kind in _CHECKS:
             object.__setattr__(obj, f.name, _CHECKS[kind](value, f.name))
-            continue
-        item = namespace.get(kind.removeprefix("tuple[").removesuffix(", ...]"))
-        if isinstance(item, type) and is_dataclass(item):
+        elif item is not None:
             _require_instance(value, f.name, item, many=kind.startswith("tuple["))
 
 
 def _require_real_array(
-    values, name: str, flat: bool = False, integer: bool = False
+    values, name: str, flat: bool = False, tally: bool = False
 ) -> np.ndarray:
     """``values`` as a flat float array, not copied if it is one. numpy must read it as a
     sequence of ints or floats, or with ``flat`` as any nesting of them, so bools, text,
-    ``None`` and ragged nestings fail. With ``integer``, floats fail too, and the flat
-    array keeps the integer type numpy read."""
+    ``None`` and ragged nestings fail; with ``tally``, of integers of at least 0, kept in
+    the type numpy read. Each element of a sequence that is no array is checked too, and
+    named ``name[i]``: numpy reads a bool among numbers as a number."""
     try:
         arr = np.asarray(values)
     except ValueError:  # a ragged nesting
         arr = None
-    kinds, what = ("iu", "integers") if integer else ("iuf", "real numbers")
+    kinds, what = ("iu", "integers") if tally else ("iuf", "real numbers")
+    shaped = arr is not None and (flat or arr.ndim == 1)
+    if shaped and arr.ndim and not isinstance(values, np.ndarray):
+        check = _CHECKS["int" if tally else "float"]
+        checked = [check(x, f"{name}[{i}]") for i, x in enumerate(np.array(values, object).flat)]
+        if arr.dtype.kind == "O":  # such as an integer past 2**64, which the check converts
+            arr = np.array(checked)
     # numpy reads an empty sequence as floats, but it holds no float
-    if arr is None or not (arr.dtype.kind in kinds or integer and arr.size == 0) or not (
-        flat or arr.ndim == 1
-    ):
+    if not shaped or not (arr.dtype.kind in kinds or tally and arr.size == 0):
         raise ValidationError(f"{name} must be a sequence of {what}")
-    return (arr if integer else arr.astype(float, copy=False)).reshape(-1)
+    if tally and (arr < 0).any():
+        i = int(np.argmax(arr < 0))
+        raise ValidationError(f"{name}[{i}] must be a non-negative integer, got {arr[i]}")
+    return (arr if tally else arr.astype(float, copy=False)).reshape(-1)
 
 
 def _require_instance(value, name: str, cls: type, many: bool = False) -> None:
@@ -219,7 +238,8 @@ class FullJoint:
         return bool(np.array_equal(self.cells, other.cells))
 
     def __post_init__(self) -> None:
-        arr = _require_real_array(self.cells, "cells", flat=True).copy()
+        _check_fields(self)
+        arr = self.cells.copy()
         if arr.size != 16:
             raise ValidationError(f"joint needs 16 cells, got {arr.size}")
         if np.any(np.isnan(arr)):

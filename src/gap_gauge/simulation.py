@@ -247,17 +247,12 @@ class Histogram:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        edges = tuple(_require_real_array(self.bin_edges, "bin_edges").tolist())
-        object.__setattr__(self, "bin_edges", edges)
-        counts = _require_real_array(self.counts, "counts", integer=True)
-        if len(edges) != counts.size + 1:
+        _check_fields(self)
+        if len(self.bin_edges) != len(self.counts) + 1:
             raise ValidationError("histogram needs one more edge than counts")
-        for lo, hi in zip(edges, edges[1:]):
+        for lo, hi in zip(self.bin_edges, self.bin_edges[1:]):
             if not lo < hi:
                 raise ValidationError("histogram edges must strictly increase")
-        if (counts < 0).any():
-            raise ValidationError("histogram counts must be >= 0")
-        object.__setattr__(self, "counts", tuple(counts.tolist()))
 
 
 def _histogram(errors: np.ndarray, bins: int) -> Histogram:
@@ -303,9 +298,7 @@ class SimulationResult:
 
     def __post_init__(self) -> None:
         _check_fields(self)
-        arr = _require_real_array(self.errors, "errors", flat=True)
-        arr.setflags(write=False)
-        object.__setattr__(self, "errors", arr)
+        self.errors.setflags(write=False)
 
 
 _U64 = np.uint64
@@ -556,7 +549,7 @@ def sweep(
     return SweepResult(
         varied=varied,
         fixed_value=fixed,
-        grid=tuple(grid),
+        grid=grid,
         points=tuple(points),
         n_trials=n_trials,
         seed=seed,

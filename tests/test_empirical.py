@@ -1048,10 +1048,14 @@ class TestEstimateWithBootstrap:
 
     def test_zero_replicates_means_no_bootstrap(self, m1_joint):
         data = sample_dataset(m1_joint, 1000, seed=2)
-        report = estimate_with_bootstrap(data)
-        assert report.bootstrap is None
+        assert estimate_with_bootstrap(data).bootstrap is None
+        assert estimate_with_bootstrap(data, replicates=np.int64(0)).bootstrap is None
 
-    @pytest.mark.parametrize("replicates", [-1, 0.5, "x", empirical.MAX_REPLICATES + 1])
+    @pytest.mark.parametrize("replicates", [
+        -1, 0.5, "x", empirical.MAX_REPLICATES + 1,
+        # none of these is 0, so none means "no bootstrap"
+        0.0, None, [], "", False, np.array([1, 2]),
+    ])
     def test_replicates_are_checked_before_the_point_estimate(self, replicates):
         # no v = 0 row in slice 0, so the point estimate raises ZeroMassCondition
         data = parse_records("l,v,vhat,y\n0,1,1,1\n1,1,1,0\n0,1,0,1\n1,0,1,1\n")

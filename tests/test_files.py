@@ -1,7 +1,10 @@
+from __future__ import annotations
+
 import builtins
 import csv
 import errno
 import json
+import math
 import os
 import sys
 import tracemalloc
@@ -18,6 +21,7 @@ from gap_gauge import (
     ReducedModel,
     SamplerConfig,
     SimulationResult,
+    SliceParams,
     ValidationError,
     bound_report,
     compute_gaps,
@@ -129,7 +133,7 @@ class TestModelFiles:
     def test_rejects_cells_that_are_a_number(self):
         with pytest.raises(ValidationError) as err:
             model_from_dict({"joint": {"cells": 0.5}})
-        assert str(err.value) == "joint.cells must be a list of numbers, got 0.5"
+        assert str(err.value) == "joint: joint needs 16 cells, got 1"
 
     def test_rejects_json_nan_cell(self, tmp_path):
         # json reads the non-standard NaN token as a float, which passes the type check
@@ -275,9 +279,9 @@ class TestFromDict:
         ("rate", True, "probe.rate must be a number, got True"),
         ("rate", None, "probe.rate must be a number, got None"),
         ("label", 1, "probe.label must be a string, got 1"),
-        ("count", True, "probe.count must be an integer, got True"),
-        ("count", 4.0, "probe.count must be an integer, got 4.0"),
-        ("count", None, "probe.count must be an integer, got None"),
+        ("count", True, "probe.count must be a non-negative integer, got True"),
+        ("count", 4.0, "probe.count must be a non-negative integer, got 4.0"),
+        ("count", None, "probe.count must be a non-negative integer, got None"),
         ("limit", False, "probe.limit must be a number, got False"),
         ("rate", HUGE, "probe.rate is an integer too large for a float"),
     ], ids=["bool", "null", "int-as-str", "bool-as-int", "float-as-int", "null-as-int",
@@ -298,6 +302,38 @@ class TestFromDict:
             with pytest.raises(ValidationError) as err:
                 from_dict(Probe, probe_payload(inner=inner), "probe")
             assert str(err.value) == message
+
+
+#: A valid payload of each input dataclass.
+INPUTS = {
+    SamplerConfig: {**CLASSIFIER, "mode": "constrained", "eps_b1": 0.2, "eps_b2": 0.2},
+    SliceParams: {"p": 0.05, "r": 0.1, "a": 0.5, "b": 0.4, "c": 0.6, "d": 0.3},
+    FullJoint: {"cells": [1 / 16] * 16},
+}
+
+#: Values that the check of each kind of input field refuses; a field that is not
+#: optional refuses ``None`` too.
+REFUSED = {
+    "Unit": ("x", True, 1.5, -0.5, math.nan, HUGE, [0.5]),
+    "str": (5, False, ["constrained"]),
+    "Count": ("x", True, 0, -3, 2.5),
+    "np.ndarray": ("x", [True] + [0.0] * 15, [None] * 16, [0.0625] * 15 + [HUGE],
+                   [[0.5], [0.5, 0.5]], {"a": 1}),
+}
+
+
+@pytest.mark.parametrize("cls, field", [
+    pytest.param(cls, f, id=f"{cls.__name__}.{f.name}") for cls in INPUTS for f in fields(cls)
+])
+def test_a_file_field_reads_as_its_dataclass_reads_it(cls, field):
+    kind = field.type.removesuffix(" | None")
+    for value in REFUSED[kind] + (() if kind != field.type else (None,)):
+        payload = {**INPUTS[cls], field.name: value}
+        with pytest.raises(ValidationError) as direct:
+            cls(**payload)
+        with pytest.raises(ValidationError) as read:
+            from_dict(cls, payload, "w")
+        assert str(read.value) == f"w.{direct.value}"
 
 
 def overflowing_sampler_config(m1, m1_joint):

@@ -4,21 +4,23 @@ Every real-valued argument of the library goes through one check,
 ``model._require_real``, and every array of reals through
 ``model._require_real_array``: a bool, text, ``None``, a complex number, an
 integer too large for a float or a ragged or wrongly sized sequence is a
-``ValidationError`` that names the argument. A real-valued dataclass field
+``ValidationError`` that names the argument, or the element at fault as
+``name[i]``, a bool among numbers included. A real-valued dataclass field
 declares its domain in its annotation, and ``model._check_fields`` checks it
 on construction: ``Unit`` is [0, 1], ``OpenUnit`` (0, 1), ``Signed``
 [-1, 1], ``NonNegative`` [0, inf] and a plain ``float`` any real number.
 So does an integer field, ``Count`` (1, 2, ...), ``U64`` ([0, 2**64)) or a
-plain ``int`` tally (0, 1, ...), a ``str`` or ``bool`` field, and a field
-holding a library dataclass or a tuple of them. Histogram counts must be
-integers of at least 0, a dataset's row indices must lie in [0, n), and
+plain ``int`` tally (0, 1, ...), a ``str`` or ``bool`` field, a container
+field, ``tuple[float, ...]``, ``tuple[int, ...]`` (tallies) or
+``np.ndarray`` (reals), and a field holding a library dataclass or a tuple
+of them. A dataset's row indices must lie in [0, n), and
 ``sample_dataset`` draws at most ``MAX_ROWS`` rows. A model, joint, sampler
 config, dataset or other library object of the wrong class is a
 ``ValidationError`` that names the parameter and the class it expects, and
 so is a records input that is no text, bytes, file or lines of text. The probes pin one case of each
 kind; one test gives every real-valued field of every public dataclass
-text, a bool and ``None``, another gives every integer, text, flag or
-nested field wrong values; the property tests give every real-valued
+text, a bool and ``None``, another gives every integer, text, flag,
+container or nested field wrong values; the property tests give every real-valued
 parameter of the package's public dataclasses and functions values of every
 kind, and give the command line arbitrary bytes as each of its input files.
 """
@@ -60,6 +62,7 @@ JOINT = FullJoint(cells=np.full(16, 1 / 16))
 DS = sample_dataset(JOINT, 200, seed=1)
 GAPS = {"G": 0.0, "G_hat": 0.0, "delta0": 0.0, "delta1": 0.0, "error": 0.0}
 BOUNDS = BoundReport(1, 1, 1, 1, 1, 1)
+HUGE = 10**400  # an integer too large for a float
 
 
 def probe(call, name, id):
@@ -135,6 +138,14 @@ PROBES = [
     probe(lambda: percentile([None], 0.5), "values", "percentile-None"),
     probe(lambda: Histogram(bin_edges=(0.0, 1.0), counts=(1.5,)), "counts",
           "Histogram-fractional-count"),
+    # numpy reads a bool among numbers as a number
+    probe(lambda: FullJoint(cells=[True] + [0.0] * 15), "cells", "FullJoint-bool-cell"),
+    probe(lambda: SliceMarginals(pr_l1=0.5, vvhat0=(True, 0.0, 0.0, 0.0), vvhat1=UNIFORM),
+          "vvhat0", "SliceMarginals-bool-entry"),
+    probe(lambda: sweep(CFG, "eps_b1", [0.0, True], 10, 1), "grid", "sweep-bool-value"),
+    probe(lambda: percentile([True, 0.5], 0.5), "values", "percentile-bool-value"),
+    probe(lambda: Histogram(bin_edges=(0.0, 0.5, 1.0), counts=(True, 1)), "counts",
+          "Histogram-bool-count"),
 ]
 
 
@@ -151,6 +162,8 @@ def test_checked_values_are_floats_and_messages_keep_their_wording():
     assert Histogram(bin_edges=np.array([0.0, 1.0]), counts=(1,)).bin_edges == (0.0, 1.0)
     counts = Histogram(bin_edges=(0.0, 0.5, 1.0), counts=(np.int64(2), 0)).counts
     assert counts == (2, 0) and [type(c) for c in counts] == [int, int]
+    # numpy keeps an integer past 2**64 as an object, but it is a real number
+    assert percentile([2**70, 1.0], 1.0) == 2.0**70
     for call, message in (
         (lambda: SliceParams(**{**SLICE, "p": 10**400}), "p is an integer too large for a float"),
         (lambda: SliceParams(**{**SLICE, "p": math.nan}), "p must lie in [0, 1], got nan"),
@@ -163,7 +176,7 @@ def test_checked_values_are_floats_and_messages_keep_their_wording():
         (lambda: Histogram(bin_edges=[[0.0, 1.0], [2.0, 3.0]], counts=(1,)),
          "bin_edges must be a sequence of real numbers"),
         (lambda: Histogram(bin_edges=(0.0, 1.0), counts=(True,)),
-         "counts must be a sequence of integers"),
+         "counts[0] must be a non-negative integer, got True"),
     ):
         with pytest.raises(ValidationError) as err:
             call()
@@ -297,9 +310,12 @@ def test_every_real_field_refuses_text_bools_and_none(target, field, optional):
         assert str(err.value).startswith(f"{field} "), str(err.value)
 
 
-#: A valid instance of each public dataclass with an integer, text, flag or nested field.
+#: A valid instance of each public dataclass with an integer, text, flag, container or nested
+#: field.
 INSTANCES = {
+    "FullJoint": JOINT,
     "ReducedModel": M1,
+    "Histogram": Histogram(bin_edges=(0.0, 0.5, 1.0), counts=(1, 1)),
     "IndependenceDiagnostics": independence_diagnostics(JOINT),
     "SamplerConfig": CFG,
     "SimulationResult": run_monte_carlo(CFG, 5, seed=1),
@@ -317,6 +333,10 @@ WRONG_VALUES = {
     "bool": ("x", 1, 0, np.float64(1.0)),
     "class": ("x", 1.5, object(), JOINT),
     "tuple": ("y", ("y",), (JOINT,), []),
+    "tuple[float, ...]": ("x", 5, [[0.0, 1.0]], ["0.5"], [None], [0.0, True], [1j], [HUGE]),
+    "tuple[int, ...]": ("x", 5, [1.5], [True], [1, True], [-1], np.array([1, -1]), [None]),
+    "np.ndarray": ("x", [None] * 16, [True] + [0.0] * 15, [1j] * 16, [[0.5], [0.5, 0.5]],
+                   [HUGE] * 16),
 }
 
 #: The int fields that are plain tallies, not counts or seeds.
@@ -324,10 +344,11 @@ TALLIES = {("BootstrapResult", "skipped")}
 
 
 def declared_fields():
-    """(class, field, kind, takes None) of each integer, text, flag or nested field of each
-    public dataclass; the kind of an integer field is its annotation, ``Count``, ``U64`` or
-    ``int``, and of a text or flag field ``str`` or ``bool``. A ``RecordDataset`` is built
-    from its columns, not from its fields."""
+    """(class, field, kind, takes None) of each integer, text, flag, container or nested
+    field of each public dataclass; the kind of an integer field is its annotation,
+    ``Count``, ``U64`` or ``int``, of a text or flag field ``str`` or ``bool``, and of a
+    container ``tuple[float, ...]``, ``tuple[int, ...]`` or ``np.ndarray``. A
+    ``RecordDataset`` is built from its columns, not from its fields."""
     found = []
     for name in gap_gauge.__all__:
         cls = getattr(gap_gauge, name)
@@ -336,7 +357,7 @@ def declared_fields():
             for field in dataclasses.fields(cls):
                 hint, annotation = hints[field.name], field.type.removesuffix(" | None")
                 args = [arg for arg in typing.get_args(hint) if arg is not type(None)]
-                if hint in (int, str, bool):
+                if hint in (int, str, bool) or annotation in WRONG_VALUES:
                     kind = annotation
                 elif dataclasses.is_dataclass(hint) or args and dataclasses.is_dataclass(args[0]):
                     kind = "tuple" if typing.get_origin(hint) is tuple else "class"
@@ -363,7 +384,8 @@ def test_every_integer_and_nested_field_refuses_wrong_values(target, field, kind
     for value in WRONG_VALUES[kind] + (() if optional else (None,)):
         with pytest.raises(ValidationError) as err:
             dataclasses.replace(valid, **{field: value})
-        assert str(err.value).startswith(f"{field} "), str(err.value)
+        # a container names the element at fault, as ``field[i]``
+        assert re.match(rf"{field}(\[\d+\])? ", str(err.value)), str(err.value)
 
 
 def object_parameters():
