@@ -174,6 +174,7 @@ def _cmd_estimate(args, digest) -> list:
         replicates=args.bootstrap,
         level=args.level,
         seed=args.seed,
+        workers=args.workers,
     ))
 
 
@@ -185,7 +186,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--workers", type=int, default=1,
-        help="accepted and recorded in the manifest (default 1); never affects results",
+        help="threads for estimate's bootstrap, capped at its replicates and the CPUs "
+             "(default 1); recorded in the manifest, never affects results",
     )
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument(

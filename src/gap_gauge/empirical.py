@@ -634,12 +634,35 @@ def _resample_counts(codes: np.ndarray, stream: np.random.Generator, width: int)
     )
 
 
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS keeps one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fill_counts(counts: np.ndarray, codes: np.ndarray, seed: int, first: int, step: int,
+                 stop: list) -> None:
+    """Rows ``first``, ``first + step``, ... of ``counts``: row i the resampled cell counts of
+    ``derive_trial_stream(seed, i)``. Ends before its next row once ``stop`` holds an item,
+    and adds one when it fails, so one failed stride ends the others early."""
+    try:
+        for i in range(first, counts.shape[0], step):
+            if stop:
+                return
+            counts[i] = _resample_counts(codes, derive_trial_stream(seed, i), counts.shape[1])
+    except BaseException:
+        stop.append(True)
+        raise
+
+
 def bootstrap(
     dataset: RecordDataset,
     replicates: int,
     level: float = 0.95,
     seed: int = 0,
     smoothing: float = 0.0,
+    workers: int = 1,
 ) -> BootstrapResult:
     """Percentile bootstrap over whole rows.
 
@@ -652,9 +675,15 @@ def bootstrap(
     exactly one ``integers(0, n, size=n)`` call: numpy fills a bounded
     array one draw after another, and the half of a 64-bit Philox output
     that a 32-bit draw leaves over is kept in the generator, not in the
-    call. Replicates are drawn one after another in the calling thread,
-    into one table of counts that a single pass of the array algebra
-    re-estimates. Replicates whose resample makes a needed conditioning
+    call. Replicates are drawn into one table of counts that a single pass
+    of the array algebra re-estimates. ``workers`` sets how many threads
+    draw them: k = min(workers, replicates, CPUs this process may run on),
+    thread j filling rows j, j + k, j + 2k, ..., the calling thread one of
+    them; with k = 1 no thread starts and the calling thread draws every
+    replicate in order. A result never depends on ``workers``, since each
+    replicate reads only its own stream and everything after the table runs
+    in replicate order; an error in any thread ends the others and reaches
+    the caller. Replicates whose resample makes a needed conditioning
     event empty are skipped and counted; if every replicate degenerates,
     :class:`AllReplicatesDegenerate` is raised. Interval endpoints follow
     the same nearest-rank rule as the simulation percentiles. At most
@@ -667,12 +696,26 @@ def bootstrap(
         raise ValidationError("bootstrap needs at least 2 rows")
     smoothing = _require_smoothing(smoothing)
     seed = _require_u64(seed, "seed")
+    workers = _require_count(workers, "workers")
 
     n = dataset.n
-    width = 16 if dataset.v_present else 8
-    counts = np.empty((replicates, width), dtype=np.int64)
-    for i in range(replicates):
-        counts[i] = _resample_counts(dataset.codes, derive_trial_stream(seed, i), width)
+    counts = np.empty((replicates, 16 if dataset.v_present else 8), dtype=np.int64)
+    threads = min(workers, replicates, _cpus())
+    stop: list = []
+    if threads == 1:
+        _fill_counts(counts, dataset.codes, seed, 0, 1, stop)
+    else:
+        # imported here, so that start-up and a one-thread run load no pool
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(threads - 1) as pool:
+            strides = [
+                pool.submit(_fill_counts, counts, dataset.codes, seed, j, threads, stop)
+                for j in range(1, threads)
+            ]
+            _fill_counts(counts, dataset.codes, seed, 0, threads, stop)
+        for stride in strides:
+            stride.result()
     values, ok = _replicate_values(counts, n, smoothing)
     if not ok.any():
         raise AllReplicatesDegenerate(
@@ -699,15 +742,19 @@ def estimate_with_bootstrap(
     replicates: int = 0,
     level: float = 0.95,
     seed: int = 0,
+    workers: int = 1,
 ) -> EstimateReport:
     """Point estimates plus, when ``replicates`` > 0, bootstrap intervals.
 
-    ``level`` is checked even when no bootstrap runs, and ``replicates`` before
-    the point estimate: 0 (an int or numpy integer) runs no bootstrap, and any
-    other value must be a count up to ``MAX_REPLICATES``.
+    ``level`` and ``workers`` (the bootstrap's thread count, see
+    :func:`bootstrap`) are checked even when no bootstrap runs, and
+    ``replicates`` before the point estimate: 0 (an int or numpy integer)
+    runs no bootstrap, and any other value must be a count up to
+    ``MAX_REPLICATES``.
     """
     _require_instance(dataset, "dataset", RecordDataset)
     _require_real(level, "level", 0.0, 1.0, "()")
+    _require_count(workers, "workers")
     runs = replicates is False or not (
         isinstance(replicates, (int, np.integer)) and replicates == 0
     )
@@ -715,6 +762,8 @@ def estimate_with_bootstrap(
         _require_count(replicates, "replicates", MAX_REPLICATES)
     report = estimate(dataset, smoothing)
     if runs:
-        ci = bootstrap(dataset, replicates, level=level, seed=seed, smoothing=smoothing)
+        ci = bootstrap(
+            dataset, replicates, level=level, seed=seed, smoothing=smoothing, workers=workers
+        )
         report = replace(report, bootstrap=ci)
     return report

@@ -101,7 +101,7 @@ Count = int  # 1, 2, ...
 U64 = int  # [0, 2**64)
 
 #: The check of each annotation above, of ``float`` (any real number, NaN included),
-#: of ``int`` (a tally: 0, 1, ...), of ``str``, of ``bool`` and of three containers.
+#: of ``int`` (a tally: 0, 1, ...), of ``str``, of ``bool`` and of five containers.
 _CHECKS = {
     "float": _require_real,
     "Unit": lambda value, name: _require_real(value, name, 0.0, 1.0),
@@ -118,6 +118,13 @@ _CHECKS = {
         _require_real_array(value, name, tally=True).tolist()
     ),
     "np.ndarray": lambda value, name: _require_real_array(value, name, flat=True),
+    "tuple[float, float, float, float]": lambda value, name: _require_reals(value, name, 4),
+    "dict[str, tuple[float, float]]": lambda value, name: {
+        _require_kind(key, f"{name} key", str, "a string"): _require_reals(
+            pair, f"{name}[{key!r}]", 2
+        )
+        for key, pair in _require_kind(value, name, dict, "a dict").items()
+    },
 }
 
 
@@ -174,6 +181,14 @@ def _require_real_array(
         i = int(np.argmax(arr < 0))
         raise ValidationError(f"{name}[{i}] must be a non-negative integer, got {arr[i]}")
     return (arr if tally else arr.astype(float, copy=False)).reshape(-1)
+
+
+def _require_reals(values, name: str, size: int) -> tuple[float, ...]:
+    """``values``, a sequence of ``size`` real numbers, as a tuple of floats."""
+    reals = tuple(_require_real_array(values, name).tolist())
+    if len(reals) != size:
+        raise ValidationError(f"{name} needs {size} entries, got {len(reals)}")
+    return reals
 
 
 def _require_instance(value, name: str, cls: type, many: bool = False) -> None:
@@ -303,21 +318,6 @@ class ReducedModel:
         return (self.slice0, self.slice1)
 
 
-def _require_vvhat_table(values, field: str) -> tuple[float, float, float, float]:
-    table = tuple(_require_real_array(values, field).tolist())
-    if len(table) != 4:
-        raise ValidationError(f"{field} needs 4 entries, got {len(table)}")
-    for i, x in enumerate(table):
-        if math.isnan(x) or x < 0.0:
-            raise ValidationError(f"{field}[{i}] must be >= 0, got {x!r}")
-    total = sum(table)
-    if abs(total - 1.0) > VALIDATION_TOL:
-        raise ValidationError(
-            f"{field} must sum to 1 within {VALIDATION_TOL}, got {total!r}"
-        )
-    return table
-
-
 @dataclass(frozen=True)
 class SliceMarginals:
     """Slice weight and per-slice (v, vhat) tables needed to rebuild a joint.
@@ -332,8 +332,15 @@ class SliceMarginals:
 
     def __post_init__(self) -> None:
         _check_fields(self)
-        object.__setattr__(self, "vvhat0", _require_vvhat_table(self.vvhat0, "vvhat0"))
-        object.__setattr__(self, "vvhat1", _require_vvhat_table(self.vvhat1, "vvhat1"))
+        for field, table in (("vvhat0", self.vvhat0), ("vvhat1", self.vvhat1)):
+            for i, x in enumerate(table):
+                if math.isnan(x) or x < 0.0:
+                    raise ValidationError(f"{field}[{i}] must be >= 0, got {x!r}")
+            total = sum(table)
+            if abs(total - 1.0) > VALIDATION_TOL:
+                raise ValidationError(
+                    f"{field} must sum to 1 within {VALIDATION_TOL}, got {total!r}"
+                )
 
     def tables(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         return (self.vvhat0, self.vvhat1)

@@ -1,12 +1,15 @@
+import concurrent.futures
 import csv
 import gc
 import hashlib
 import io
 import itertools
 import os
+import sys
 import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -1039,6 +1042,156 @@ class TestCountsBootstrap:
         assert estimate(data) == want
 
 
+def threading_datasets(m1_joint) -> dict[str, RecordDataset]:
+    """Datasets whose bootstraps must not depend on the thread count: with and without v,
+    with skipped replicates each way, and one where every replicate degenerates."""
+    keep = [i for i in range(16) if not (i >> 3 & 1 and i >> 2 & 1 and not (i >> 1 & 1))]
+    return {
+        "with-v": sample_dataset(m1_joint, 400, seed=17),
+        "without-v": without_v(sample_dataset(m1_joint, 400, seed=17)),
+        "skipped-with-v": all_combinations_dataset(),
+        "skipped-without-v": RecordDataset(
+            l=[0, 0, 0, 1, 1, 1], vhat=[1, 0, 0, 1, 1, 0], y=[1, 0, 1, 0, 1, 1]
+        ),
+        "all-degenerate": all_combinations_dataset().take(keep),
+    }
+
+
+def bootstrap_outcome(data, replicates, workers):
+    """What a bootstrap returns, intervals as ``float.hex``, or the message it raises."""
+    try:
+        got = bootstrap(data, replicates, seed=3, workers=workers)
+    except AllReplicatesDegenerate as exc:
+        return str(exc)
+    return list(got.intervals), hex_intervals(got.intervals), got.skipped
+
+
+class TestThreadedBootstrap:
+    """``workers`` threads draw the replicates; no result depends on how many."""
+
+    @pytest.mark.parametrize("name", [
+        "with-v", "without-v", "skipped-with-v", "skipped-without-v", "all-degenerate",
+    ])
+    def test_workers_never_change_results(self, m1_joint, monkeypatch, name):
+        data = threading_datasets(m1_joint)[name]
+        monkeypatch.setattr(empirical, "_cpus", lambda: 64)  # so every thread count runs
+        want = bootstrap_outcome(data, 12, workers=1)
+        if name == "all-degenerate":
+            assert want == "all 12 bootstrap replicates hit zero-mass conditions"
+        elif name.startswith("skipped"):
+            assert 0 < want[2] < 12
+        for workers in (2, 3, 12):
+            assert bootstrap_outcome(data, 12, workers) == want, workers
+
+    def test_threads_under_frequent_switching(self, m1_joint, monkeypatch):
+        data = sample_dataset(m1_joint, 3000, seed=4)
+        monkeypatch.setattr(empirical, "_cpus", lambda: 64)
+        monkeypatch.setattr(empirical, "_CHUNK", 97)  # many releases of the GIL a replicate
+        want = bootstrap_outcome(data, 30, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = bootstrap_outcome(data, 30, workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    @pytest.mark.parametrize("workers, replicates, cpus", [(1, 10, 64), (5, 10, 1), (4, 1, 64)])
+    def test_one_thread_starts_none(self, m1_joint, monkeypatch, workers, replicates, cpus):
+        data = sample_dataset(m1_joint, 400, seed=17)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(empirical, "_cpus", lambda: cpus)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(threading, "Thread", refuse)
+        got = bootstrap(data, replicates, seed=1, workers=workers)
+        assert got.replicates == replicates
+
+    @pytest.mark.parametrize("workers, replicates, cpus, threads", [
+        (8, 3, 64, 3), (8, 50, 4, 4), (3, 50, 64, 3), (10**6, 5, 2, 2), (10**20, 4, 64, 4),
+    ])
+    def test_threads_are_capped_and_take_strided_replicates(
+        self, m1_joint, monkeypatch, workers, replicates, cpus, threads
+    ):
+        data = sample_dataset(m1_joint, 400, seed=17)
+        drawn: dict[int, int] = {}
+        sizes = []
+
+        def recording_stream(seed, i):
+            drawn[i] = threading.get_ident()
+            return derive_trial_stream(seed, i)
+
+        def recording_pool(max_workers):
+            sizes.append(max_workers)
+            return ThreadPoolExecutor(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
+        monkeypatch.setattr(empirical, "_cpus", lambda: cpus)
+        monkeypatch.setattr(empirical, "derive_trial_stream", recording_stream)
+        bootstrap(data, replicates, seed=1, workers=workers)
+        # the calling thread takes one stride, so the pool has one thread fewer
+        assert sizes == [threads - 1]
+        assert sorted(drawn) == list(range(replicates))
+        assert {drawn[i] for i in range(0, replicates, threads)} == {threading.get_ident()}
+        for j in range(1, threads):
+            # a pool thread left idle may take a later stride too
+            strider = {drawn[i] for i in range(j, replicates, threads)}
+            assert len(strider) == 1 and strider != {threading.get_ident()}
+
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    def test_an_error_in_any_thread_reaches_the_caller_and_ends_the_others(
+        self, m1_joint, monkeypatch, failing
+    ):
+        data = sample_dataset(m1_joint, 400, seed=17)
+        before = set(threading.enumerate())
+        started, failed = threading.Barrier(3, timeout=10), threading.Event()
+        drawn = []
+        fill_counts = empirical._fill_counts
+
+        class Broken(Exception):
+            pass
+
+        def failing_fill(counts, codes, seed, first, step, stop):
+            try:
+                fill_counts(counts, codes, seed, first, step, stop)
+            finally:
+                if first == failing:
+                    failed.set()
+
+        def stream(seed, i):
+            if i < 3:  # each stride starts its first replicate, then one fails
+                started.wait()
+                if i == failing:
+                    raise Broken(i)
+                assert failed.wait(10)
+            drawn.append(i)
+            return derive_trial_stream(seed, i)
+
+        monkeypatch.setattr(empirical, "_cpus", lambda: 3)
+        monkeypatch.setattr(empirical, "_fill_counts", failing_fill)
+        monkeypatch.setattr(empirical, "derive_trial_stream", stream)
+        with pytest.raises(Broken) as err:
+            bootstrap(data, 300, seed=1, workers=3)
+        assert err.value.args == (failing,)
+        # each other stride finished the replicate it was drawing and stopped
+        assert sorted(drawn) == [i for i in range(3) if i != failing]
+        assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("workers", [0, -1, True, 1.5, "2", None])
+    def test_workers_are_checked_before_drawing(self, m1_joint, monkeypatch, workers):
+        data = sample_dataset(m1_joint, 100, seed=1)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(empirical, "_resample_counts", no_draw)
+        with pytest.raises(ValidationError) as err:
+            bootstrap(data, 5, workers=workers)
+        assert str(err.value) == f"workers must be a positive integer, got {workers!r}"
+
+
 class TestEstimateWithBootstrap:
     def test_attaches_intervals(self, m1_joint):
         data = sample_dataset(m1_joint, 1000, seed=2)
@@ -1061,3 +1214,25 @@ class TestEstimateWithBootstrap:
         data = parse_records("l,v,vhat,y\n0,1,1,1\n1,1,1,0\n0,1,0,1\n1,0,1,1\n")
         with pytest.raises(ValidationError, match="^replicates "):
             estimate_with_bootstrap(data, replicates=replicates)
+
+    @pytest.mark.parametrize("replicates", [0, 5])
+    @pytest.mark.parametrize("workers", [0, -1, True, 1.5])
+    def test_workers_are_checked_before_the_point_estimate(self, replicates, workers):
+        data = parse_records("l,v,vhat,y\n0,1,1,1\n1,1,1,0\n0,1,0,1\n1,0,1,1\n")
+        with pytest.raises(ValidationError) as err:
+            estimate_with_bootstrap(data, replicates=replicates, workers=workers)
+        assert str(err.value) == f"workers must be a positive integer, got {workers!r}"
+
+    def test_passes_workers_to_the_bootstrap(self, m1_joint, monkeypatch):
+        data = sample_dataset(m1_joint, 400, seed=17)
+        seen = []
+
+        def recording_bootstrap(*args, workers, **kwargs):
+            seen.append(workers)
+            return bootstrap(*args, workers=workers, **kwargs)
+
+        monkeypatch.setattr(empirical, "bootstrap", recording_bootstrap)
+        one = estimate_with_bootstrap(data, replicates=8, seed=2, workers=1)
+        three = estimate_with_bootstrap(data, replicates=8, seed=2, workers=3)
+        assert seen == [1, 3]
+        assert hex_intervals(one.bootstrap.intervals) == hex_intervals(three.bootstrap.intervals)

@@ -315,6 +315,7 @@ def test_every_real_field_refuses_text_bools_and_none(target, field, optional):
 INSTANCES = {
     "FullJoint": JOINT,
     "ReducedModel": M1,
+    "SliceMarginals": consistent_marginals(M1_WITH_D),
     "Histogram": Histogram(bin_edges=(0.0, 0.5, 1.0), counts=(1, 1)),
     "IndependenceDiagnostics": independence_diagnostics(JOINT),
     "SamplerConfig": CFG,
@@ -337,6 +338,11 @@ WRONG_VALUES = {
     "tuple[int, ...]": ("x", 5, [1.5], [True], [1, True], [-1], np.array([1, -1]), [None]),
     "np.ndarray": ("x", [None] * 16, [True] + [0.0] * 15, [1j] * 16, [[0.5], [0.5, 0.5]],
                    [HUGE] * 16),
+    "tuple[float, float, float, float]": ("x", 5, (0.25,) * 3, (0.25,) * 5, ("0.25",) * 4,
+                                          (True, 0.0, 0.0, 0.0), [[0.25] * 4], (HUGE,) * 4),
+    "dict[str, tuple[float, float]]": ("x", 5, [("G", (0.0, 1.0))], {1: (0.0, 1.0)},
+                                       {"G": 0.5}, {"G": (0.0,)}, {"G": (0.0, 1.0, 2.0)},
+                                       {"G": ("0", 1.0)}, {"G": (True, 1.0)}, {"G": (HUGE, 1.0)}),
 }
 
 #: The int fields that are plain tallies, not counts or seeds.
@@ -347,7 +353,7 @@ def declared_fields():
     """(class, field, kind, takes None) of each integer, text, flag, container or nested
     field of each public dataclass; the kind of an integer field is its annotation,
     ``Count``, ``U64`` or ``int``, of a text or flag field ``str`` or ``bool``, and of a
-    container ``tuple[float, ...]``, ``tuple[int, ...]`` or ``np.ndarray``. A
+    container its annotation, one of the containers of ``WRONG_VALUES``. A
     ``RecordDataset`` is built from its columns, not from its fields."""
     found = []
     for name in gap_gauge.__all__:
@@ -384,8 +390,9 @@ def test_every_integer_and_nested_field_refuses_wrong_values(target, field, kind
     for value in WRONG_VALUES[kind] + (() if optional else (None,)):
         with pytest.raises(ValidationError) as err:
             dataclasses.replace(valid, **{field: value})
-        # a container names the element at fault, as ``field[i]``
-        assert re.match(rf"{field}(\[\d+\])? ", str(err.value)), str(err.value)
+        # a container names the element at fault, as ``field[i]``, ``field['key']`` or
+        # ``field['key'][i]``
+        assert re.match(rf"{field}(\['\w+'\])?(\[\d+\])? ", str(err.value)), str(err.value)
 
 
 def object_parameters():
