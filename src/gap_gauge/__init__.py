@@ -26,7 +26,7 @@ _EXPORTS = {
         "bound_report_from_params", "independence_diagnostics",
     ), "bounds"),
     **dict.fromkeys((
-        "SamplerConfig", "Histogram", "SimulationResult", "SweepPoint", "SweepResult",
+        "SamplerConfig", "Histogram", "SimulationResult", "SweepPoint",
         "derive_trial_stream", "derive_point_seed", "sample_unconstrained",
         "sample_constrained", "percentile", "config_bounds", "run_monte_carlo", "sweep",
     ), "simulation"),

@@ -160,8 +160,8 @@ def _cmd_simulate(args, digest) -> list:
 
 def _cmd_sweep(args, digest) -> list:
     config = _load_sampler(args, digest)
-    result = sweep(config, args.varied, parse_grid(args.grid), args.trials, args.seed)
-    return [(write_sweep_csv, result)]
+    points = sweep(config, args.varied, parse_grid(args.grid), args.trials, args.seed)
+    return [(write_sweep_csv, points)]
 
 
 def _cmd_estimate(args, digest) -> list:

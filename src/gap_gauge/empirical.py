@@ -42,6 +42,7 @@ from .errors import (
     ValidationError,
     ZeroMassCondition,
 )
+from .files import _require_path
 from .model import (
     U64, Count, FullJoint, GapReport, NonNegative, OpenUnit, _check_fields, _require_count,
     _require_instance, _require_real, _require_u64, compute_gaps, gap_terms, reduce,
@@ -434,10 +435,7 @@ def read_records_csv(path, digest=None) -> RecordDataset:
     read into memory first. ``digest``, a :mod:`hashlib` object, is updated
     with every byte of the input once.
     """
-    # not an int either: ``open`` takes it as a descriptor, and closing the file would close it
-    if not isinstance(path, (str, bytes, os.PathLike)):
-        raise ValidationError(f"path must be a file path, got {path!r}")
-    with open(path, "rb") as file:
+    with open(_require_path(path), "rb") as file:
         handle = file if file.seekable() else io.BytesIO(file.read())
         dataset = _read_blocks(handle, digest)
         if dataset is not None:

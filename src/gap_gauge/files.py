@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import _CHECKS, FullJoint, ReducedModel, _annotation
-from .simulation import Histogram, SamplerConfig, SweepPoint, SweepResult
+from .simulation import Histogram, SamplerConfig, SweepPoint
 
 __all__ = [
     "atomic_paths",
@@ -79,6 +79,14 @@ def result_dict(obj: Any) -> Any:
 SWEEP_HEADER = tuple(key for _, key in _output_fields(SweepPoint))
 
 
+def _require_path(path) -> str:
+    """``path``, a str, bytes or ``os.PathLike``, as a str. Not an int either: ``open`` takes
+    one as a file descriptor, and closing the file would close the caller's descriptor."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise ValidationError(f"path must be a file path, got {path!r}")
+    return os.fsdecode(path)
+
+
 def dumps_json(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -95,7 +103,7 @@ def atomic_paths(*paths):
     """
     tmps = []
     try:
-        for path in map(os.fspath, paths):
+        for path in map(_require_path, paths):
             if not path:
                 raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
             if os.path.isdir(path):
@@ -113,7 +121,7 @@ def atomic_paths(*paths):
 
 
 def write_text(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with open(_require_path(path), "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)
 
 
@@ -123,7 +131,7 @@ def write_json(path, obj: Any) -> None:
 
 def _load_json(path, digest=None) -> Any:
     """The JSON value in ``path``, read once; ``digest`` is updated with its bytes."""
-    with open(path, "rb") as handle:
+    with open(_require_path(path), "rb") as handle:
         data = handle.read()
     if digest is not None:
         digest.update(data)
@@ -386,6 +394,7 @@ def _repr_lines(values: np.ndarray) -> bytes:
 
 def write_errors_csv(path, errors) -> None:
     """One ``repr`` of each error per line, under the header ``error``."""
+    path = _require_path(path)
     values = np.asarray(errors, dtype=float).reshape(-1)
     with open(path, "wb") as handle:
         handle.write(b"error\n")
@@ -400,7 +409,8 @@ def write_histogram_csv(path, histogram: Histogram) -> None:
     ))
 
 
-def write_sweep_csv(path, result: SweepResult) -> None:
+def write_sweep_csv(path, points: tuple[SweepPoint, ...]) -> None:
+    """One row of ``SWEEP_HEADER`` fields per point, each cell the ``repr`` of its value."""
     write_text(path, ",".join(SWEEP_HEADER) + "\n" + "".join(
-        ",".join(repr(v) for v in result_dict(point).values()) + "\n" for point in result.points
+        ",".join(repr(v) for v in result_dict(point).values()) + "\n" for point in points
     ))

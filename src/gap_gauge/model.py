@@ -131,19 +131,17 @@ _CHECKS = {
 @functools.cache  # once per field, not on each construction
 def _annotation(cls: type, f) -> tuple[str, bool, type | None]:
     """Field ``f`` of dataclass ``cls``: its annotation without ``| None``, whether it takes
-    ``None``, and the dataclass it names, alone or as ``tuple[X, ...]``, or None. Names are
-    looked up in ``cls``'s module, which keeps ``from __future__ import annotations``."""
+    ``None``, and the dataclass it names, or None. Names are looked up in ``cls``'s module,
+    which keeps ``from __future__ import annotations``."""
     kind = f.type.removesuffix(" | None")
-    name = kind.removeprefix("tuple[").removesuffix(", ...]")
-    item = vars(sys.modules[cls.__module__]).get(name)
+    item = vars(sys.modules[cls.__module__]).get(kind)
     return kind, kind != f.type, item if isinstance(item, type) and is_dataclass(item) else None
 
 
 def _check_fields(obj) -> None:
     """Check each field of dataclass ``obj`` as ``_annotation`` reads it, in order: with its
-    ``_CHECKS`` entry, whose result the field keeps, or, naming a dataclass ``X`` alone or as
-    ``tuple[X, ...]``, with ``_require_instance``. An optional field also takes ``None``; no
-    other field is checked."""
+    ``_CHECKS`` entry, whose result the field keeps, or, naming a dataclass, with
+    ``_require_instance``. An optional field also takes ``None``; no other field is checked."""
     for f in fields(obj):
         kind, optional, item = _annotation(type(obj), f)
         value = getattr(obj, f.name)
@@ -152,7 +150,7 @@ def _check_fields(obj) -> None:
         if kind in _CHECKS:
             object.__setattr__(obj, f.name, _CHECKS[kind](value, f.name))
         elif item is not None:
-            _require_instance(value, f.name, item, many=kind.startswith("tuple["))
+            _require_instance(value, f.name, item)
 
 
 def _require_real_array(
@@ -191,14 +189,11 @@ def _require_reals(values, name: str, size: int) -> tuple[float, ...]:
     return reals
 
 
-def _require_instance(value, name: str, cls: type, many: bool = False) -> None:
-    """Raise unless ``value`` is a ``cls`` (with ``many``, a tuple of them), so that a model,
-    config or dataset of another class fails here and not deep inside the computation."""
-    if not (
-        isinstance(value, tuple) and all(isinstance(x, cls) for x in value)
-        if many else isinstance(value, cls)
-    ):
-        raise ValidationError(f"{name} must be a {'tuple of ' * many}{cls.__name__}")
+def _require_instance(value, name: str, cls: type) -> None:
+    """Raise unless ``value`` is a ``cls``, so that a model, config or dataset of another
+    class fails here and not deep inside the computation."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{name} must be a {cls.__name__}")
 
 
 def _require_kind(value, name: str, kind, what: str):

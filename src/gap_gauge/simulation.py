@@ -43,7 +43,6 @@ __all__ = [
     "Histogram",
     "SimulationResult",
     "SweepPoint",
-    "SweepResult",
     "derive_trial_stream",
     "derive_point_seed",
     "sample_unconstrained",
@@ -493,28 +492,15 @@ class SweepPoint:
     __post_init__ = _check_fields
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """p95 and bound trajectories along one closeness-budget grid."""
-
-    varied: str
-    fixed_value: Unit
-    grid: tuple[float, ...]
-    points: tuple[SweepPoint, ...]
-    n_trials: Count
-    seed: U64
-
-    __post_init__ = _check_fields
-
-
 def sweep(
     base: SamplerConfig,
     varied: str,
     grid,
     n_trials: int,
     seed: int,
-) -> SweepResult:
-    """Rerun the constrained study at each grid value of one eps budget.
+) -> tuple[SweepPoint, ...]:
+    """Rerun the constrained study at each grid value of one eps budget: one
+    ``SweepPoint`` per grid value, in grid order.
 
     Grid point k runs with master seed ``derive_point_seed(seed, k)``, so
     points are mutually independent yet the whole sweep is reproducible from
@@ -545,12 +531,4 @@ def sweep(
                 bound_combined_proof=result.bounds.bound_combined_proof,
             )
         )
-    fixed = base.eps_b2 if varied == "eps_b1" else base.eps_b1
-    return SweepResult(
-        varied=varied,
-        fixed_value=fixed,
-        grid=grid,
-        points=tuple(points),
-        n_trials=n_trials,
-        seed=seed,
-    )
+    return tuple(points)

@@ -247,14 +247,14 @@ def test_criterion_06_eps_sweeps():
     band_ok = True
     drops_by_axis = {}
     for varied in ("eps_b2", "eps_b1"):
-        result = sweep(base, varied, grid, n_trials=20_000, seed=42)
-        for point in result.points:
+        points = sweep(base, varied, grid, n_trials=20_000, seed=42)
+        for point in points:
             eps_b2 = point.grid_value if varied == "eps_b2" else 0.2
             eps_b1 = point.grid_value if varied == "eps_b1" else 0.2
             expected = 2 * 0.02 + eps_b2 * 0.25 + eps_b1 * 0.05
             if abs(point.bound_combined_stated - expected) > 1e-12:
                 formula_ok = False
-        p95s = [point.p95 for point in result.points]
+        p95s = [point.p95 for point in points]
         drops_by_axis[varied] = sum(
             1 for lo, hi in zip(p95s, p95s[1:]) if hi < lo
         )

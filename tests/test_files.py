@@ -25,6 +25,7 @@ from gap_gauge import (
     ValidationError,
     bound_report,
     compute_gaps,
+    read_records_csv,
     run_monte_carlo,
     structure_params,
     sweep,
@@ -501,7 +502,7 @@ def result():
 
 
 @pytest.fixture(scope="module")
-def sweep_result():
+def sweep_points():
     config = SamplerConfig(
         p0=0.05, r0=0.1, p1=0.07, r1=0.09,
         mode="constrained", eps_b1=0.2, eps_b2=0.2,
@@ -818,14 +819,77 @@ class TestAtomicWrites:
 
 
 class TestSweepFiles:
-    def test_round_trip(self, sweep_result, tmp_path):
+    def test_round_trip(self, sweep_points, tmp_path):
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(path, sweep_result)
+        write_sweep_csv(path, sweep_points)
         header, *rows = csv_rows(path)
         assert header == list(SWEEP_HEADER)
         assert len(rows) == 3
-        for row, point in zip(rows, sweep_result.points):
+        for row, point in zip(rows, sweep_points):
             assert [float(value) for value in row] == [
                 point.grid_value, point.p95, point.bound_a,
                 point.bound_combined_stated, point.bound_combined_proof,
             ]
+
+
+class TestPathArguments:
+    """A path is a str, bytes or ``os.PathLike``; an int, which ``open`` would take as a file
+    descriptor and close, and any other value is a ``ValidationError``."""
+
+    WRITERS = {
+        "write_text": lambda path: files.write_text(path, "x\n"),
+        "write_json": lambda path: write_json(path, {"a": 1}),
+        "write_errors_csv": lambda path: write_errors_csv(path, [0.1]),
+        "write_histogram_csv": lambda path: write_histogram_csv(
+            path, Histogram(bin_edges=(0.0, 1.0), counts=(1,))
+        ),
+        "write_sweep_csv": lambda path: write_sweep_csv(path, ()),
+    }
+    READERS = {
+        "load_model_file": load_model_file,
+        "load_sampler_config": load_sampler_config,
+        "read_records_csv": read_records_csv,
+    }
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_writer_leaves_a_pipe_descriptor_open_and_empty(self, writer):
+        read, write = os.pipe()
+        try:
+            with pytest.raises(ValidationError, match=rf"^path must be a file path, got {write}$"):
+                self.WRITERS[writer](write)
+            os.close(write)  # raises if the writer closed it
+            assert os.read(read, 1) == b""
+        finally:
+            os.close(read)
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_reader_leaves_a_pipe_descriptor_open_and_unread(self, reader):
+        read, write = os.pipe()
+        try:
+            os.write(write, b"{}")
+            os.close(write)
+            with pytest.raises(ValidationError, match=rf"^path must be a file path, got {read}$"):
+                self.READERS[reader](read)
+            assert os.read(read, 3) == b"{}"
+        finally:
+            os.close(read)
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    @pytest.mark.parametrize("path", [None, 1.5, ["out.csv"]])
+    def test_writer_refuses_a_value_that_is_no_path(self, writer, path):
+        with pytest.raises(ValidationError, match="^path must be a file path"):
+            self.WRITERS[writer](path)
+
+    @pytest.mark.parametrize("path", [5, None])
+    def test_atomic_paths_refuses_a_value_that_is_no_path(self, tmp_path, path):
+        with pytest.raises(ValidationError, match="^path must be a file path"):
+            with atomic_paths(tmp_path / "a.json", path):
+                pass
+        assert list(tmp_path.iterdir()) == []
+
+    def test_atomic_paths_takes_bytes_paths(self, tmp_path):
+        path = tmp_path / "a.json"
+        with atomic_paths(os.fsencode(path)) as (tmp,):
+            assert tmp == f"{path}.tmp"
+            write_json(tmp, {"a": 1})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]

@@ -12,9 +12,9 @@ on construction: ``Unit`` is [0, 1], ``OpenUnit`` (0, 1), ``Signed``
 So does an integer field, ``Count`` (1, 2, ...), ``U64`` ([0, 2**64)) or a
 plain ``int`` tally (0, 1, ...), a ``str`` or ``bool`` field, a container
 field, ``tuple[float, ...]``, ``tuple[int, ...]`` (tallies) or
-``np.ndarray`` (reals), and a field holding a library dataclass or a tuple
-of them. A dataset's row indices must lie in [0, n), and
-``sample_dataset`` draws at most ``MAX_ROWS`` rows. A model, joint, sampler
+``np.ndarray`` (reals), and a field holding a library dataclass. A
+dataset's row indices must lie in [0, n), and ``sample_dataset`` draws
+at most ``MAX_ROWS`` rows. A model, joint, sampler
 config, dataset or other library object of the wrong class is a
 ``ValidationError`` that names the parameter and the class it expects, and
 so is a records input that is no text, bytes, file or lines of text. The probes pin one case of each
@@ -43,7 +43,7 @@ import gap_gauge
 from gap_gauge import (
     BootstrapResult, BoundReport, EstimateReport, FullJoint, GapGaugeError, GapReport, Histogram,
     IndependenceDiagnostics, SamplerConfig, SimulationResult, SliceMarginals, SliceParams,
-    StructureParams, SweepPoint, SweepResult, ValidationError, bootstrap, bound_report,
+    StructureParams, SweepPoint, ValidationError, bootstrap, bound_report,
     bound_report_from_params, classifier_structure_params, compute_gaps,
     config_bounds, consistent_marginals, derive_trial_stream, estimate, estimate_with_bootstrap,
     expand, filter_ystar, fit_joint, independence_diagnostics, parse_records,
@@ -245,10 +245,6 @@ TARGETS = {
     "SweepPoint": (SweepPoint, dict.fromkeys(
         ("grid_value", "p95", "bound_a", "bound_combined_stated", "bound_combined_proof"), 0.0
     )),
-    "SweepResult": (
-        lambda **kw: SweepResult(varied="eps_b1", points=(), n_trials=1, seed=0, **kw),
-        {"fixed_value": 0.2, "grid": (0.0,)},
-    ),
     "percentile": (percentile, {"values": [0.1, 0.2], "q": 0.5}),
     "parse_records": (parse_records, {"stream": "l,v,vhat,y\n0,1,1,1\n"}),
     "sweep": (lambda **kw: sweep(CFG, "eps_b1", n_trials=5, seed=1, **kw), {"grid": [0.0, 0.5]}),
@@ -320,7 +316,6 @@ INSTANCES = {
     "IndependenceDiagnostics": independence_diagnostics(JOINT),
     "SamplerConfig": CFG,
     "SimulationResult": run_monte_carlo(CFG, 5, seed=1),
-    "SweepResult": sweep(CFG, "eps_b1", [0.5], 5, seed=1),
     "EstimateReport": estimate_with_bootstrap(DS, replicates=5),
     "BootstrapResult": bootstrap(DS, 5),
 }
@@ -333,7 +328,6 @@ WRONG_VALUES = {
     "str": (5, b"x", ["x"]),
     "bool": ("x", 1, 0, np.float64(1.0)),
     "class": ("x", 1.5, object(), JOINT),
-    "tuple": ("y", ("y",), (JOINT,), []),
     "tuple[float, ...]": ("x", 5, [[0.0, 1.0]], ["0.5"], [None], [0.0, True], [1j], [HUGE]),
     "tuple[int, ...]": ("x", 5, [1.5], [True], [1, True], [-1], np.array([1, -1]), [None]),
     "np.ndarray": ("x", [None] * 16, [True] + [0.0] * 15, [1j] * 16, [[0.5], [0.5, 0.5]],
@@ -366,7 +360,7 @@ def declared_fields():
                 if hint in (int, str, bool) or annotation in WRONG_VALUES:
                     kind = annotation
                 elif dataclasses.is_dataclass(hint) or args and dataclasses.is_dataclass(args[0]):
-                    kind = "tuple" if typing.get_origin(hint) is tuple else "class"
+                    kind = "class"
                 else:
                     continue
                 optional = annotation != field.type
@@ -380,7 +374,7 @@ def test_every_int_field_is_a_count_a_seed_or_a_tally():
     kinds = {(p.values[0], p.values[1]): p.values[2] for p in declared_fields()}
     assert {key for key, kind in kinds.items() if kind == "int"} == TALLIES
     seeds = [kind for (_, field), kind in kinds.items() if field == "seed"]
-    assert seeds == ["U64"] * 3
+    assert seeds == ["U64"] * 2
 
 
 @pytest.mark.parametrize("target, field, kind, optional", declared_fields())

@@ -1,4 +1,4 @@
-"""The package's import surface and its command-line entry point.
+"""The package's import surface, its command-line entry point and the README's examples.
 
 Each start-up check runs in a fresh interpreter, with ``OPENBLAS_NUM_THREADS``
 removed from its environment unless the test sets it.
@@ -24,7 +24,7 @@ PUBLIC = [
     "StructureParams", "BoundReport", "IndependenceDiagnostics",
     "structure_params", "classifier_structure_params", "bound_report",
     "bound_report_from_params", "independence_diagnostics",
-    "SamplerConfig", "Histogram", "SimulationResult", "SweepPoint", "SweepResult",
+    "SamplerConfig", "Histogram", "SimulationResult", "SweepPoint",
     "derive_trial_stream", "derive_point_seed", "sample_unconstrained",
     "sample_constrained", "percentile", "config_bounds", "run_monte_carlo", "sweep",
     "RecordDataset", "EstimateReport", "BootstrapResult", "parse_records",
@@ -90,6 +90,19 @@ class TestImport:
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
             gap_gauge.nonexistent
+
+
+def readme_python_blocks() -> list[str]:
+    """The code of each ``python`` fenced block of README.md, in order."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    return [block.split("```", 1)[0] for block in text.split("```python\n")[1:]]
+
+
+def test_readme_python_blocks_run():
+    blocks = readme_python_blocks()
+    assert blocks
+    for code in blocks:
+        child(code)
 
 
 class TestEntryPoint:

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -510,24 +511,31 @@ class TestSweep:
         one = sweep(constrained(), "eps_b2", grid, n_trials=200, seed=42)
         two = sweep(constrained(), "eps_b2", grid, n_trials=200, seed=42)
         assert one == two
-        assert one.varied == "eps_b2"
-        assert one.fixed_value == 0.2  # the eps_b1 of the base config
-        assert [p.grid_value for p in one.points] == grid
+        assert [p.grid_value for p in one] == grid
 
     def test_points_use_decoupled_seeds(self):
-        # a single-point sweep at eps 0.1 must match a direct run with the
-        # derived per-point seed
-        result = sweep(constrained(), "eps_b1", [0.1], n_trials=150, seed=7)
-        direct = run_monte_carlo(
-            constrained(eps_b1=0.1, eps_b2=0.2),
-            n_trials=150,
-            seed=derive_point_seed(7, 0),
-        )
-        assert result.points[0].p95 == direct.p95
+        # point k of a sweep along either axis is a direct run at grid value k
+        # with the derived per-point seed, bit for bit
+        base, grid = constrained(), [0.0, 0.1, 0.3]
+        for varied in ("eps_b1", "eps_b2"):
+            points = sweep(base, varied, grid, n_trials=150, seed=7)
+            assert len(points) == len(grid)
+            for k, (point, value) in enumerate(zip(points, grid)):
+                direct = run_monte_carlo(
+                    replace(base, **{varied: value}), 150, derive_point_seed(7, k)
+                )
+                bounds = direct.bounds
+                assert point.grid_value == value
+                assert [float.hex(x) for x in (
+                    point.p95, point.bound_a, point.bound_combined_stated,
+                    point.bound_combined_proof,
+                )] == [float.hex(x) for x in (
+                    direct.p95, bounds.bound_A, bounds.bound_combined_stated,
+                    bounds.bound_combined_proof,
+                )]
 
     def test_bounds_columns_track_grid(self):
-        result = sweep(constrained(), "eps_b2", [0.0, 0.3], n_trials=50, seed=3)
-        for point in result.points:
+        for point in sweep(constrained(), "eps_b2", [0.0, 0.3], n_trials=50, seed=3):
             config = constrained(eps_b2=point.grid_value)
             report = config_bounds(config)
             assert point.bound_a == report.bound_A
