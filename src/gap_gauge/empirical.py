@@ -45,7 +45,7 @@ from .errors import (
 from .files import _require_path
 from .model import (
     U64, Count, FullJoint, GapReport, NonNegative, OpenUnit, _check_fields, _require_count,
-    _require_instance, _require_real, _require_u64, compute_gaps, gap_terms, reduce,
+    _require_instance, _require_real, _require_u64, _ValueEq, compute_gaps, gap_terms, reduce,
     require_gap_identities, slice_rates,
 )
 from .simulation import derive_trial_stream, percentile
@@ -103,8 +103,8 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, init=False)
-class RecordDataset:
+@dataclass(frozen=True, init=False, eq=False)
+class RecordDataset(_ValueEq):
     """Record data in file order, one cell code a row.
 
     ``codes`` holds each row's cell index as a read-only uint8 array:

@@ -10,9 +10,9 @@
 - Outputs: ``result_dict`` encodes every result from its dataclass fields,
   each under its name or the ``key`` its metadata declares, and four
   writers put them in files: ``write_json``, ``write_errors_csv``,
-  ``write_histogram_csv`` and ``write_sweep_csv``. Each writes the path it is
-  given, in place; to commit one output, write it inside
-  ``with atomic_paths(path) as (tmp,):``.
+  ``write_histogram_csv`` and ``write_sweep_csv``. Each checks the value it
+  writes before it opens the file, and writes the path it is given, in place;
+  to commit one output, write it inside ``with atomic_paths(path) as (tmp,):``.
 
 All JSON written here is deterministic (sorted keys, fixed indentation,
 shortest round-trip float repr) and all CSV uses LF line endings, so a rerun
@@ -32,7 +32,10 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .model import _CHECKS, FullJoint, ReducedModel, _annotation
+from .model import (
+    _CHECKS, FullJoint, ReducedModel, _annotation, _require_instance, _require_kind,
+    _require_real_array,
+)
 from .simulation import Histogram, SamplerConfig, SweepPoint
 
 __all__ = [
@@ -126,7 +129,12 @@ def write_text(path, text: str) -> None:
 
 
 def write_json(path, obj: Any) -> None:
-    write_text(path, dumps_json(obj))
+    """``obj``, JSON data such as ``result_dict`` returns, as ``dumps_json`` writes it."""
+    try:
+        text = dumps_json(obj)
+    except (TypeError, ValueError) as err:  # json names the value it cannot encode
+        raise ValidationError(f"obj must be JSON data: {err}") from None
+    write_text(path, text)
 
 
 def _load_json(path, digest=None) -> Any:
@@ -395,7 +403,7 @@ def _repr_lines(values: np.ndarray) -> bytes:
 def write_errors_csv(path, errors) -> None:
     """One ``repr`` of each error per line, under the header ``error``."""
     path = _require_path(path)
-    values = np.asarray(errors, dtype=float).reshape(-1)
+    values = _require_real_array(errors, "errors", flat=True)
     with open(path, "wb") as handle:
         handle.write(b"error\n")
         for start in range(0, values.size, _CHUNK):
@@ -403,6 +411,7 @@ def write_errors_csv(path, errors) -> None:
 
 
 def write_histogram_csv(path, histogram: Histogram) -> None:
+    _require_instance(histogram, "histogram", Histogram)
     rows = zip(histogram.bin_edges, histogram.bin_edges[1:], histogram.counts)
     write_text(path, "bin_lo,bin_hi,count\n" + "".join(
         f"{lo!r},{hi!r},{count}\n" for lo, hi, count in rows
@@ -411,6 +420,10 @@ def write_histogram_csv(path, histogram: Histogram) -> None:
 
 def write_sweep_csv(path, points: tuple[SweepPoint, ...]) -> None:
     """One row of ``SWEEP_HEADER`` fields per point, each cell the ``repr`` of its value."""
+    # a list or tuple: the check would spend an iterator before the rows are written
+    points = _require_kind(points, "points", (tuple, list), "a sequence of SweepPoint")
+    for i, point in enumerate(points):
+        _require_instance(point, f"points[{i}]", SweepPoint)
     write_text(path, ",".join(SWEEP_HEADER) + "\n" + "".join(
         ",".join(repr(v) for v in result_dict(point).values()) + "\n" for point in points
     ))

@@ -228,8 +228,29 @@ def _clip_unit(x: float) -> float:
     return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
 
 
+class _ValueEq:
+    """Equality of a dataclass declared with ``eq=False`` that holds arrays: two values of
+    the same class are equal when each field is, an array by ``np.array_equal``. The
+    dataclass default would compare arrays element by element and raise. Such a value
+    is not hashable."""
+
+    __hash__ = None
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        for f in fields(self):
+            x, y = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+                if not np.array_equal(x, y):
+                    return False
+            elif x != y:
+                return False
+        return True
+
+
 @dataclass(frozen=True, eq=False)
-class FullJoint:
+class FullJoint(_ValueEq):
     """Joint distribution of (l, v, vhat, y) as 16 cell probabilities.
 
     ``cells`` is flat with index 8l + 4v + 2vhat + y. Cells must be
@@ -239,13 +260,6 @@ class FullJoint:
     """
 
     cells: np.ndarray
-
-    __hash__ = None
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FullJoint):
-            return NotImplemented
-        return bool(np.array_equal(self.cells, other.cells))
 
     def __post_init__(self) -> None:
         _check_fields(self)

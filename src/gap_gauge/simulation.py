@@ -11,13 +11,16 @@ are independent of execution order and identical runs are bit-identical.
 ``run_monte_carlo`` does not build those streams one by one. Philox is
 counter-based, so double j of trial i is a pure function of (s, i, j): the
 engine below takes a whole block's keys from ``_trial_key``, the function
-that keys ``derive_trial_stream``, computes the doubles with numpy
-array arithmetic, and repeats the float operations of the scalar samplers
-in the same order. The errors come from :func:`model.gap_terms`, the one
-gap formula that ``compute_gaps`` wraps, applied to whole arrays of trials.
-So its results are bit-identical to running ``derive_trial_stream``,
-``sample_*`` and ``compute_gaps`` per trial. Those scalar functions stay as
-the reference the engine is tested against.
+that keys ``derive_trial_stream``, and computes the doubles with numpy
+array arithmetic. A constrained attempt's seven doubles become its six cells
+through ``_constrained_cells`` and are kept by ``_accepted``, the one map
+and the one test that ``sample_constrained`` applies to its own stream's
+doubles. The errors come from :func:`model.gap_terms`, the one gap formula
+that ``compute_gaps`` wraps, applied to whole arrays of trials. So its
+results are bit-identical to running ``derive_trial_stream``, ``sample_*``
+and ``compute_gaps`` per trial. The reference the engine is tested against
+is a transcription in ``tests/oracles.py`` that draws each uniform with
+``Generator.uniform``, one trial at a time.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from .errors import (
 )
 from .model import (
     U64, Count, NonNegative, ReducedModel, SliceParams, SliceRates, Unit, _check_fields,
-    _require_count, _require_instance, _require_real, _require_real_array, _require_u64, gap_terms,
+    _require_count, _require_instance, _require_real, _require_real_array, _require_u64, _ValueEq,
+    gap_terms,
 )
 
 __all__ = [
@@ -119,11 +123,14 @@ _MODES = ("unconstrained", "constrained")
 class SamplerConfig:
     """Fixed classifier error rates plus the sampling mode for trial models.
 
-    In constrained mode the outcome-rate draws respect the closeness budgets
+    In constrained mode the outcome rates are drawn from the closeness budgets
     ``eps_b1`` (within-slice diagonal closeness) and ``eps_b2`` (across-slice
     translation residual); both are required then and must be absent in
-    unconstrained mode. ``max_rejections`` caps the attempts per constrained
-    trial.
+    unconstrained mode. An accepted draw keeps |c0 - b0| <= eps_b1 on slice 0
+    and each translation residual within eps_b2, so its tight eps_B2 is at most
+    ``eps_b2``. Slice 1's diagonal |c1 - b1| is not held to ``eps_b1``: it can
+    reach eps_b1 + 2 eps_b2. ``max_rejections`` caps the attempts per
+    constrained trial.
     """
 
     p0: Unit
@@ -149,6 +156,16 @@ class SamplerConfig:
                 raise ValidationError(f"{name} only applies to constrained mode")
 
 
+def _model(config: SamplerConfig, cells) -> ReducedModel:
+    """The trial model of ``config``'s classifier with outcome rates ``cells``:
+    a0, b0, c0, a1, b1, c1."""
+    a0, b0, c0, a1, b1, c1 = cells
+    return ReducedModel(
+        slice0=SliceParams(p=config.p0, r=config.r0, a=a0, b=b0, c=c0),
+        slice1=SliceParams(p=config.p1, r=config.r1, a=a1, b=b1, c=c1),
+    )
+
+
 def sample_unconstrained(
     config: SamplerConfig, stream: np.random.Generator
 ) -> ReducedModel:
@@ -158,62 +175,67 @@ def sample_unconstrained(
     """
     _require_instance(config, "config", SamplerConfig)
     _require_instance(stream, "stream", np.random.Generator)
-    a0, b0, c0, a1, b1, c1 = stream.random(6)
-    return ReducedModel(
-        slice0=SliceParams(p=config.p0, r=config.r0, a=a0, b=b0, c=c0),
-        slice1=SliceParams(p=config.p1, r=config.r1, a=a1, b=b1, c=c1),
-    )
+    return _model(config, stream.random(6))
 
 
-def _constrained_attempt(
-    stream: np.random.Generator, eps_b1: float, eps_b2: float
-) -> tuple[float, tuple[float, float, float, float, float, float]]:
-    """One constrained construction attempt; cells may land outside [0, 1].
+def _uniform(low, high, u):
+    """``Generator.uniform(low, high)`` given its double ``u``."""
+    return low + (high - low) * u
 
-    Draw order per attempt: the shift g uniform on [-1, 1]; a0 then b0
-    uniform on the g-feasible range ([0, 1-g] for g >= 0, [-g, 1] otherwise);
-    the diagonal residual for c0 uniform on [-eps_b1, eps_b1]; then the three
-    translation residuals for a1, b1, c1 uniform on [-eps_b2, eps_b2] in one
-    call, in that order.
+
+def _constrained_cells(u: np.ndarray, eps_b1: float, eps_b2: float) -> np.ndarray:
+    """Cells a0, b0, c0, a1, b1, c1 of constrained attempts, stacked on a new first
+    axis; cells may land outside [0, 1].
+
+    ``u`` holds each attempt's seven doubles on its first axis: one attempt's
+    ``stream.random(7)``, or the engine's (7, m, n) block. Double j becomes
+    uniform on its range as ``Generator.uniform`` would draw it, in this
+    order: the shift g uniform on [-1, 1]; a0 then b0 uniform on the
+    g-feasible range ([0, 1-g] for g >= 0, [-g, 1] otherwise); the diagonal
+    residual for c0 uniform on [-eps_b1, eps_b1]; then the three translation
+    residuals for a1, b1, c1 uniform on [-eps_b2, eps_b2], in that order.
     """
-    g = stream.uniform(-1.0, 1.0)
-    if g >= 0.0:
-        lo, hi = 0.0, 1.0 - g
-    else:
-        lo, hi = -g, 1.0
-    a0 = stream.uniform(lo, hi)
-    b0 = stream.uniform(lo, hi)
-    c0 = b0 + stream.uniform(-eps_b1, eps_b1)
-    ea, eb, ec = stream.uniform(-eps_b2, eps_b2, size=3)
-    return g, (a0, b0, c0, a0 + g + ea, b0 + g + eb, c0 + g + ec)
+    g = _uniform(-1.0, 1.0, u[0])
+    negative = g < 0.0
+    lo = np.where(negative, -g, 0.0)
+    hi = np.where(negative, 1.0, 1.0 - g)
+    a0 = _uniform(lo, hi, u[1])
+    b0 = _uniform(lo, hi, u[2])
+    c0 = b0 + _uniform(-eps_b1, eps_b1, u[3])
+    return np.stack((
+        a0, b0, c0,
+        a0 + g + _uniform(-eps_b2, eps_b2, u[4]),
+        b0 + g + _uniform(-eps_b2, eps_b2, u[5]),
+        c0 + g + _uniform(-eps_b2, eps_b2, u[6]),
+    ))
+
+
+def _accepted(cells: np.ndarray) -> np.ndarray:
+    """Whether each attempt of ``_constrained_cells`` has every cell in [0, 1]."""
+    return ((cells >= 0.0) & (cells <= 1.0)).all(axis=0)
 
 
 def sample_constrained(
     config: SamplerConfig, stream: np.random.Generator
 ) -> tuple[ReducedModel, int]:
-    """One trial model respecting the closeness budgets, by rejection.
+    """One trial model by rejection, from seven doubles an attempt.
 
     Slice 0 rates are drawn in the shift-feasible range, slice 1 rates are
     the slice 0 rates translated by the shared shift plus independent
-    residuals. Any cell outside [0, 1] discards the whole attempt; partial
-    redraws would bias the accepted distribution. Returns the model and the
-    number of attempts consumed (including the successful one). Raises
-    :class:`RejectionBudgetExhausted` after ``max_rejections`` failed
-    attempts.
+    residuals (``_constrained_cells``). Any cell outside [0, 1] discards the
+    whole attempt; partial redraws would bias the accepted distribution.
+    Returns the model and the number of attempts consumed (including the
+    successful one). Raises :class:`RejectionBudgetExhausted` after
+    ``max_rejections`` failed attempts.
     """
     _require_instance(config, "config", SamplerConfig)
     _require_instance(stream, "stream", np.random.Generator)
     if config.mode != "constrained":
         raise ValidationError("sample_constrained needs a constrained config")
     for attempt in range(1, config.max_rejections + 1):
-        _, cells = _constrained_attempt(stream, config.eps_b1, config.eps_b2)
-        if all(0.0 <= x <= 1.0 for x in cells):
-            a0, b0, c0, a1, b1, c1 = cells
-            model = ReducedModel(
-                slice0=SliceParams(p=config.p0, r=config.r0, a=a0, b=b0, c=c0),
-                slice1=SliceParams(p=config.p1, r=config.r1, a=a1, b=b1, c=c1),
-            )
-            return model, attempt
+        cells = _constrained_cells(stream.random(7), config.eps_b1, config.eps_b2)
+        if _accepted(cells):
+            return _model(config, cells), attempt
     raise RejectionBudgetExhausted(config.max_rejections)
 
 
@@ -270,7 +292,10 @@ def config_bounds(config: SamplerConfig) -> BoundReport:
     """Bounds implied by the configured classifier and closeness budgets.
 
     Unconstrained runs place no closeness structure on the draws, so both
-    eps budgets are the vacuous 1.0 there.
+    eps budgets are the vacuous 1.0 there. Constrained runs evaluate B1 and
+    both combined bounds at eps_B1 = ``eps_b1``, which slice 1's draws can
+    exceed (see :class:`SamplerConfig`), so a constrained run's errors can
+    exceed those bounds.
     """
     _require_instance(config, "config", SamplerConfig)
     if config.mode == "constrained":
@@ -283,9 +308,10 @@ def config_bounds(config: SamplerConfig) -> BoundReport:
     return bound_report_from_params(params)
 
 
-@dataclass(frozen=True)
-class SimulationResult:
-    """Aggregate of one Monte Carlo run; ``errors`` is in trial order."""
+@dataclass(frozen=True, eq=False)
+class SimulationResult(_ValueEq):
+    """Aggregate of one Monte Carlo run; ``errors`` is in trial order. Two results are
+    equal when every field is, ``errors`` by ``np.array_equal``; a result is not hashable."""
 
     n_trials: Count
     errors: np.ndarray = field(metadata={"key": None})
@@ -376,30 +402,6 @@ def _stream_doubles(k0: np.ndarray, k1: np.ndarray, first: int, count: int) -> n
     return (words >> _U64(11)) * (1.0 / 9007199254740992.0)
 
 
-def _uniform(low, high, u):
-    """``Generator.uniform(low, high)`` given its double ``u``."""
-    return low + (high - low) * u
-
-
-def _constrained_cells(
-    u: np.ndarray, eps_b1: float, eps_b2: float
-) -> tuple[np.ndarray, ...]:
-    """``_constrained_attempt`` over arrays, from its seven doubles ``u``."""
-    g = _uniform(-1.0, 1.0, u[0])
-    negative = g < 0.0
-    lo = np.where(negative, -g, 0.0)
-    hi = np.where(negative, 1.0, 1.0 - g)
-    a0 = _uniform(lo, hi, u[1])
-    b0 = _uniform(lo, hi, u[2])
-    c0 = b0 + _uniform(-eps_b1, eps_b1, u[3])
-    return (
-        a0, b0, c0,
-        a0 + g + _uniform(-eps_b2, eps_b2, u[4]),
-        b0 + g + _uniform(-eps_b2, eps_b2, u[5]),
-        c0 + g + _uniform(-eps_b2, eps_b2, u[6]),
-    )
-
-
 def _block_errors(
     config: SamplerConfig, seed: int, start: int, stop: int
 ) -> tuple[np.ndarray, int]:
@@ -425,8 +427,8 @@ def _block_errors(
                 )
             m = min(max(1, _BLOCK // pending.size), config.max_rejections - tried)
             u = _stream_doubles(k0, k1, 7 * tried, 7 * m).reshape(m, 7, -1).swapaxes(0, 1)
-            drawn = np.stack(_constrained_cells(u, config.eps_b1, config.eps_b2))
-            ok = ((drawn >= 0.0) & (drawn <= 1.0)).all(axis=0)
+            drawn = _constrained_cells(u, config.eps_b1, config.eps_b2)
+            ok = _accepted(drawn)
             first, accepted = ok.argmax(axis=0), ok.any(axis=0)
             done = np.flatnonzero(accepted)
             cells[:, pending[done]] = drawn[:, first[done], done]

@@ -893,3 +893,46 @@ class TestPathArguments:
             assert tmp == f"{path}.tmp"
             write_json(tmp, {"a": 1})
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
+
+
+class TestValueArguments:
+    """Each writer refuses a value it cannot write with a ``ValidationError`` that names the
+    argument, before it opens the file, so no file is left behind."""
+
+    CASES = {
+        "errors-text": (lambda path: write_errors_csv(path, [0.1, "x"]),
+                        "errors[1] must be a number, got 'x'"),
+        "errors-none": (lambda path: write_errors_csv(path, [None]),
+                        "errors[0] must be a number, got None"),
+        "errors-bool": (lambda path: write_errors_csv(path, [0.5, True]),
+                        "errors[1] must be a number, got True"),
+        "errors-complex": (lambda path: write_errors_csv(path, np.array([0.5j])),
+                           "errors must be a sequence of real numbers"),
+        "histogram": (lambda path: write_histogram_csv(path, 5), "histogram must be a Histogram"),
+        "points": (lambda path: write_sweep_csv(path, 5),
+                   "points must be a sequence of SweepPoint, got 5"),
+        "points-item": (lambda path: write_sweep_csv(path, [1]), "points[0] must be a SweepPoint"),
+        "json": (lambda path: write_json(path, object()),
+                 "obj must be JSON data: Object of type object is not JSON serializable"),
+        "json-key": (lambda path: write_json(path, {(1, 2): 0.5}),
+                     "obj must be JSON data: keys must be str, int, float, bool or None, "
+                     "not tuple"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_refused_naming_the_argument_before_the_file_is_opened(self, tmp_path, case):
+        call, message = self.CASES[case]
+        with pytest.raises(ValidationError) as err:
+            call(tmp_path / "out")
+        assert str(err.value) == message
+        assert list(tmp_path.iterdir()) == []
+
+    def test_refused_value_inside_atomic_paths_keeps_every_path(self, tmp_path):
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        write_errors_csv(paths[0], [0.5])
+        with pytest.raises(ValidationError, match=r"^points\[0\] must be a SweepPoint$"):
+            with atomic_paths(*paths) as tmps:
+                write_errors_csv(tmps[0], [0.25])
+                write_sweep_csv(tmps[1], [1])
+        assert paths[0].read_text() == "error\n0.5\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["a.csv"]

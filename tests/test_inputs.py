@@ -23,9 +23,11 @@ text, a bool and ``None``, another gives every integer, text, flag,
 container or nested field wrong values; the property tests give every real-valued
 parameter of the package's public dataclasses and functions values of every
 kind, and give the command line arbitrary bytes as each of its input files.
+Comparing two dataclass values, arrays included, never raises either.
 """
 
 import contextlib
+import copy
 import dataclasses
 import inspect
 import io
@@ -387,6 +389,35 @@ def test_every_integer_and_nested_field_refuses_wrong_values(target, field, kind
         # a container names the element at fault, as ``field[i]``, ``field['key']`` or
         # ``field['key'][i]``
         assert re.match(rf"{field}(\['\w+'\])?(\[\d+\])? ", str(err.value)), str(err.value)
+
+
+#: For each instance of ``INSTANCES``, one field and another valid value for it.
+CHANGES = {
+    "FullJoint": ("cells", np.r_[0.0, np.full(14, 1 / 16), 0.125]),
+    "ReducedModel": ("slice1", M1.slice0),
+    "SliceMarginals": ("pr_l1", 0.25),
+    "Histogram": ("counts", (2, 0)),
+    "IndependenceDiagnostics": ("gap_error", 0.5),
+    "SamplerConfig": ("eps_b1", 0.3),
+    "SimulationResult": ("errors", np.zeros(5)),
+    "EstimateReport": ("smoothing", 1.0),
+    "BootstrapResult": ("skipped", 1),
+}
+
+
+@pytest.mark.parametrize("target", [*INSTANCES, "RecordDataset"])
+def test_values_equal_an_equal_copy_and_differ_from_a_changed_one(target):
+    if target == "RecordDataset":
+        value = parse_records("l,v,vhat,y\n0,1,1,0\n1,0,1,1\n")
+        changed = parse_records("l,v,vhat,y\n0,1,1,0\n1,0,1,0\n")
+    else:
+        value = INSTANCES[target]
+        field, other = CHANGES[target]
+        changed = dataclasses.replace(value, **{field: other})
+    same = copy.deepcopy(value)
+    assert value == same and not value != same
+    assert value != changed and not value == changed
+    assert value != "x"
 
 
 def object_parameters():

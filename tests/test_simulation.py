@@ -24,7 +24,8 @@ from gap_gauge import (
     structure_params,
     sweep,
 )
-from gap_gauge.simulation import _constrained_attempt, _philox4x64, _trial_key
+from gap_gauge.simulation import _constrained_cells, _philox4x64, _trial_key
+from oracles import constrained_attempt, constrained_trial
 
 CLASSIFIER = dict(p0=0.05, r0=0.1, p1=0.07, r1=0.09)
 
@@ -219,13 +220,37 @@ class TestUnconstrainedSampler:
 class TestConstrainedSampler:
     def test_attempt_residuals_respect_budgets(self):
         for i in range(300):
-            stream = derive_trial_stream(13, i)
-            g, cells = _constrained_attempt(stream, eps_b1=0.2, eps_b2=0.1)
-            a0, b0, c0, a1, b1, c1 = cells
+            u = derive_trial_stream(13, i).random(7)
+            g = 2.0 * u[0] - 1.0  # the shift, as Generator.uniform(-1, 1) draws it
+            a0, b0, c0, a1, b1, c1 = _constrained_cells(u, eps_b1=0.2, eps_b2=0.1)
             assert -1.0 <= g <= 1.0
             assert abs(c0 - b0) <= 0.2 + 1e-12
             for x0, x1 in ((a0, a1), (b0, b1), (c0, c1)):
                 assert abs(x1 - x0 - g) <= 0.1 + 1e-12
+
+    @pytest.mark.parametrize(
+        "eps_b1, eps_b2", [(0.2, 0.2), (0.0, 0.0), (1.0, 1.0), (0.013, 0.677), (5e-5, 5e-5)]
+    )
+    def test_cells_match_oracle_attempt_by_attempt(self, eps_b1, eps_b2):
+        # the one array map over seven doubles equals the uniform-by-uniform
+        # draw, three consecutive attempts of each stream
+        for seed in (0, 7, 2**64 - 1):
+            for i in range(200):
+                stream, oracle = derive_trial_stream(seed, i), derive_trial_stream(seed, i)
+                for _ in range(3):
+                    cells = _constrained_cells(stream.random(7), eps_b1, eps_b2)
+                    expected = constrained_attempt(oracle, eps_b1, eps_b2)
+                    assert [float(x).hex() for x in cells] == [x.hex() for x in expected]
+
+    @pytest.mark.parametrize("eps", [0.0, 0.2, 1.0])
+    def test_consumes_seven_doubles_per_attempt(self, eps):
+        # the engine reads attempt k + 1 at doubles 7k .. 7k+6
+        config = constrained(eps_b1=eps, eps_b2=eps)
+        for i in range(300):
+            stream = derive_trial_stream(25, i)
+            _, attempts = sample_constrained(config, stream)
+            after = derive_trial_stream(25, i).random(7 * attempts + 1)[-1]
+            assert stream.random() == after
 
     def test_accepted_models_in_range(self):
         config = constrained()
@@ -363,19 +388,22 @@ class TestRunMonteCarlo:
     @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
     @pytest.mark.parametrize("mode", ["unconstrained", "constrained"])
     def test_engine_matches_scalar_oracle(self, mode, seed):
-        # one trial at a time through the scalar samplers, across a block
-        # boundary: the block engine must reproduce every bit
+        # one trial at a time, across a block boundary: the block engine must
+        # reproduce every bit of the oracle's uniform-by-uniform draws, and
+        # sample_constrained every error and attempt count
         config = constrained() if mode == "constrained" else unconstrained()
         n = simulation._BLOCK + 17
         expected = np.empty(n)
         attempts = 0
         for i in range(n):
-            stream = derive_trial_stream(seed, i)
             if mode == "constrained":
-                model, tries = sample_constrained(config, stream)
+                error, tries = constrained_trial(config, derive_trial_stream(seed, i))
+                model, sampled = sample_constrained(config, derive_trial_stream(seed, i))
+                assert (compute_gaps(model).error, sampled) == (error, tries)
             else:
-                model, tries = sample_unconstrained(config, stream), 1
-            expected[i] = compute_gaps(model).error
+                model, tries = sample_unconstrained(config, derive_trial_stream(seed, i)), 1
+                error = compute_gaps(model).error
+            expected[i] = error
             attempts += tries
         result = run_monte_carlo(config, n_trials=n, seed=seed)
         assert result.errors.tobytes() == expected.tobytes()
