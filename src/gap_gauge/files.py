@@ -100,13 +100,26 @@ def atomic_paths(*paths):
 
     Each temporary is created before the block runs, so the OS refuses a
     path it could not write before any work is done; a path that is empty
-    or a directory could not be replaced, so it is refused too. Every output
-    is written before any is replaced, and a block that raises removes the
-    temporaries created here, so a failed write leaves every path as it was.
+    or a directory could not be replaced, so it is refused too. Two paths
+    that name one directory entry (the same name in directories whose
+    ``os.path.realpath`` agree) would share one temporary, so they are
+    refused with a ``ValidationError`` before any temporary is created; a
+    symlink as the last part is replaced, not followed, so it names an entry
+    of its own. Every output is written before any is replaced, and a block
+    that raises removes the temporaries created here, so a failed write
+    leaves every path as it was.
     """
+    paths = [_require_path(path) for path in paths]
+    named: dict[str, str] = {}
+    for path in paths:
+        head, tail = os.path.split(path)
+        real = os.path.join(os.path.realpath(head), tail)
+        if real in named:
+            raise ValidationError(f"paths {named[real]!r} and {path!r} name the same file")
+        named[real] = path
     tmps = []
     try:
-        for path in map(_require_path, paths):
+        for path in paths:
             if not path:
                 raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
             if os.path.isdir(path):

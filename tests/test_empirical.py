@@ -9,7 +9,6 @@ import sys
 import threading
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -1066,6 +1065,49 @@ def bootstrap_outcome(data, replicates, workers):
     return list(got.intervals), hex_intervals(got.intervals), got.skipped
 
 
+class Broken(Exception):
+    pass
+
+
+def fail_one_stride(m1_joint, monkeypatch, failing, error) -> list[int]:
+    """Bootstrap 300 replicates on 3 threads, stride ``failing`` raising ``error(failing)`` at
+    its first replicate once every stride has begun one. Checks that the caller gets that
+    error, that no thread is left running or hands an error to ``threading.excepthook``,
+    and returns the replicates the other strides drew."""
+    data = sample_dataset(m1_joint, 400, seed=17)
+    before = set(threading.enumerate())
+    started, failed = threading.Barrier(3, timeout=10), threading.Event()
+    drawn, escaped = [], []
+    fill_counts = empirical._fill_counts
+
+    def failing_fill(counts, codes, seed, first, step, failures):
+        try:
+            fill_counts(counts, codes, seed, first, step, failures)
+        finally:
+            if first == failing:
+                failed.set()
+
+    def stream(seed, i):
+        if i < 3:  # each stride starts its first replicate, then one fails
+            started.wait()
+            if i == failing:
+                raise error(i)
+            assert failed.wait(10)
+        drawn.append(i)
+        return derive_trial_stream(seed, i)
+
+    monkeypatch.setattr(empirical, "_cpus", lambda: 3)
+    monkeypatch.setattr(empirical, "_fill_counts", failing_fill)
+    monkeypatch.setattr(empirical, "derive_trial_stream", stream)
+    monkeypatch.setattr(threading, "excepthook", escaped.append)
+    with pytest.raises(error) as err:
+        bootstrap(data, 300, seed=1, workers=3)
+    assert type(err.value) is error and err.value.args == (failing,)
+    assert set(threading.enumerate()) == before
+    assert escaped == []
+    return sorted(drawn)
+
+
 class TestThreadedBootstrap:
     """``workers`` threads draw the replicates; no result depends on how many."""
 
@@ -1116,27 +1158,30 @@ class TestThreadedBootstrap:
         self, m1_joint, monkeypatch, workers, replicates, cpus, threads
     ):
         data = sample_dataset(m1_joint, 400, seed=17)
+        before = set(threading.enumerate())
         drawn: dict[int, int] = {}
-        sizes = []
+        made = []
 
         def recording_stream(seed, i):
             drawn[i] = threading.get_ident()
             return derive_trial_stream(seed, i)
 
-        def recording_pool(max_workers):
-            sizes.append(max_workers)
-            return ThreadPoolExecutor(max_workers)
+        class RecordingThread(threading.Thread):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
+        monkeypatch.setattr(threading, "Thread", RecordingThread)
         monkeypatch.setattr(empirical, "_cpus", lambda: cpus)
         monkeypatch.setattr(empirical, "derive_trial_stream", recording_stream)
         bootstrap(data, replicates, seed=1, workers=workers)
-        # the calling thread takes one stride, so the pool has one thread fewer
-        assert sizes == [threads - 1]
+        # the calling thread takes one stride, so one thread fewer starts
+        assert len(made) == threads - 1
+        assert all(thread.ident is not None for thread in made)
+        assert set(threading.enumerate()) == before
         assert sorted(drawn) == list(range(replicates))
         assert {drawn[i] for i in range(0, replicates, threads)} == {threading.get_ident()}
         for j in range(1, threads):
-            # a pool thread left idle may take a later stride too
             strider = {drawn[i] for i in range(j, replicates, threads)}
             assert len(strider) == 1 and strider != {threading.get_ident()}
 
@@ -1144,40 +1189,14 @@ class TestThreadedBootstrap:
     def test_an_error_in_any_thread_reaches_the_caller_and_ends_the_others(
         self, m1_joint, monkeypatch, failing
     ):
-        data = sample_dataset(m1_joint, 400, seed=17)
-        before = set(threading.enumerate())
-        started, failed = threading.Barrier(3, timeout=10), threading.Event()
-        drawn = []
-        fill_counts = empirical._fill_counts
-
-        class Broken(Exception):
-            pass
-
-        def failing_fill(counts, codes, seed, first, step, stop):
-            try:
-                fill_counts(counts, codes, seed, first, step, stop)
-            finally:
-                if first == failing:
-                    failed.set()
-
-        def stream(seed, i):
-            if i < 3:  # each stride starts its first replicate, then one fails
-                started.wait()
-                if i == failing:
-                    raise Broken(i)
-                assert failed.wait(10)
-            drawn.append(i)
-            return derive_trial_stream(seed, i)
-
-        monkeypatch.setattr(empirical, "_cpus", lambda: 3)
-        monkeypatch.setattr(empirical, "_fill_counts", failing_fill)
-        monkeypatch.setattr(empirical, "derive_trial_stream", stream)
-        with pytest.raises(Broken) as err:
-            bootstrap(data, 300, seed=1, workers=3)
-        assert err.value.args == (failing,)
+        drawn = fail_one_stride(m1_joint, monkeypatch, failing, Broken)
         # each other stride finished the replicate it was drawing and stopped
-        assert sorted(drawn) == [i for i in range(3) if i != failing]
-        assert set(threading.enumerate()) == before
+        assert drawn == [i for i in range(3) if i != failing]
+
+    def test_an_interrupt_in_the_calling_thread_reaches_the_caller_and_ends_the_others(
+        self, m1_joint, monkeypatch
+    ):
+        assert fail_one_stride(m1_joint, monkeypatch, 0, KeyboardInterrupt) == [1, 2]
 
     @pytest.mark.parametrize("workers", [0, -1, True, 1.5, "2", None])
     def test_workers_are_checked_before_drawing(self, m1_joint, monkeypatch, workers):
@@ -1222,6 +1241,17 @@ class TestEstimateWithBootstrap:
         with pytest.raises(ValidationError) as err:
             estimate_with_bootstrap(data, replicates=replicates, workers=workers)
         assert str(err.value) == f"workers must be a positive integer, got {workers!r}"
+
+    @pytest.mark.parametrize("replicates", [0, 5])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "x", True])
+    def test_seed_is_checked_before_the_point_estimate(self, replicates, seed):
+        with pytest.raises(ValidationError) as expected:
+            bootstrap(all_combinations_dataset(), 5, seed=seed)
+        # both rows have v = 1, so the point estimate raises ZeroMassCondition
+        data = parse_records("l,v,vhat,y\n0,1,1,1\n1,1,1,1\n")
+        with pytest.raises(ValidationError) as err:
+            estimate_with_bootstrap(data, replicates=replicates, seed=seed)
+        assert str(err.value) == str(expected.value)
 
     def test_passes_workers_to_the_bootstrap(self, m1_joint, monkeypatch):
         data = sample_dataset(m1_joint, 400, seed=17)

@@ -757,6 +757,32 @@ class TestAtomicWrites:
         assert sorted(path.name for path in tmp_path.iterdir()) == ["a.json", "b.csv.tmp"]
         assert (blocker / "inside.txt").read_text() == "kept\n"
 
+    @pytest.mark.parametrize("alias", ["a", "./a", "link/a"])
+    def test_one_file_under_two_names_is_refused_before_the_block(
+        self, monkeypatch, tmp_path, alias
+    ):
+        # both names would share the temporary a.tmp, so the second rename would fail
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a").write_text("old\n")
+        (tmp_path / "link").symlink_to(".")
+        with pytest.raises(ValidationError) as err:
+            with atomic_paths("b", "a", alias):
+                raise AssertionError("the block ran")
+        assert str(err.value) == f"paths 'a' and {alias!r} name the same file"
+        assert (tmp_path / "a").read_text() == "old\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["a", "link"]
+
+    def test_a_symlink_to_another_path_is_replaced_not_followed(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a").write_text("old\n")
+        (tmp_path / "b").symlink_to("a")
+        with atomic_paths("a", "b") as tmps:
+            for tmp, text in zip(tmps, ["new a\n", "new b\n"]):
+                (tmp_path / tmp).write_text(text)
+        assert not (tmp_path / "b").is_symlink()
+        assert [(tmp_path / name).read_text() for name in "ab"] == ["new a\n", "new b\n"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["a", "b"]
+
     def test_empty_path_is_refused_as_open_refuses_it(self, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)
         with pytest.raises(FileNotFoundError) as expected:

@@ -65,6 +65,24 @@ class TestImport:
         )
         assert out == "False True\n"
 
+    def test_threaded_bootstrap_loads_no_executor(self):
+        out = child(
+            "import sys, threading\n"
+            "import gap_gauge\n"
+            "from gap_gauge import empirical\n"
+            "empirical._cpus = lambda: 2\n"
+            "fill, idents = empirical._fill_counts, set()\n"
+            "def recording(*args):\n"
+            "    idents.add(threading.get_ident())\n"
+            "    fill(*args)\n"
+            "empirical._fill_counts = recording\n"
+            "bits = [[i >> k & 1 for i in range(16)] for k in range(4)]\n"
+            "data = gap_gauge.RecordDataset(l=bits[3], v=bits[2], vhat=bits[1], y=bits[0])\n"
+            "gap_gauge.bootstrap(data, 10, seed=1, workers=2)\n"
+            "print(len(idents), 'concurrent.futures' in sys.modules)\n"
+        )
+        assert out == "2 False\n"
+
     def test_public_names_are_unchanged(self):
         assert gap_gauge.__all__ == PUBLIC
 
