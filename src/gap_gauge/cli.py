@@ -66,7 +66,11 @@ _NOT_CONFIG = ("func", "command", "seed", "out")
 
 
 def parse_grid(spec: str) -> list[float]:
-    """Parse ``start:stop:step`` into an inclusive, strictly increasing grid."""
+    """Parse ``start:stop:step`` into a strictly increasing grid from ``start`` by ``step``.
+
+    ``stop`` is in the grid only when the steps reach it: ``0:1:0.5`` gives
+    0.0, 0.5, 1.0, but ``0:1:0.3`` gives 0.0, 0.3, 0.6, 0.9.
+    """
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValidationError(f"grid must be start:stop:step, got {spec!r}")
@@ -227,7 +231,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("config_file", metavar="config", help="constrained sampler config (JSON)")
     p_sweep.add_argument("--varied", required=True, choices=("eps_b1", "eps_b2"))
-    p_sweep.add_argument("--grid", required=True, help="inclusive grid start:stop:step")
+    p_sweep.add_argument(
+        "--grid", required=True,
+        help="grid start:stop:step; stop is in it only if the steps reach it",
+    )
     p_sweep.add_argument("--trials", type=int, default=100000)
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.set_defaults(func=_cmd_sweep)

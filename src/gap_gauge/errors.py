@@ -99,15 +99,20 @@ class RejectionBudgetExhausted(GapGaugeError):
     attempt budget.
 
     ``trial_index`` identifies the failing trial when raised from a Monte
-    Carlo run (None when raised from a direct sampler call).
+    Carlo run (None when raised from a direct sampler call), and ``point``
+    the sweep grid point it ran at, as ``eps_b2 = 1.0`` (None outside a sweep).
     """
 
     exit_code = 4
 
-    def __init__(self, max_rejections: int, trial_index: int | None = None):
+    def __init__(
+        self, max_rejections: int, trial_index: int | None = None, point: str | None = None
+    ):
         self.max_rejections = max_rejections
         self.trial_index = trial_index
+        self.point = point
         where = f" at trial {trial_index}" if trial_index is not None else ""
+        where += f" of {point}" if point is not None else ""
         super().__init__(
             f"no valid sample after {max_rejections} attempts{where}"
         )

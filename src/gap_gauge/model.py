@@ -223,11 +223,6 @@ def _require_u64(value: int, name: str) -> int:
     return value
 
 
-def _clip_unit(x: float) -> float:
-    # ratios of non-negative cell sums are probabilities up to float dust
-    return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
-
-
 class _ValueEq:
     """Equality of a dataclass declared with ``eq=False`` that holds arrays: two values of
     the same class are equal when each field is, an array by ``np.array_equal``. The
@@ -430,7 +425,7 @@ _RATES = (
 
 
 def _rate(halves: np.ndarray, num, den) -> tuple[np.ndarray, np.ndarray]:
-    """Pr[cells ``num`` | cells ``den``] of slice tables (..., 8), and where it is defined.
+    """Pr[cells ``num`` | cells ``den``] of cell tables (..., n), and where it is defined.
 
     Index arrays of shape (..., k) give one rate per row. ``np.take`` lays each
     group out contiguously (a fancy index may not), so numpy sums it pairwise from
@@ -462,19 +457,17 @@ def slice_rates(cells) -> tuple[SliceRates, SliceRates, np.ndarray]:
 
 
 def _implied_rates(table: tuple[float, ...], l: int) -> tuple[float, float]:
-    """(p, r) implied by one slice's (v, vhat) table."""
-    m00, m01, m10, m11 = table
-    pvhat1 = m01 + m11
-    pv1 = m10 + m11
-    if pvhat1 <= 0.0:
+    """(p, r) implied by one slice's (v, vhat) table, whose cells are 2v + vhat."""
+    (p, r), (has_p, has_r) = _rate(np.array(table), [[1], [2]], [[1, 3], [2, 3]])
+    if not has_p:
         raise InconsistentMarginals(
             f"marginals give Pr[vhat=1 | l={l}] = 0, so no precision is expressible"
         )
-    if pv1 <= 0.0:
+    if not has_r:
         raise InconsistentMarginals(
             f"marginals give Pr[v=1 | l={l}] = 0, so no recall is expressible"
         )
-    return _clip_unit(m01 / pvhat1), _clip_unit(m10 / pv1)
+    return float(p), float(r)
 
 
 def expand(model: ReducedModel, marginals: SliceMarginals) -> FullJoint:
@@ -488,7 +481,7 @@ def expand(model: ReducedModel, marginals: SliceMarginals) -> FullJoint:
     """
     _require_instance(model, "model", ReducedModel)
     _require_instance(marginals, "marginals", SliceMarginals)
-    cells = np.zeros(16)
+    cells = np.zeros((2, 4, 2))  # [l, 2v + vhat, y]
     for l, (params, table) in enumerate(zip(model.slices(), marginals.tables())):
         if params.d is None:
             raise MissingCell(
@@ -504,20 +497,11 @@ def expand(model: ReducedModel, marginals: SliceMarginals) -> FullJoint:
                 f"slice {l}: marginals imply r = {implied_r!r}, model has {params.r!r}"
             )
         weight = marginals.pr_l1 if l == 1 else 1.0 - marginals.pr_l1
-        outcome = {
-            (0, 0): params.d,
-            (0, 1): params.c,
-            (1, 0): params.b,
-            (1, 1): params.a,
-        }
-        for v in (0, 1):
-            for vhat in (0, 1):
-                mass = weight * table[2 * v + vhat]
-                q = outcome[(v, vhat)]
-                base = 8 * l + 4 * v + 2 * vhat
-                cells[base + 1] = mass * q
-                cells[base] = mass * (1.0 - q)
-    return FullJoint(cells=cells)
+        mass = weight * np.array(table)
+        q = np.array((params.d, params.c, params.b, params.a))  # Pr[y=1 | v, vhat, l]
+        cells[l, :, 0] = mass * (1.0 - q)
+        cells[l, :, 1] = mass * q
+    return FullJoint(cells=cells.reshape(16))
 
 
 def consistent_marginals(

@@ -506,7 +506,8 @@ def sweep(
 
     Grid point k runs with master seed ``derive_point_seed(seed, k)``, so
     points are mutually independent yet the whole sweep is reproducible from
-    the single master seed.
+    the single master seed. A point that runs out of its rejection budget
+    raises :class:`RejectionBudgetExhausted` naming its trial and grid value.
     """
     _require_instance(base, "base", SamplerConfig)
     if varied not in ("eps_b1", "eps_b2"):
@@ -523,7 +524,12 @@ def sweep(
     points = []
     for k, value in enumerate(grid):
         config = replace(base, **{varied: value})
-        result = run_monte_carlo(config, n_trials, derive_point_seed(seed, k))
+        try:
+            result = run_monte_carlo(config, n_trials, derive_point_seed(seed, k))
+        except RejectionBudgetExhausted as err:
+            raise RejectionBudgetExhausted(
+                err.max_rejections, err.trial_index, f"{varied} = {value!r}"
+            ) from None
         points.append(
             SweepPoint(
                 grid_value=value,

@@ -147,6 +147,9 @@ class TestParseGrid:
     def test_single_point(self):
         assert parse_grid("0.2:0.2:0.1") == [0.2]
 
+    def test_stop_is_in_the_grid_only_when_the_steps_reach_it(self):
+        assert parse_grid("0:1:0.3") == [0.0, 0.3, 0.6, 0.9]
+
     def test_rejects_zero_step(self):
         with pytest.raises(ValidationError, match="step"):
             parse_grid("0:1:0")
@@ -717,6 +720,34 @@ class TestSweep:
             ])
         assert err.value.code == 2
         assert not list(tmp_path.glob("s.csv*"))
+
+    def test_exhaustion_names_the_grid_point_and_leaves_nothing(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        write_json(config, {
+            **CLASSIFIER, "mode": "constrained", "eps_b1": 0.2, "eps_b2": 0.2,
+            "max_rejections": 5,
+        })
+        code, out, err = run(
+            capsys, "sweep", str(config), "--varied", "eps_b2", "--grid", "0:1:1",
+            "--trials", "200", "--seed", "42", "--out", str(tmp_path / "sw.csv"),
+        )
+        assert (code, out) == (4, "")
+        assert err == (
+            "gap-gauge: no valid sample after 5 attempts at trial 0 of eps_b2 = 1.0\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+        # simulate at that point still names the trial alone
+        write_json(config, {
+            **CLASSIFIER, "mode": "constrained", "eps_b1": 0.2, "eps_b2": 1.0,
+            "max_rejections": 5,
+        })
+        code, _, err = run(
+            capsys, "simulate", str(config), "--trials", "200", "--seed", "42",
+            "--out", str(tmp_path / "sim"),
+        )
+        assert code == 4
+        assert err.startswith("gap-gauge: no valid sample after 5 attempts at trial ")
+        assert " of " not in err
 
     def test_manifest_records_grid(self, capsys, constrained_config_file, tmp_path):
         out = tmp_path / "sweep.csv"

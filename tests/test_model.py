@@ -20,7 +20,7 @@ from gap_gauge import (
 )
 from gap_gauge.model import gap_terms
 from conftest import random_reduced
-from oracles import conditional_prob, gaps_from_joint
+from oracles import conditional_prob, expand_cells, gaps_from_joint, implied_rates
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 # bounded away from 0 and 1 so every (v, vhat) cell keeps positive mass
@@ -275,6 +275,64 @@ class TestReduceExpand:
         )
         with pytest.raises(InconsistentMarginals, match="slice 0"):
             expand(m1_with_d, marginals)
+
+    # tables of (v, vhat) cells; one zero entry makes p = 0 (index 1) or r = 0 (index 2)
+    @staticmethod
+    def _table(rng, zero):
+        raw = rng.random(4) + 1e-3
+        if zero is not None:
+            raw[zero] = 0.0
+        return tuple((raw / raw.sum()).tolist())
+
+    def test_expand_matches_the_cell_by_cell_oracle(self):
+        rng = np.random.default_rng(2030)
+        pr_l1s = (1e-12, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - 2.0**-53)
+        outcomes = (0.0, 1.0, None)  # None: drawn at random
+        seen = set()
+        for i in range(600):
+            tables = [self._table(rng, (None, 0, 1, 2, 3)[(i + l) % 5]) for l in (0, 1)]
+            slices = []
+            for l, table in enumerate(tables):
+                p, r = implied_rates(table, l)
+                a, b, c, d = (
+                    rng.random() if q is None else q
+                    for q in (outcomes[(i // 5 + k) % 3] for k in range(4))
+                )
+                slices.append(SliceParams(p=p, r=r, a=a, b=b, c=c, d=d))
+                seen.update(name for name, x in (("p", p), ("r", r)) if x == 0.0)
+                seen.add(f"d={d}" if d in (0.0, 1.0) else "d random")
+            pr_l1 = pr_l1s[i % 5] if i % 10 < 5 else float(rng.random())
+            model = ReducedModel(slice0=slices[0], slice1=slices[1])
+            marginals = SliceMarginals(pr_l1=pr_l1, vvhat0=tables[0], vvhat1=tables[1])
+            got = [x.hex() for x in expand(model, marginals).cells.tolist()]
+            assert got == [x.hex() for x in expand_cells(model, marginals).tolist()], i
+        assert seen == {"p", "r", "d=0.0", "d=1.0", "d random"}
+
+    @pytest.mark.parametrize(
+        "vvhat0, p0, r0",
+        [
+            ((0.5, 0.0, 0.5, 0.0), 0.0, 0.0),  # no vhat=1 mass
+            ((0.5, 0.5, 0.0, 0.0), 0.0, 0.0),  # no v=1 mass
+            ((0.4, 0.1, 0.1, 0.4), 0.2 + 2e-9, 0.2),  # p just past the tolerance
+            ((0.4, 0.1, 0.1, 0.4), 0.2, 0.2 - 2e-9),  # r just past the tolerance
+            ((0.4, 0.1, 0.1, 0.4), 0.2 + 5e-10, 0.2 - 5e-10),  # both within it
+        ],
+        ids=["no-vhat1", "no-v1", "p-past-tol", "r-past-tol", "within-tol"],
+    )
+    def test_expand_refuses_as_the_oracle_does(self, vvhat0, p0, r0):
+        model = ReducedModel(
+            slice0=SliceParams(p=p0, r=r0, a=0.3, b=0.6, c=0.2, d=0.9),
+            slice1=SliceParams(p=0.2, r=0.2, a=0.5, b=0.5, c=0.5, d=0.5),
+        )
+        marginals = SliceMarginals(pr_l1=0.5, vvhat0=vvhat0, vvhat1=(0.4, 0.1, 0.1, 0.4))
+        try:
+            want = [x.hex() for x in expand_cells(model, marginals).tolist()]
+        except InconsistentMarginals as err:
+            with pytest.raises(InconsistentMarginals) as got:
+                expand(model, marginals)
+            assert str(got.value) == str(err)
+        else:
+            assert [x.hex() for x in expand(model, marginals).cells.tolist()] == want
 
     def test_reduce_zero_mass_cell_is_hard_error(self):
         # all proxy mass agrees with v on slice 0, so the b cell is empty;

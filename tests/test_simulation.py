@@ -570,6 +570,22 @@ class TestSweep:
             assert point.bound_combined_stated == report.bound_combined_stated
             assert point.bound_combined_proof == report.bound_combined_proof
 
+    def test_exhaustion_names_the_grid_point(self):
+        # at seed 42 point 0 (eps_b2 = 0.0) fills all 200 trials within five
+        # attempts, and point 1 (eps_b2 = 1.0) runs out at its trial 0
+        config, grid = constrained(max_rejections=5), [0.0, 1.0]
+        assert len(sweep(config, "eps_b2", grid[:1], n_trials=200, seed=42)) == 1
+        with pytest.raises(RejectionBudgetExhausted) as err:
+            sweep(config, "eps_b2", grid, n_trials=200, seed=42)
+        assert str(err.value) == "no valid sample after 5 attempts at trial 0 of eps_b2 = 1.0"
+        assert (err.value.max_rejections, err.value.trial_index) == (5, 0)
+        assert err.value.point == "eps_b2 = 1.0"
+        # the same run outside a sweep keeps its message
+        with pytest.raises(RejectionBudgetExhausted) as err:
+            run_monte_carlo(replace(config, eps_b2=1.0), 200, derive_point_seed(42, 1))
+        assert str(err.value) == "no valid sample after 5 attempts at trial 0"
+        assert err.value.point is None
+
 
 class TestHistogramType:
     def test_validates_monotone_edges(self):
