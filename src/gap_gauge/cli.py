@@ -280,7 +280,8 @@ def _run(args) -> None:
     or ``<out>.manifest.json`` it could not replace before the command runs,
     and renames each output into place once, after all are written, so a
     failed write, the manifest's included, leaves every file as it was. An
-    empty ``--out`` is refused before all of that, for every command.
+    ``--out`` whose last component is empty, ``''`` or one ending in a path
+    separator, is refused before all of that, for every command.
     """
     started = time.monotonic()
     digest = hashlib.sha256()
@@ -290,6 +291,8 @@ def _run(args) -> None:
         return
     if not args.out:  # '' + suffix would name hidden files, '.manifest.json' among them
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
+    if not os.path.basename(args.out):  # so would 'dir/' + suffix, in dir
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
     paths = [args.out + suffix for suffix in _SUFFIXES.get(args.command, ("",))]
     with atomic_paths(*paths, args.out + ".manifest.json") as tmps:
         for tmp, (write, result) in zip(tmps, args.func(args, digest)):

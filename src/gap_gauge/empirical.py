@@ -15,8 +15,10 @@ estimable, directly from counts.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
+import itertools
 import math
 import numbers
 import os
@@ -82,6 +84,8 @@ MAX_ROWS = 10**9
 
 _HEADER = ("l", "v", "vhat", "y")
 _HEADER_YSTAR = ("l", "v", "vhat", "y", "ystar")
+#: The columns whose cells may be empty, uniformly across a file.
+_OPTIONAL = ("v", "ystar")
 _BOM = b"\xef\xbb\xbf"
 
 
@@ -136,11 +140,9 @@ class RecordDataset(_ValueEq):
                 col = columns[name] = _require_binary_array(col, name)
             if col.size != n:
                 raise ValidationError(f"column {name} has {col.size} rows, expected {n}")
-        codes = np.zeros(n, dtype=np.uint8)
-        for column in (l, columns["v"], vhat, y):
-            if column is not None:
-                codes <<= 1
-                codes |= column.view(np.uint8)
+        codes = _pack(l.view(np.uint8), (
+            column.view(np.uint8) for column in (columns["v"], vhat, y) if column is not None
+        ))
         self._set(codes, v is not None, columns["ystar"])
 
     def _set(self, codes: np.ndarray, v_present: bool, ystar: np.ndarray | None) -> None:
@@ -200,14 +202,27 @@ class RecordDataset(_ValueEq):
         return RecordDataset._of_codes(self.codes[idx], self.v_present, ystar)
 
 
-def _parse_cell(raw: str, column: str, line: int, optional: bool) -> int | None:
-    if raw == "0":
-        return 0
-    if raw == "1":
-        return 1
-    if raw == "" and optional:
-        return None
-    raise MalformedRow(line, f"column {column!r} must be 0 or 1, got {raw!r}")
+def _pack(code, columns):
+    """``code`` with each of ``columns`` packed in below it, in order: shifted left one bit,
+    then or-ed with the column. An int is returned anew; a uint8 array is packed in place."""
+    for column in columns:
+        code <<= 1
+        code |= column
+    return code
+
+
+def _check_row(row: list, header: tuple, present: list, line: int) -> None:
+    """Raise the first fault of a row that is not laid out like the first: its width, then
+    the cells of l, v, vhat and y, v's emptiness, ystar's cell and ystar's emptiness."""
+    if len(row) != len(header):
+        raise MalformedRow(line, f"expected {len(header)} columns, got {len(row)}")
+    cells = dict(zip(header, row))
+    for names, optional in zip((header[:4], header[4:]), _OPTIONAL):
+        for name in names:
+            if cells[name] not in ("0", "1") and (cells[name] or name not in _OPTIONAL):
+                raise MalformedRow(line, f"column {name!r} must be 0 or 1, got {cells[name]!r}")
+        if optional in cells and (cells[optional] != "") != (optional in present):
+            raise MixedSchema(line, f"column {optional!r} must be uniformly present or empty")
 
 
 def _rows(reader):
@@ -230,6 +245,23 @@ def _text_lines(lines):
         yield line
 
 
+def _drop_bom(lines):
+    """Iterator ``lines`` with one U+FEFF dropped from the start of its first line, as the
+    ``utf-8-sig`` codec drops a BOM."""
+    for first in lines:
+        yield first.removeprefix("\ufeff") if isinstance(first, str) else first
+        break
+    yield from lines
+
+
+def _decodes_bom(stream) -> bool:
+    """Whether text ``stream`` is decoded with ``utf-8-sig``, whose codec drops a BOM."""
+    try:
+        return codecs.lookup(stream.encoding).name == "utf-8-sig"
+    except (AttributeError, TypeError, LookupError):  # no codec named, or none Python knows
+        return False
+
+
 def parse_records(stream) -> RecordDataset:
     """Parse CSV records from a text or byte stream, a string or bytes of content, or an
     iterable of lines of text; anything else is a :class:`ValidationError`.
@@ -237,13 +269,19 @@ def parse_records(stream) -> RecordDataset:
     The header must be exactly ``l,v,vhat,y`` optionally followed by
     ``,ystar``. Every ``l``/``vhat``/``y`` cell must be 0 or 1; ``v`` and
     ``ystar`` cells may instead be empty, but uniformly so across the file
-    (:class:`MixedSchema` otherwise). Raises :class:`MalformedRow` with the
-    1-based line number for anything unparseable, :class:`EmptyInput`
-    when no data rows follow the header, and, whatever the input form,
-    :class:`ValidationError` for bytes that are not UTF-8. Bytes and binary
-    streams are decoded as UTF-8 with an optional BOM, the way
+    (:class:`MixedSchema` otherwise). So the first data row fixes the
+    layout of every row: 0 or 1 in its non-empty and required columns,
+    empty cells in the rest. A row laid out like it maps to its code with
+    one lookup; any other row is checked cell by cell for its first fault.
+    Raises :class:`MalformedRow` with the 1-based line number for anything
+    unparseable, :class:`EmptyInput` when no data rows follow the header,
+    and, whatever the input form, :class:`ValidationError` for bytes that
+    are not UTF-8. Bytes and binary streams are decoded as UTF-8, the way
     :func:`read_records_csv` reads a file, so bytes parse exactly as that
-    file would; a binary stream is left open.
+    file would; a binary stream is left open. One leading BOM is dropped
+    from every form: the ``utf-8-sig`` codec drops it from bytes and from a
+    text stream it decodes, and the parser drops one U+FEFF from the start
+    of any other text. A second is part of the header.
     """
     binary = (io.RawIOBase, io.BufferedIOBase)
     if isinstance(stream, (bytes, bytearray)):
@@ -253,6 +291,7 @@ def parse_records(stream) -> RecordDataset:
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     elif isinstance(stream, binary):
+        # this codec drops a BOM, and counts a bad byte's position from after it
         text = io.TextIOWrapper(stream, encoding="utf-8-sig", newline="")
         try:
             return parse_records(text)
@@ -265,58 +304,40 @@ def parse_records(stream) -> RecordDataset:
             raise ValidationError(
                 f"stream must be text, bytes, a file or lines of text, got {type(stream).__name__}"
             ) from None
+    if not _decodes_bom(stream):
+        stream = _drop_bom(stream)
 
     reader = csv.reader(stream)
     rows = _rows(reader)
-    try:
-        header = next(rows)
-    except StopIteration:
-        raise EmptyInput("no header row") from None
+    header = next(rows, None)
+    if header is None:
+        raise EmptyInput("no header row")
     header = tuple(header)
-    if header == _HEADER:
-        has_ystar = False
-    elif header == _HEADER_YSTAR:
-        has_ystar = True
-    else:
+    if header not in (_HEADER, _HEADER_YSTAR):
         raise MalformedRow(
             1, f"header must be {','.join(_HEADER)}[,ystar], got {','.join(header)!r}"
         )
-    width = len(header)
-
-    codes = bytearray()
-    ystars = bytearray()
-    v_empty: bool | None = None
-    ystar_empty: bool | None = None
-
-    for row in rows:
-        line = reader.line_num
-        if len(row) != width:
-            raise MalformedRow(line, f"expected {width} columns, got {len(row)}")
-        l = _parse_cell(row[0], "l", line, optional=False)
-        v = _parse_cell(row[1], "v", line, optional=True)
-        vhat = _parse_cell(row[2], "vhat", line, optional=False)
-        y = _parse_cell(row[3], "y", line, optional=False)
-        if v_empty is None:
-            v_empty = v is None
-        elif (v is None) != v_empty:
-            raise MixedSchema(line, "column 'v' must be uniformly present or empty")
-        head = l if v_empty else 2 * l + v
-        codes.append(4 * head + 2 * vhat + y)
-        if has_ystar:
-            ystar = _parse_cell(row[4], "ystar", line, optional=True)
-            if ystar_empty is None:
-                ystar_empty = ystar is None
-            elif (ystar is None) != ystar_empty:
-                raise MixedSchema(
-                    line, "column 'ystar' must be uniformly present or empty"
-                )
-            if ystar is not None:
-                ystars.append(ystar)
-
-    if not codes:
+    first = next(rows, None)
+    if first is None:
         raise EmptyInput("no data rows after the header")
-    ystar = None if (not has_ystar or ystar_empty) else np.frombuffer(ystars, np.int8)
-    return RecordDataset._of_codes(np.frombuffer(codes, np.uint8), not v_empty, ystar)
+    # every row laid out like the first maps to its code, with ystar as bit 4
+    present = [name for name, cell in zip(header, first) if cell or name not in _OPTIONAL]
+    allowed = {}
+    for bits in itertools.product((0, 1), repeat=len(present)):
+        cells = dict(zip(present, bits))
+        key = tuple(str(cells.get(name, "")) for name in header)
+        ystar = cells.pop("ystar", 0)
+        allowed[key] = ystar << 4 | _pack(0, cells.values())
+    codes = bytearray()
+    for row in itertools.chain([first], rows):
+        code = allowed.get(tuple(row))
+        if code is None:
+            _check_row(row, header, present, reader.line_num)
+        codes.append(code)
+    codes = np.frombuffer(codes, np.uint8)
+    ystar = np.right_shift(codes, 4).view(np.int8) if "ystar" in present else None
+    codes &= 15
+    return RecordDataset._of_codes(codes, "v" in present, ystar)
 
 
 def _row_layout(first: bytes, width: int) -> tuple[np.ndarray, np.ndarray, list] | None:
@@ -342,7 +363,7 @@ def _row_layout(first: bytes, width: int) -> tuple[np.ndarray, np.ndarray, list]
             offsets.append(len(template))
             template += b"1,"
             mask += b"\x01\x00"
-        elif cell == b"" and name in ("v", "ystar"):
+        elif cell == b"" and name in _OPTIONAL:
             offsets.append(None)
             template += b","
             mask += b"\x00"
@@ -416,9 +437,7 @@ def _read_blocks(handle, digest) -> RecordDataset | None:
         # low bits make the code's low bits, and the 0x30s land above them
         code = codes[start:stop]
         np.copyto(code, rows[:, cells[0]])
-        for offset in cells[1:]:
-            code <<= 1
-            code |= rows[:, offset]
+        _pack(code, (rows[:, offset] for offset in cells[1:]))
         code &= (1 << len(cells)) - 1
         if ystar is not None:
             np.bitwise_and(rows[:, ystar_offset], 1, out=ystar[start:stop].view(np.uint8))
@@ -437,7 +456,8 @@ def read_records_csv(path, digest=None) -> RecordDataset:
     read into memory first. ``digest``, a :mod:`hashlib` object, is updated
     with every byte of the input once.
     """
-    with open(_require_path(path), "rb") as file:
+    path = _require_path(path)
+    with open(path, "rb") as file:
         handle = file if file.seekable() else io.BytesIO(file.read())
         dataset = _read_blocks(handle, digest)
         if dataset is not None:

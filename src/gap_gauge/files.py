@@ -150,9 +150,9 @@ def write_json(path, obj: Any) -> None:
     write_text(path, text)
 
 
-def _load_json(path, digest=None) -> Any:
+def _load_json(path: str, digest=None) -> Any:
     """The JSON value in ``path``, read once; ``digest`` is updated with its bytes."""
-    with open(_require_path(path), "rb") as handle:
+    with open(path, "rb") as handle:
         data = handle.read()
     if digest is not None:
         digest.update(data)
@@ -222,6 +222,7 @@ def model_from_dict(obj: Any) -> FullJoint | ReducedModel:
 
 
 def load_model_file(path, digest=None) -> FullJoint | ReducedModel:
+    path = _require_path(path)
     payload = _load_json(path, digest)  # its errors already name the path
     try:
         return model_from_dict(payload)
@@ -230,6 +231,7 @@ def load_model_file(path, digest=None) -> FullJoint | ReducedModel:
 
 
 def load_sampler_config(path, digest=None) -> SamplerConfig:
+    path = _require_path(path)
     payload = _load_json(path, digest)  # its errors already name the path
     try:
         return from_dict(SamplerConfig, payload, "sampler config")

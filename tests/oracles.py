@@ -10,13 +10,23 @@ can compare the two bit for bit. They check no arguments.
 - The constrained sampler drawn uniform by uniform with ``Generator.uniform``;
   the library maps seven doubles an attempt through one array expression
   (``simulation._constrained_cells``).
+- Records text parsed cell by cell, with one emptiness state per optional
+  column; the library maps each whole row laid out like the first to its code
+  with one lookup (``empirical.parse_records``).
+- The chance that one constrained attempt is accepted, integrated from the
+  draw's law; the library only samples it, so tests compare its observed
+  acceptance within a z bound.
 """
+
+import csv
+import io
 
 import numpy as np
 
 from gap_gauge import (
-    GapReport, InconsistentMarginals, MissingCell, RejectionBudgetExhausted, ReducedModel,
-    SliceParams, ZeroMassCondition, compute_gaps,
+    EmptyInput, GapReport, InconsistentMarginals, MalformedRow, MissingCell, MixedSchema,
+    RecordDataset, RejectionBudgetExhausted, ReducedModel, SliceParams, ZeroMassCondition,
+    compute_gaps,
 )
 from gap_gauge.model import VALIDATION_TOL
 
@@ -125,3 +135,105 @@ def constrained_trial(config, stream):
             )
             return compute_gaps(model).error, attempt
     raise RejectionBudgetExhausted(config.max_rejections)
+
+
+def _parse_cell(raw, column, line, optional):
+    if raw == "0":
+        return 0
+    if raw == "1":
+        return 1
+    if raw == "" and optional:
+        return None
+    raise MalformedRow(line, f"column {column!r} must be 0 or 1, got {raw!r}")
+
+
+def parse_records_text(text):
+    """The dataset of records CSV ``text``, a str, or the error the parser raises on it:
+    every row's cells checked one at a time, l, v, vhat and y first, and v and ystar
+    each required to stay as present or empty as on the first row."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None:
+        raise EmptyInput("no header row")
+    if tuple(header) not in (("l", "v", "vhat", "y"), ("l", "v", "vhat", "y", "ystar")):
+        raise MalformedRow(1, f"header must be l,v,vhat,y[,ystar], got {','.join(header)!r}")
+    width = len(header)
+    columns = {name: [] for name in header}
+    v_empty = ystar_empty = None
+    for row in reader:
+        line = reader.line_num
+        if len(row) != width:
+            raise MalformedRow(line, f"expected {width} columns, got {len(row)}")
+        cells = [
+            _parse_cell(raw, name, line, name == "v")
+            for raw, name in zip(row[:4], ("l", "v", "vhat", "y"))
+        ]
+        if v_empty is None:
+            v_empty = cells[1] is None
+        elif (cells[1] is None) != v_empty:
+            raise MixedSchema(line, "column 'v' must be uniformly present or empty")
+        if width == 5:
+            cells.append(_parse_cell(row[4], "ystar", line, True))
+            if ystar_empty is None:
+                ystar_empty = cells[4] is None
+            elif (cells[4] is None) != ystar_empty:
+                raise MixedSchema(line, "column 'ystar' must be uniformly present or empty")
+        for name, cell in zip(header, cells):
+            columns[name].append(cell)
+    if v_empty is None:
+        raise EmptyInput("no data rows after the header")
+    return RecordDataset(
+        l=columns["l"], vhat=columns["vhat"], y=columns["y"],
+        v=None if v_empty else columns["v"],
+        ystar=None if width == 4 or ystar_empty else columns["ystar"],
+    )
+
+
+def _uniform_cdf(s, eps):
+    """Pr[e <= s] for e uniform on [-eps, eps] (the point 0 when eps is 0)."""
+    if eps == 0.0:
+        return (s >= 0.0).astype(float)
+    return np.clip((s + eps) / (2.0 * eps), 0.0, 1.0)
+
+
+def _uniform_cdf_integral(s, eps):
+    """The integral of ``_uniform_cdf`` from -inf to s: 0, then (s + eps)^2 / 4 eps, then s."""
+    if eps == 0.0:
+        return np.maximum(s, 0.0)
+    return np.maximum(s - eps, 0.0) + (np.clip(s, -eps, eps) + eps) ** 2 / (4.0 * eps)
+
+
+def _keep(x, eps):
+    """F(x) = Pr[x + e in [0, 1]], e uniform on [-eps, eps]: clipped-linear in x."""
+    return _uniform_cdf(1.0 - x, eps) - _uniform_cdf(-x, eps)
+
+
+def _keep_integral(x, eps):
+    """H(x), the integral of F from -inf to x: piecewise quadratic, rising from 0 to 1."""
+    return _uniform_cdf_integral(-x, eps) - _uniform_cdf_integral(1.0 - x, eps) + 1.0
+
+
+def constrained_acceptance(eps_b1, eps_b2, points=1000):
+    """The chance that one attempt of ``constrained_attempt`` has every cell in [0, 1].
+
+    a0 and b0 always lie in [0, 1]; c0, a1, b1 and c1 must. Given g, a0 is
+    independent of (b0, c0), and each residual of slice 1 keeps its cell in
+    [0, 1] with chance F of the cell it is added to, so
+    P = E_g[ E[F(a0 + g)] * E_b0[F(b0 + g) * J(b0, g)] ], with J(b0, g) =
+    E_e[1{b0 + e in [0, 1]} F(b0 + e + g)] for c0's residual e. The a0 and e
+    expectations are differences of H, in closed form; g and b0 (as a
+    fraction of its range) take a midpoint rule of ``points`` nodes each.
+    """
+    nodes = (np.arange(points) + 0.5) / points
+    g = (2.0 * nodes - 1.0)[:, None]
+    lo, width = np.maximum(-g, 0.0), 1.0 - np.abs(g)
+    # E[F(a0 + g)], a0 uniform on [lo, lo + width]
+    p_a = (_keep_integral(lo + width + g, eps_b2) - _keep_integral(lo + g, eps_b2)) / width
+    b0 = lo + width * nodes[None, :]
+    if eps_b1 == 0.0:
+        j = _keep(b0 + g, eps_b2)
+    else:
+        top, bottom = np.minimum(eps_b1, 1.0 - b0), np.maximum(-eps_b1, -b0)
+        j = (_keep_integral(b0 + g + top, eps_b2) - _keep_integral(b0 + g + bottom, eps_b2))
+        j /= 2.0 * eps_b1
+    return float((p_a * (_keep(b0 + g, eps_b2) * j).mean(axis=1, keepdims=True)).mean())

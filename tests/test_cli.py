@@ -1162,6 +1162,36 @@ class TestOutputDirectory:
         assert read == [] and no_monte_carlo == []
         assert sorted(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "sweep", "estimate"])
+    @pytest.mark.parametrize("exists", [True, False], ids=["directory", "missing"])
+    def test_out_ending_in_a_separator_fails_before_the_input_is_read(
+        self, capsys, monkeypatch, no_monte_carlo, m1_model_file, constrained_config_file,
+        tmp_path, command, exists,
+    ):
+        # the suffixes would name hidden files in the directory, '.manifest.json' among them
+        records = tmp_path / "records.csv"
+        records.write_text("l,v,vhat,y\n0,1,1,1\n1,1,1,0\n")
+        argv = {
+            "analyze": [m1_model_file],
+            "simulate": [constrained_config_file, "--trials", "50"],
+            "sweep": [constrained_config_file, "--varied", "eps_b2", "--grid", "0:0.2:0.1"],
+            "estimate": [str(records)],
+        }[command]
+        read = []
+        for loader in ("load_model_file", "load_sampler_config", "read_records_csv"):
+            monkeypatch.setattr(cli, loader, lambda *args: read.append(args))
+        outdir = tmp_path / "outdir"
+        if exists:
+            outdir.mkdir()
+        before = sorted(tmp_path.iterdir())
+        out_arg = str(outdir) + os.sep
+        code, out, err = run(capsys, command, *argv, "--out", out_arg)
+        assert (code, out) == (2, "")
+        assert err == f"gap-gauge: [Errno 21] Is a directory: {out_arg!r}\n"
+        assert read == [] and no_monte_carlo == []
+        assert sorted(tmp_path.iterdir()) == before
+        assert not exists or not any(outdir.iterdir())
+
 
 class TestManifestInputs:
     """Every command digests the bytes it parsed, so a pipe is recorded right."""

@@ -35,6 +35,7 @@ from gap_gauge import (
     read_records_csv,
     sample_dataset,
 )
+from oracles import parse_records_text
 
 BASIC = "l,v,vhat,y\n0,1,1,1\n0,0,1,0\n1,1,0,1\n1,0,0,0\n"
 
@@ -186,6 +187,104 @@ class TestParseRecords:
     def test_header_only(self):
         with pytest.raises(EmptyInput):
             parse_records("l,v,vhat,y\n")
+
+
+def parse_outcome(parse, content):
+    """What ``parse`` gives on ``content``: the dataset with its dtypes, or the error's
+    type, line and message."""
+    try:
+        data = parse(content)
+    except (ValidationError, EmptyInput) as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+    return data, data.codes.dtype, None if data.ystar is None else data.ystar.dtype
+
+
+#: First data rows for each header: v and ystar each present or empty
+ORACLE_FIRST_ROWS = {
+    "l,v,vhat,y": ["0,1,1,0", "1,,0,1"],
+    "l,v,vhat,y,ystar": ["0,1,1,0,1", "1,,0,1,", "1,0,0,1,", "0,,1,1,0"],
+}
+
+
+class TestParseRecordsMatchesOracle:
+    """The whole-row parser gives what the cell-by-cell reference gives."""
+
+    @pytest.mark.parametrize("header, first", [
+        (header, first) for header, firsts in ORACLE_FIRST_ROWS.items() for first in firsts
+    ])
+    def test_every_second_row(self, header, first):
+        # every tuple of 0, 1, empty and 2 after the first row
+        width = header.count(",") + 1
+        for cells in itertools.product(("0", "1", "", "2"), repeat=width):
+            text = f"{header}\n{first}\n{','.join(cells)}\n{first}\n"
+            assert parse_outcome(parse_records, text) == parse_outcome(
+                parse_records_text, text
+            ), text
+
+    @pytest.mark.parametrize("header", sorted(ORACLE_FIRST_ROWS))
+    @pytest.mark.parametrize("bad", ["0,1,1", "0,1,1,1,1,1", ""], ids=["short", "long", "blank"])
+    @pytest.mark.parametrize("later", [False, True], ids=["first row", "later row"])
+    def test_row_of_another_width(self, header, bad, later):
+        good = ORACLE_FIRST_ROWS[header][0]
+        rows = [good, bad, good] if later else [bad, good]
+        text = "\n".join([header, *rows]) + "\n"
+        want = parse_outcome(parse_records_text, text)
+        assert want[0] is MalformedRow
+        assert parse_outcome(parse_records, text) == want
+
+
+#: Every input form of records text but a file, each made from the text
+TEXT_FORMS = {
+    "str": str,
+    "bytes": str.encode,
+    "bytearray": lambda text: bytearray(text.encode()),
+    "binary handle": lambda text: io.BytesIO(text.encode()),
+    "binary file-like": lambda text: BinaryFileLike(text.encode()),
+    "text handle": io.StringIO,
+    "list of lines": lambda text: text.splitlines(keepends=True),
+    "iterator of lines": lambda text: iter(text.splitlines(keepends=True)),
+}
+
+#: The ``open`` mode and encoding of each file form
+FILE_FORMS = {
+    "utf-8 file": ("r", "utf-8"), "utf-8-sig file": ("r", "utf-8-sig"),
+    "UTF_8_SIG file": ("r", "UTF_8_SIG"), "binary file": ("rb", None),
+}
+
+
+class TestByteOrderMark:
+    """One leading BOM is dropped from every input form, and a second is refused."""
+
+    @pytest.mark.parametrize("form", [*TEXT_FORMS, *FILE_FORMS])
+    def test_every_form_parses_as_its_twin_without_bom(self, tmp_path, form):
+        def parse(text):
+            if form in TEXT_FORMS:
+                return parse_records(TEXT_FORMS[form](text))
+            path = tmp_path / "records.csv"
+            path.write_bytes(text.encode())
+            mode, encoding = FILE_FORMS[form]
+            with open(path, mode, encoding=encoding) as handle:
+                return parse_records(handle)
+
+        for text in (BASIC, "l,v,vhat,y,ystar\r\n0,,1,1,0\r\n1,,0,0,1\r\n"):
+            assert parse("\ufeff" + text) == parse(text)
+        with pytest.raises(MalformedRow) as err:
+            parse("\ufeff\ufeff" + BASIC)
+        assert str(err.value) == "line 1: header must be l,v,vhat,y[,ystar], got '\\ufeffl,v,vhat,y'"
+
+    def test_bom_before_a_quoted_header_cell(self):
+        assert parse_records('\ufeff"l",v,vhat,y\n0,1,1,1\n') == parse_records("l,v,vhat,y\n0,1,1,1\n")
+
+    @pytest.mark.parametrize("wrap", [bytes, io.BytesIO, BinaryFileLike])
+    def test_bytes_not_utf8_after_a_bom_count_the_position_after_it(self, wrap):
+        content = b"l,v,vhat,y\n0,1,1,1\n0,\xff,1,1\n"
+        messages = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            with pytest.raises(ValidationError) as err:
+                parse_records(wrap(bom + content))
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert "can't decode byte 0xff in position 21" in messages[0]
 
 
 def text_parser_read(path) -> RecordDataset:
@@ -370,6 +469,14 @@ class TestReadRecordsLayout:
         path.write_bytes(LAYOUT_CASES["not UTF-8 after 100 rows"][0])
         with pytest.raises(ValidationError, match="not UTF-8"):
             read_records_csv(path)
+
+    @pytest.mark.parametrize("form", [os.fsencode, lambda path: path], ids=["bytes", "Path"])
+    def test_non_utf8_names_the_path_as_text(self, tmp_path, form):
+        path = tmp_path / "nu.csv"
+        path.write_bytes(LAYOUT_CASES["not UTF-8 after 100 rows"][0])
+        with pytest.raises(ValidationError) as err:
+            read_records_csv(form(path))
+        assert str(err.value).startswith(f"{path}: not UTF-8 text (")
 
 
 class TestBlockReader:

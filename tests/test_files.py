@@ -164,6 +164,21 @@ def test_load_error_names_path_once(tmp_path, loader, content, reason):
     assert str(err.value).count(str(path)) == 1
 
 
+@pytest.mark.parametrize("loader", [load_model_file, load_sampler_config])
+@pytest.mark.parametrize("content, reason", [
+    (b"{bad", "not valid JSON"),
+    (b"\xff\xfe\x00not utf-8\n", "not UTF-8 text"),
+    (b"[]", "must be a JSON object"),
+])
+@pytest.mark.parametrize("form", [os.fsencode, lambda path: path], ids=["bytes", "Path"])
+def test_load_error_names_the_path_as_text(tmp_path, loader, content, reason, form):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(ValidationError, match=reason) as err:
+        loader(form(path))
+    assert str(err.value).startswith(f"{path}: ")
+
+
 class TestSamplerConfigFiles:
     def test_unconstrained_round_trip(self, tmp_path):
         config = SAMPLER_CONFIGS["unconstrained"]

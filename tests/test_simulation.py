@@ -24,8 +24,8 @@ from gap_gauge import (
     structure_params,
     sweep,
 )
-from gap_gauge.simulation import _constrained_cells, _philox4x64, _trial_key
-from oracles import constrained_attempt, constrained_trial
+from gap_gauge.simulation import _accepted, _constrained_cells, _philox4x64, _trial_key
+from oracles import constrained_acceptance, constrained_attempt, constrained_trial
 
 CLASSIFIER = dict(p0=0.05, r0=0.1, p1=0.07, r1=0.09)
 
@@ -326,6 +326,45 @@ class TestConstrainedSampler:
         sample_rate = accepted / n
         # binomial noise at n=4000 is about 0.008; allow a generous margin
         assert abs(sample_rate - oracle_rate) < 0.03
+
+
+#: Exact acceptance of one constrained attempt at (eps_b1, eps_b2), from a 3000 x 3000 grid
+ACCEPTANCE = {
+    (0.1, 0.1): 0.698975,
+    (0.2, 0.2): 0.528645,
+    (0.4, 0.4): 0.306537,
+    (0.013, 0.677): 0.258174,
+    (0.9, 0.3): 0.196731,
+}
+
+#: Largest |z| an observed acceptance may take against the exact value, fixed before any run
+ACCEPTANCE_Z = 4.0
+
+
+class TestConstrainedAcceptance:
+    """The constrained draw's acceptance against its exact value, ``constrained_acceptance``."""
+
+    def test_reference_values(self):
+        for (eps_b1, eps_b2), value in ACCEPTANCE.items():
+            assert abs(constrained_acceptance(eps_b1, eps_b2) - value) < 1e-5
+        assert constrained_acceptance(0.0, 0.0) == 1.0
+
+    @pytest.mark.parametrize("eps_b1, eps_b2", sorted(ACCEPTANCE))
+    def test_engine_acceptance(self, eps_b1, eps_b2):
+        # n trials take n / p attempts; n / attempts has standard error p sqrt((1 - p) / n)
+        n = 200_000
+        result = run_monte_carlo(constrained(eps_b1, eps_b2), n, seed=2024)
+        p = ACCEPTANCE[eps_b1, eps_b2]
+        z = (1.0 - result.rejection_rate - p) / (p * np.sqrt((1.0 - p) / n))
+        assert abs(z) < ACCEPTANCE_Z
+
+    @pytest.mark.parametrize("eps_b1, eps_b2", [(0.0, 0.3), (0.3, 0.0), (0.0, 1.0), (1.0, 1.0)])
+    def test_map_acceptance_at_zero_and_full_budgets(self, eps_b1, eps_b2):
+        m = 400_000
+        doubles = np.random.default_rng(7).random((7, m))
+        observed = _accepted(_constrained_cells(doubles, eps_b1, eps_b2)).mean()
+        p = constrained_acceptance(eps_b1, eps_b2)
+        assert abs(observed - p) < ACCEPTANCE_Z * np.sqrt(p * (1.0 - p) / m)
 
 
 class TestPercentile:
