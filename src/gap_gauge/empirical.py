@@ -23,19 +23,11 @@ import math
 import numbers
 import os
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .bounds import (
-    BoundReport,
-    StructureParams,
-    bound_report,
-    bound_terms,
-    closeness_terms,
-    gamma_terms,
-    structure_params,
-)
+from .bounds import BoundReport, StructureParams, bound_terms, closeness_terms, gamma_terms
 from .errors import (
     AllReplicatesDegenerate,
     EmptyInput,
@@ -48,7 +40,7 @@ from .errors import (
 from .files import _require_path
 from .model import (
     U64, Count, FullJoint, GapReport, NonNegative, OpenUnit, _check_fields, _require_count,
-    _require_instance, _require_real, _require_u64, _ValueEq, compute_gaps, gap_terms, reduce,
+    _require_instance, _require_real, _require_u64, _ValueEq, _zero_mass_event, gap_terms,
     require_gap_identities, slice_rates,
 )
 from .simulation import derive_trial_stream, percentile
@@ -586,36 +578,34 @@ def _g_hat_from_counts8(counts: np.ndarray, smoothing: float) -> tuple[np.ndarra
     return rates[..., 1] - rates[..., 0], totals > 0.0
 
 
-def _report_from_counts(counts: np.ndarray, n: int, smoothing: float) -> EstimateReport:
-    """Point estimates from a cell count table (16 cells with v, 8 without)."""
-    if counts.size == 16:
-        model = reduce(FullJoint(cells=_joint_cells(counts, n, smoothing)))
-        gap = compute_gaps(model)
-        return EstimateReport(
-            n=n,
-            counts=counts,
-            counts_index="8*l + 4*v + 2*vhat + y",
-            g_hat=gap.G_hat,
-            smoothing=smoothing,
-            gap=gap,
-            structure=structure_params(model),
-            bounds=bound_report(model),
-        )
-    g_hat, nonempty = _g_hat_from_counts8(counts, smoothing)
-    if not nonempty.all():
-        raise ZeroMassCondition(f"l={int(nonempty.argmin())}, vhat=1")
-    return EstimateReport(
-        n=n,
-        counts=counts,
-        counts_index="4*l + 2*vhat + y",
-        g_hat=float(g_hat),
-        smoothing=smoothing,
-    )
+#: The bootstrap's interval keys, in output order, by the ``_estimates`` name each reads.
+_INTERVALS = {"G": "G", "G_hat": "G_hat", "best": "best_bound", "delta0": "delta0",
+              "delta1": "delta1", "error": "error"}
+
+
+def _estimates(counts: np.ndarray, n: int, smoothing: float) -> tuple[dict, np.ndarray]:
+    """Each field of ``GapReport``, ``StructureParams`` and ``BoundReport`` of every row of an
+    (R, 16) count table, by field name, or ``G_hat`` alone of an (R, 8) one; and the rows
+    on which they are all defined, the ones ``estimate`` would not raise
+    :class:`ZeroMassCondition` on."""
+    if counts.shape[1] == 8:
+        g_hat, nonempty = _g_hat_from_counts8(counts, smoothing)
+        return {"G_hat": g_hat}, nonempty.all(axis=1)
+    s0, s1, ok = slice_rates(_joint_cells(counts, n, smoothing))
+    gaps = gap_terms(s0, s1)
+    require_gap_identities(*(x[ok] for x in gaps))
+    structure = (*gamma_terms(s0.p, s0.r, s1.p, s1.r),
+                 *closeness_terms(s0.a, s0.b, s0.c, s1.a, s1.b, s1.c))
+    names = [f.name for cls in (GapReport, StructureParams, BoundReport) for f in fields(cls)]
+    return dict(zip(names, (*gaps, *structure, *bound_terms(*structure[:5])))), ok
 
 
 def estimate(dataset: RecordDataset, smoothing: float = 0.0) -> EstimateReport:
     """Point estimates for one dataset (no confidence intervals).
 
+    The estimates are the observed count table's row of :func:`_estimates`,
+    the pass that also re-estimates every bootstrap replicate, read into
+    ``GapReport``, ``StructureParams`` and ``BoundReport`` by field name.
     Raises :class:`ZeroMassCondition` naming the first conditioning event
     with zero (smoothed) count.
     """
@@ -624,25 +614,24 @@ def estimate(dataset: RecordDataset, smoothing: float = 0.0) -> EstimateReport:
     if dataset.n == 0:
         raise EmptyInput("cannot estimate from zero rows")
     counts = _cell_counts(dataset.codes, dataset.v_present)
-    return _report_from_counts(counts, dataset.n, smoothing)
-
-
-def _replicate_values(counts: np.ndarray, n: int, smoothing: float) -> tuple[dict, np.ndarray]:
-    """The bootstrap's quantities of each row of an (R, 16 or 8) count table, by name.
-
-    Also returns the rows ``estimate`` would not raise :class:`ZeroMassCondition` on.
-    """
-    if counts.shape[1] == 8:
-        g_hat, nonempty = _g_hat_from_counts8(counts, smoothing)
-        return {"G_hat": g_hat}, nonempty.all(axis=1)
-    s0, s1, ok = slice_rates(_joint_cells(counts, n, smoothing))
-    gaps = gap_terms(s0, s1)
-    gammas = gamma_terms(s0.p, s0.r, s1.p, s1.r)
-    eps_b1, eps_b2, _ = closeness_terms(s0.a, s0.b, s0.c, s1.a, s1.b, s1.c)
-    best = bound_terms(*gammas, eps_b1, eps_b2)[5]
-    require_gap_identities(*(x[ok] for x in gaps))
-    keys = ("G", "G_hat", "delta0", "delta1", "error", "best_bound")
-    return dict(zip(keys, (*gaps, best))), ok
+    values, ok = _estimates(counts[np.newaxis], dataset.n, smoothing)
+    if not ok[0]:
+        if dataset.v_present:
+            raise ZeroMassCondition(_zero_mass_event(_joint_cells(counts, dataset.n, smoothing)))
+        l = int(_g_hat_from_counts8(counts, smoothing)[1].argmin())
+        raise ZeroMassCondition(f"l={l}, vhat=1")
+    row = {name: float(value[0]) for name, value in values.items()}
+    kinds = {"gap": GapReport, "structure": StructureParams, "bounds": BoundReport}
+    parts = {part: cls(**{f.name: row[f.name] for f in fields(cls)})
+             for part, cls in kinds.items() if dataset.v_present}
+    return EstimateReport(
+        n=dataset.n,
+        counts=counts,
+        counts_index="8*l + 4*v + 2*vhat + y" if dataset.v_present else "4*l + 2*vhat + y",
+        g_hat=row["G_hat"],
+        smoothing=smoothing,
+        **parts,
+    )
 
 
 def _resample_counts(codes: np.ndarray, stream: np.random.Generator, width: int) -> np.ndarray:
@@ -696,7 +685,8 @@ def bootstrap(
     array one draw after another, and the half of a 64-bit Philox output
     that a 32-bit draw leaves over is kept in the generator, not in the
     call. Replicates are drawn into one table of counts that a single pass
-    of the array algebra re-estimates. ``workers`` sets how many threads
+    of :func:`_estimates` re-estimates; :func:`estimate`'s point estimate is
+    the observed table's row of the same pass. ``workers`` sets how many threads
     draw them: k = min(workers, replicates, CPUs this process may run on).
     Stride j fills rows j, j + k, j + 2k, ...: the calling thread stride 0,
     and k - 1 plain threads beside it strides 1 to k - 1, so with k = 1 no
@@ -736,7 +726,7 @@ def bootstrap(
         stride.join()
     if failures:
         raise failures[0]
-    values, ok = _replicate_values(counts, n, smoothing)
+    values, ok = _estimates(counts, n, smoothing)
     if not ok.any():
         raise AllReplicatesDegenerate(
             f"all {replicates} bootstrap replicates hit zero-mass conditions"
@@ -744,8 +734,8 @@ def bootstrap(
     lo_q = (1.0 - level) / 2.0
     hi_q = (1.0 + level) / 2.0
     intervals = {
-        key: (percentile(vals[ok], lo_q), percentile(vals[ok], hi_q))
-        for key, vals in sorted(values.items())
+        key: (percentile(values[name][ok], lo_q), percentile(values[name][ok], hi_q))
+        for name, key in _INTERVALS.items() if name in values
     }
     return BootstrapResult(
         intervals=intervals,

@@ -150,21 +150,6 @@ def write_json(path, obj: Any) -> None:
     write_text(path, text)
 
 
-def _load_json(path: str, digest=None) -> Any:
-    """The JSON value in ``path``, read once; ``digest`` is updated with its bytes."""
-    with open(path, "rb") as handle:
-        data = handle.read()
-    if digest is not None:
-        digest.update(data)
-    try:
-        return json.loads(data.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
-    # also an integer past Python's digit limit, or nesting past the recursion limit
-    except (ValueError, RecursionError) as exc:
-        raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
-
-
 def _require_mapping(obj: Any, where: str) -> dict:
     if not isinstance(obj, dict):
         raise ValidationError(f"{where} must be a JSON object")
@@ -221,22 +206,33 @@ def model_from_dict(obj: Any) -> FullJoint | ReducedModel:
     )
 
 
-def load_model_file(path, digest=None) -> FullJoint | ReducedModel:
+def _load(path, digest, parse) -> Any:
+    """``parse`` of the JSON value in ``path``, read once; ``digest`` is updated with its
+    bytes. Each error names the path."""
     path = _require_path(path)
-    payload = _load_json(path, digest)  # its errors already name the path
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if digest is not None:
+        digest.update(data)
     try:
-        return model_from_dict(payload)
+        payload = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
+    # also an integer past Python's digit limit, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
+    try:
+        return parse(payload)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
+
+
+def load_model_file(path, digest=None) -> FullJoint | ReducedModel:
+    return _load(path, digest, model_from_dict)
 
 
 def load_sampler_config(path, digest=None) -> SamplerConfig:
-    path = _require_path(path)
-    payload = _load_json(path, digest)  # its errors already name the path
-    try:
-        return from_dict(SamplerConfig, payload, "sampler config")
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    return _load(path, digest, lambda payload: from_dict(SamplerConfig, payload, "sampler config"))
 
 
 #: Values formatted per ``_repr_lines`` call, which bounds the writer's memory.

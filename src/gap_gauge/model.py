@@ -401,13 +401,9 @@ def reduce(joint: FullJoint) -> ReducedModel:
     """
     _require_instance(joint, "joint", FullJoint)
     *rates, ok = slice_rates(joint.cells)
-    halves = joint.cells.reshape(2, 8)
     if not ok:
-        l, event = next(
-            (l, event) for l in (0, 1) for event, _, den in _RATES if halves[l, den].sum() == 0.0
-        )
-        raise ZeroMassCondition(f"l={l}, {event}")
-    d, has_d = _rate(halves, [1], [0, 1])
+        raise ZeroMassCondition(_zero_mass_event(joint.cells))
+    d, has_d = _rate(joint.cells.reshape(2, 8), [1], [0, 1])
     slices = [SliceParams(*rates[l], d=d[l] if has_d[l] else None) for l in (0, 1)]
     return ReducedModel(slice0=slices[0], slice1=slices[1])
 
@@ -422,6 +418,15 @@ _RATES = (
     ("v=1, vhat=0", [5], [4, 5]),
     ("v=0, vhat=1", [3], [2, 3]),
 )
+
+
+def _zero_mass_event(cells: np.ndarray) -> str:
+    """The first event of ``_RATES``, slice 0 before slice 1, with zero mass in the 16 joint
+    ``cells``, as ``l=<l>, <event>``; ``slice_rates`` masks a table that has one."""
+    halves = cells.reshape(2, 8)
+    return next(
+        f"l={l}, {event}" for l in (0, 1) for event, _, den in _RATES if halves[l, den].sum() == 0.0
+    )
 
 
 def _rate(halves: np.ndarray, num, den) -> tuple[np.ndarray, np.ndarray]:

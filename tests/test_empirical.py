@@ -9,6 +9,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from gap_gauge import (
     ValidationError,
     ZeroMassCondition,
     bootstrap,
+    bound_report,
+    compute_gaps,
     derive_trial_stream,
     estimate,
     estimate_with_bootstrap,
@@ -33,9 +36,11 @@ from gap_gauge import (
     parse_records,
     percentile,
     read_records_csv,
+    reduce,
     sample_dataset,
+    structure_params,
 )
-from oracles import parse_records_text
+from oracles import gaps_from_joint, parse_records_text
 
 BASIC = "l,v,vhat,y\n0,1,1,1\n0,0,1,0\n1,1,0,1\n1,0,0,0\n"
 
@@ -1146,6 +1151,71 @@ class TestCountsBootstrap:
         want = estimate(data)
         monkeypatch.setattr(empirical, "_CHUNK", chunk)
         assert estimate(data) == want
+
+
+def random_joint_dataset(seed: int, n: int) -> RecordDataset:
+    """``n`` rows drawn from a random joint; an odd ``seed`` zeroes about a third of its cells."""
+    rng = np.random.default_rng(seed)
+    cells = rng.random(16)
+    if seed % 2:
+        cells[rng.random(16) < 1 / 3] = 0.0
+    return sample_dataset(FullJoint(cells=cells / cells.sum()), n, seed)
+
+
+def hex_fields(obj) -> dict[str, str]:
+    return {f.name: getattr(obj, f.name).hex() for f in fields(obj)}
+
+
+class TestEstimateMatchesDataclassPath:
+    """``estimate``, the observed table's row of the bootstrap's array pass, against the
+    dataclass path (``fit_joint``, ``reduce`` and the report functions), the scalar
+    ``gaps_from_joint`` oracle, and a transcription of the smoothed proxy rates."""
+
+    @pytest.mark.parametrize("smoothing", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [20, 200, 5000])
+    def test_with_v(self, n, smoothing):
+        raised = 0
+        for seed in range(12):
+            data = random_joint_dataset(seed, n)
+            joint = fit_joint(data, smoothing)
+            try:
+                model = reduce(joint)
+            except ZeroMassCondition as want:
+                with pytest.raises(ZeroMassCondition) as got:
+                    estimate(data, smoothing)
+                assert str(got.value) == str(want)
+                raised += 1
+                continue
+            report = estimate(data, smoothing)
+            assert hex_fields(report.gap) == hex_fields(compute_gaps(model))
+            assert hex_fields(report.structure) == hex_fields(structure_params(model))
+            assert hex_fields(report.bounds) == hex_fields(bound_report(model))
+            assert report.g_hat.hex() == report.gap.G_hat.hex()
+            oracle = gaps_from_joint(joint)
+            for f in fields(oracle):
+                assert abs(getattr(report.gap, f.name) - getattr(oracle, f.name)) <= 1e-12
+        # unsmoothed, zero cells empty an event of some joints at every n; smoothed, none
+        assert 0 < raised < 12 if smoothing == 0.0 else raised == 0
+
+    @pytest.mark.parametrize("smoothing", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [20, 200, 5000])
+    def test_without_v(self, n, smoothing):
+        for seed in range(12):
+            data = without_v(random_joint_dataset(seed, n))
+            rates = []
+            for l in (0, 1):
+                rows = (data.l == l) & (data.vhat == 1)
+                ones, zeros = int((rows & (data.y == 1)).sum()), int((rows & (data.y == 0)).sum())
+                # Pr[y=1 | vhat=1, l] = (n(l,1,1) + s) / (n(l,1,0) + n(l,1,1) + 2 s)
+                total = zeros + ones + 2.0 * smoothing
+                if total == 0.0:
+                    with pytest.raises(ZeroMassCondition) as got:
+                        estimate(data, smoothing)
+                    assert str(got.value) == f"conditioning event has zero mass: l={l}, vhat=1"
+                    break
+                rates.append((ones + smoothing) / total)
+            else:
+                assert estimate(data, smoothing).g_hat.hex() == (rates[1] - rates[0]).hex()
 
 
 def threading_datasets(m1_joint) -> dict[str, RecordDataset]:

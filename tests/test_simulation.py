@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from gap_gauge import (
     structure_params,
     sweep,
 )
+from gap_gauge.files import dumps_json, load_sampler_config, result_dict
 from gap_gauge.simulation import _accepted, _constrained_cells, _philox4x64, _trial_key
 from oracles import constrained_acceptance, constrained_attempt, constrained_trial
 
@@ -340,6 +343,27 @@ ACCEPTANCE = {
 #: Largest |z| an observed acceptance may take against the exact value, fixed before any run
 ACCEPTANCE_Z = 4.0
 
+#: Four (eps_b1, eps_b2) pairs on [0.05, 1]^2, drawn once from a seed fixed before any run
+RANDOM_BUDGETS = [
+    tuple(pair) for pair in np.random.default_rng(2026).uniform(0.05, 1.0, (4, 2)).tolist()
+]
+
+#: ``rejection_rate`` and ``p95`` of each bundled graph2 study (``scripts/replicate.sh``:
+#: 1e5 trials at seed 42), whose summary digest ``scripts/results.sha256`` pins
+GRAPH2_SUMMARIES = {
+    "010": (0.29991598991879026, 0.01960668269361443),
+    "020": (0.4720252583116424, 0.02859678617004663),
+    "040": (0.694301785277574, 0.04765878690182124),
+}
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def acceptance_z(rejection_rate: float, p: float, n: int) -> float:
+    """z of an observed acceptance against the exact ``p``: n trials take n / p attempts, and
+    n / attempts has standard error p sqrt((1 - p) / n)."""
+    return (1.0 - rejection_rate - p) / (p * np.sqrt((1.0 - p) / n))
+
 
 class TestConstrainedAcceptance:
     """The constrained draw's acceptance against its exact value, ``constrained_acceptance``."""
@@ -349,14 +373,26 @@ class TestConstrainedAcceptance:
             assert abs(constrained_acceptance(eps_b1, eps_b2) - value) < 1e-5
         assert constrained_acceptance(0.0, 0.0) == 1.0
 
-    @pytest.mark.parametrize("eps_b1, eps_b2", sorted(ACCEPTANCE))
+    @pytest.mark.parametrize("eps_b1, eps_b2", sorted(ACCEPTANCE) + RANDOM_BUDGETS)
     def test_engine_acceptance(self, eps_b1, eps_b2):
-        # n trials take n / p attempts; n / attempts has standard error p sqrt((1 - p) / n)
         n = 200_000
         result = run_monte_carlo(constrained(eps_b1, eps_b2), n, seed=2024)
-        p = ACCEPTANCE[eps_b1, eps_b2]
-        z = (1.0 - result.rejection_rate - p) / (p * np.sqrt((1.0 - p) / n))
-        assert abs(z) < ACCEPTANCE_Z
+        pair = (eps_b1, eps_b2)
+        p = ACCEPTANCE[pair] if pair in ACCEPTANCE else constrained_acceptance(*pair)
+        assert abs(acceptance_z(result.rejection_rate, p, n)) < ACCEPTANCE_Z
+
+    @pytest.mark.parametrize("eps", sorted(GRAPH2_SUMMARIES))
+    def test_bundled_graph2_studies(self, eps):
+        # the summary these values rebuild must be the pinned one, so no run is needed
+        config = load_sampler_config(ROOT / "configs" / f"graph2_eps{eps}.json")
+        rejection_rate, p95 = GRAPH2_SUMMARIES[eps]
+        summary = {"bounds": result_dict(config_bounds(config)), "n_trials": 100_000,
+                   "p95": p95, "rejection_rate": rejection_rate, "seed": 42}
+        pinned = (ROOT / "scripts" / "results.sha256").read_text().splitlines()
+        digest = hashlib.sha256(dumps_json(summary).encode()).hexdigest()
+        assert f"{digest}  results/graph2_eps{eps}.summary.json" in pinned
+        p = constrained_acceptance(config.eps_b1, config.eps_b2)
+        assert abs(acceptance_z(rejection_rate, p, 100_000)) < ACCEPTANCE_Z
 
     @pytest.mark.parametrize("eps_b1, eps_b2", [(0.0, 0.3), (0.3, 0.0), (0.0, 1.0), (1.0, 1.0)])
     def test_map_acceptance_at_zero_and_full_budgets(self, eps_b1, eps_b2):
