@@ -67,8 +67,8 @@ _CHUNK = 1 << 16
 #: buffers take at most 2.75 MiB (11-byte rows). Results never depend on it.
 _BLOCK_ROWS = 1 << 16
 
-#: Most replicates one bootstrap may run. On 5e5 rows, 200 took 0.45 s on one thread and
-#: 0.24 s on two (2 vCPUs), so a million take about 38 and 20 minutes.
+#: Most replicates one bootstrap may run. On 5e5 rows, 200 took 0.41 s on one thread and
+#: 0.21 s on two (2 vCPUs), so a million take about 34 and 18 minutes.
 MAX_REPLICATES = 10**6
 
 #: Most rows ``sample_dataset`` draws: a row takes 9 bytes while it is drawn.
@@ -503,12 +503,31 @@ def _require_smoothing(smoothing: float) -> float:
     return smoothing
 
 
+def _count_codes(codes: np.ndarray, width: int) -> np.ndarray:
+    """Counts of each code in uint8 ``codes``, all below ``width`` (8 or 16).
+
+    The codes are counted two at a time. Viewed as uint16, each pair is one
+    value below 16 * 256, one code in its low byte and the other in its high
+    byte, so one ``bincount`` over half as many values fills a (16, 256)
+    table of pairs. A code's count is its row sum plus its column sum, in
+    either byte order; an odd last code is counted on its own. ``codes``
+    must be contiguous, since ``view`` refuses a strided array.
+    """
+    even = codes.size & ~1
+    pairs = np.bincount(codes[:even].view(np.uint16), minlength=16 * 256)
+    table = pairs.reshape(16, 256)[:width, :width]
+    counts = table.sum(axis=0) + table.sum(axis=1)
+    if codes.size & 1:
+        counts[codes[-1]] += 1
+    return counts
+
+
 def _cell_counts(codes: np.ndarray, v_present: bool) -> np.ndarray:
-    """Counts of each cell code, ``_CHUNK`` codes at a time: ``bincount`` casts its input to intp."""
+    """Counts of each cell code, ``_CHUNK`` codes at a time by :func:`_count_codes`, whose
+    ``bincount`` casts its input to intp."""
     width = 16 if v_present else 8
     return sum(
-        np.bincount(codes[start:start + _CHUNK], minlength=width)
-        for start in range(0, codes.size, _CHUNK)
+        _count_codes(codes[start:start + _CHUNK], width) for start in range(0, codes.size, _CHUNK)
     )
 
 
@@ -635,10 +654,11 @@ def estimate(dataset: RecordDataset, smoothing: float = 0.0) -> EstimateReport:
 
 
 def _resample_counts(codes: np.ndarray, stream: np.random.Generator, width: int) -> np.ndarray:
-    """Cell counts of the rows ``stream.integers(0, n, size=n)`` draws, ``_CHUNK`` rows at a time."""
+    """Cell counts of the rows ``stream.integers(0, n, size=n)`` draws, ``_CHUNK`` rows at a
+    time: each chunk's codes are gathered with ``np.take`` and counted by :func:`_count_codes`."""
     n = codes.size
     return sum(
-        np.bincount(codes[stream.integers(0, n, size=min(_CHUNK, n - start))], minlength=width)
+        _count_codes(np.take(codes, stream.integers(0, n, size=min(_CHUNK, n - start))), width)
         for start in range(0, n, _CHUNK)
     )
 
@@ -679,8 +699,9 @@ def bootstrap(
     stream ``derive_trial_stream(seed, i)``, then re-estimates from the
     resample's cell counts, which are all an estimate reads. The ``n``
     indices are drawn ``_CHUNK`` at a time from that one stream, and each
-    chunk's codes are gathered and counted with one ``bincount``, so the
-    working set stays in cache whatever ``n``. The chunks, joined, are
+    chunk's codes are gathered and counted two at a time with one
+    ``bincount`` (:func:`_count_codes`), so the working set stays in cache
+    whatever ``n``. The chunks, joined, are
     exactly one ``integers(0, n, size=n)`` call: numpy fills a bounded
     array one draw after another, and the half of a 64-bit Philox output
     that a 32-bit draw leaves over is kept in the generator, not in the

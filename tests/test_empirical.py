@@ -1153,6 +1153,100 @@ class TestCountsBootstrap:
         assert estimate(data) == want
 
 
+class TestCountCodes:
+    """``_count_codes``, which counts codes in pairs, against a plain ``bincount``."""
+
+    @staticmethod
+    def assert_counts(codes, width):
+        got = empirical._count_codes(codes, width)
+        want = np.bincount(codes, minlength=width)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("width", [8, 16])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 2 * empirical._CHUNK + 1])
+    def test_random_codes(self, width, n):
+        codes = np.random.default_rng(n).integers(0, width, n).astype(np.uint8)
+        self.assert_counts(codes, width)
+
+    @pytest.mark.parametrize("width", [8, 16])
+    @pytest.mark.parametrize("tail", [[], [0], [7]])
+    def test_every_pair_of_codes(self, width, tail):
+        # every code in the first and in the second place of a pair
+        pairs = itertools.product(range(width), repeat=2)
+        codes = np.array([*itertools.chain.from_iterable(pairs), *tail], dtype=np.uint8)
+        self.assert_counts(codes, width)
+
+    @pytest.mark.parametrize("width,code", [(8, 0), (8, 7), (16, 0), (16, 7), (16, 15)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000, 1001])
+    def test_one_code_only(self, width, code, n):
+        self.assert_counts(np.full(n, code, dtype=np.uint8), width)
+
+    @pytest.mark.parametrize("width", [8, 16])
+    @pytest.mark.parametrize("stop", [1000, 1001])
+    def test_slice_at_an_odd_byte_offset(self, width, stop):
+        codes = np.random.default_rng(stop).integers(0, width, 1002).astype(np.uint8)
+        self.assert_counts(codes[1:stop], width)
+        self.assert_counts(codes[3:stop], width)
+
+
+class TestCodesAreContiguous:
+    """``_count_codes`` views the codes as uint16, which a strided array refuses, so every
+    way to build a dataset must give C-contiguous codes."""
+
+    @staticmethod
+    def assert_contiguous(data: RecordDataset):
+        assert data.codes.flags.c_contiguous
+        assert data.ystar is None or data.ystar.flags.c_contiguous
+
+    @pytest.mark.parametrize("layout", ["list", "strided", "reversed"])
+    def test_constructor(self, layout):
+        columns = np.array([[0, 1, 1, 0, 1, 0, 0, 1]] * 5, dtype=np.int64)
+        if layout == "strided":
+            columns = columns[:, ::2]
+        elif layout == "reversed":
+            columns = columns[:, ::-1]
+        l, v, vhat, y, ystar = columns.tolist() if layout == "list" else columns
+        self.assert_contiguous(RecordDataset(l=l, vhat=vhat, y=y, v=v, ystar=ystar))
+        self.assert_contiguous(RecordDataset(l=l, vhat=vhat, y=y))
+
+    def test_parse_records(self):
+        self.assert_contiguous(parse_records(BASIC))
+        self.assert_contiguous(parse_records("l,v,vhat,y,ystar\n0,,1,1,1\n1,,0,1,0\n"))
+
+    @pytest.mark.parametrize("text", [BASIC, BASIC.replace("\n", "\r\n", 2),
+                                      "l,v,vhat,y,ystar\n0,1,1,1,1\n1,0,0,1,0\n"],
+                             ids=["fixed-width", "text", "ystar"])
+    def test_read_records_csv(self, tmp_path, text):
+        path = tmp_path / "records.csv"
+        path.write_text(text)
+        self.assert_contiguous(read_records_csv(path))
+
+    def test_sample_dataset(self, m1_joint):
+        self.assert_contiguous(sample_dataset(m1_joint, 101, seed=2))
+
+    def test_filter_ystar(self):
+        data = parse_records("l,v,vhat,y,ystar\n0,1,1,1,1\n1,0,0,1,0\n1,1,0,0,1\n")
+        self.assert_contiguous(filter_ystar(data))
+
+    @pytest.mark.parametrize("indices", [[3, 3, 0], np.arange(4)[::-2], [], np.array([1, 2])])
+    def test_take(self, indices):
+        self.assert_contiguous(parse_records(BASIC).take(indices))
+
+
+class TestResampleDraw:
+    """A replicate's chunks draw exactly what one ``integers(0, n, size=n)`` call would."""
+
+    @pytest.mark.parametrize("n", [2, 3, 1001, empirical._CHUNK - 1, empirical._CHUNK + 1,
+                                   2 * empirical._CHUNK + 2])
+    def test_stream_ends_where_one_call_ends(self, n):
+        codes = np.random.default_rng(n).integers(0, 16, n).astype(np.uint8)
+        stream, twin = derive_trial_stream(9, n), derive_trial_stream(9, n)
+        counts = empirical._resample_counts(codes, stream, 16)
+        idx = twin.integers(0, n, size=n)
+        assert counts.tolist() == np.bincount(codes[idx], minlength=16).tolist()
+        assert stream.random() == twin.random()
+
+
 def random_joint_dataset(seed: int, n: int) -> RecordDataset:
     """``n`` rows drawn from a random joint; an odd ``seed`` zeroes about a third of its cells."""
     rng = np.random.default_rng(seed)
