@@ -27,7 +27,6 @@ import time
 
 from . import __version__
 from .bounds import independence_diagnostics, bound_report, structure_params
-from .empirical import estimate_with_bootstrap, filter_ystar, read_records_csv
 from .errors import GapGaugeError, ValidationError, ZeroMassCondition
 from .files import (
     atomic_paths,
@@ -169,6 +168,9 @@ def _cmd_sweep(args, digest) -> list:
 
 
 def _cmd_estimate(args, digest) -> list:
+    # imported here, so that the other commands never load empirical
+    from .empirical import estimate_with_bootstrap, filter_ystar, read_records_csv
+
     dataset = read_records_csv(args.data, digest)
     if args.condition_ystar:
         dataset = filter_ystar(dataset)

@@ -208,14 +208,15 @@ def model_from_dict(obj: Any) -> FullJoint | ReducedModel:
 
 def _load(path, digest, parse) -> Any:
     """``parse`` of the JSON value in ``path``, read once; ``digest`` is updated with its
-    bytes. Each error names the path."""
+    bytes. One leading UTF-8 byte order mark is dropped, as RFC 8259 allows. Each error
+    names the path."""
     path = _require_path(path)
     with open(path, "rb") as handle:
         data = handle.read()
     if digest is not None:
         digest.update(data)
     try:
-        payload = json.loads(data.decode("utf-8"))
+        payload = json.loads(data.decode("utf-8-sig"))
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
     # also an integer past Python's digit limit, or nesting past the recursion limit

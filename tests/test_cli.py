@@ -1152,8 +1152,11 @@ class TestOutputDirectory:
             "estimate": [str(records)],
         }[command]
         read = []
-        for loader in ("load_model_file", "load_sampler_config", "read_records_csv"):
-            monkeypatch.setattr(cli, loader, lambda *args: read.append(args))
+        for owner, loader in (
+            (cli, "load_model_file"), (cli, "load_sampler_config"),
+            (empirical, "read_records_csv"),
+        ):
+            monkeypatch.setattr(owner, loader, lambda *args: read.append(args))
         monkeypatch.chdir(tmp_path)
         before = sorted(tmp_path.iterdir())
         code, out, err = run(capsys, command, *argv, "--out", "")
@@ -1178,8 +1181,11 @@ class TestOutputDirectory:
             "estimate": [str(records)],
         }[command]
         read = []
-        for loader in ("load_model_file", "load_sampler_config", "read_records_csv"):
-            monkeypatch.setattr(cli, loader, lambda *args: read.append(args))
+        for owner, loader in (
+            (cli, "load_model_file"), (cli, "load_sampler_config"),
+            (empirical, "read_records_csv"),
+        ):
+            monkeypatch.setattr(owner, loader, lambda *args: read.append(args))
         outdir = tmp_path / "outdir"
         if exists:
             outdir.mkdir()

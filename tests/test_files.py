@@ -3,6 +3,7 @@ from __future__ import annotations
 import builtins
 import csv
 import errno
+import hashlib
 import json
 import math
 import os
@@ -177,6 +178,44 @@ def test_load_error_names_the_path_as_text(tmp_path, loader, content, reason, fo
     with pytest.raises(ValidationError, match=reason) as err:
         loader(form(path))
     assert str(err.value).startswith(f"{path}: ")
+
+
+class TestByteOrderMark:
+    """A JSON input drops one leading UTF-8 BOM; its digest is of the bytes as read."""
+
+    @pytest.fixture(params=["model", "config"])
+    def plain(self, request, m1, tmp_path):
+        path = tmp_path / "plain.json"
+        if request.param == "model":
+            write_json(path, model_payload(m1))
+            return load_model_file, path
+        write_json(path, result_dict(SAMPLER_CONFIGS["constrained"]))
+        return load_sampler_config, path
+
+    @staticmethod
+    def marked(path, marks):
+        """A copy of ``path`` behind ``marks`` byte order marks."""
+        copy = path.with_name("marked.json")
+        copy.write_bytes(marks * b"\xef\xbb\xbf" + path.read_bytes())
+        return copy
+
+    def test_loads_equal_to_its_twin_without_one(self, plain):
+        loader, path = plain
+        assert loader(self.marked(path, 1)) == loader(path)
+
+    def test_digest_is_of_the_raw_bytes(self, plain):
+        loader, path = plain
+        marked, digest = self.marked(path, 1), hashlib.sha256()
+        loader(marked, digest)
+        assert digest.hexdigest() == hashlib.sha256(marked.read_bytes()).hexdigest()
+        assert digest.hexdigest() != hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_second_one_is_refused(self, plain):
+        loader, path = plain
+        marked = self.marked(path, 2)
+        with pytest.raises(ValidationError, match="not valid JSON") as err:
+            loader(marked)
+        assert str(err.value).startswith(f"{marked}: ")
 
 
 class TestSamplerConfigFiles:

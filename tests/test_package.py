@@ -15,6 +15,7 @@ import pytest
 import gap_gauge
 
 SRC = Path(gap_gauge.__file__).resolve().parent.parent
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 #: ``gap_gauge.__all__``: every public name, in order.
 PUBLIC = [
@@ -53,6 +54,17 @@ def child(code: str, **env: str) -> str:
     done = python("-c", code, **env)
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def run_entry_point(argv: list[str]) -> str:
+    """Output of ``gap_gauge.__main__.main(argv)`` in a child, then its exit code and
+    whether it loaded ``gap_gauge.empirical``."""
+    return child(
+        "import sys\n"
+        "from gap_gauge.__main__ import main\n"
+        f"code = main({argv!r})\n"
+        "print(code, 'gap_gauge.empirical' in sys.modules)\n"
+    )
 
 
 class TestImport:
@@ -139,6 +151,45 @@ class TestEntryPoint:
             OPENBLAS_NUM_THREADS="2",
         )
         assert out == "2\n"
+
+    def test_freezes_the_imported_heap(self):
+        out = child(
+            "import gap_gauge.__main__, gc\n"
+            "print(gc.isenabled(), gc.get_freeze_count() > 0)\n"
+        )
+        assert out == "True True\n"
+
+    def test_library_import_freezes_nothing(self):
+        out = child("import gap_gauge.cli, gc\nprint(gc.get_freeze_count())\n")
+        assert out == "0\n"
+
+    def test_imports_leave_no_garbage_to_freeze(self):
+        out = child("import gap_gauge.cli, gc\nprint(gc.collect())\n")
+        assert out == "0\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "analyze"])
+    def test_only_estimate_loads_empirical(self, tmp_path, command):
+        model = tmp_path / "joint.json"
+        model.write_text('{"joint": {"cells": [%s]}}' % ", ".join(["0.0625"] * 16))
+        argv = {
+            "simulate": ["simulate", str(CONFIGS / "graphA_classifier.json"), "--trials", "100"],
+            "sweep": ["sweep", str(CONFIGS / "graph3_base.json"), "--varied", "eps_b2",
+                      "--grid", "0:1:0.5", "--trials", "100"],
+            "analyze": ["analyze", str(model)],
+        }[command]
+        assert run_entry_point([*argv, "--out", str(tmp_path / "out")]) == "0 False\n"
+
+    def test_estimate_loads_empirical_and_reports_as_before(self, capsys, tmp_path):
+        records = tmp_path / "records.csv"
+        records.write_text("l,v,vhat,y\n" + "".join(
+            f"{i & 1},{i >> 1 & 1},{i >> 2 & 1},{i >> 3 & 1}\n" for i in range(40)
+        ))
+        argv = ["estimate", str(records), "--bootstrap", "20"]
+        out = run_entry_point(argv)
+        from gap_gauge.cli import main
+
+        assert main(argv) == 0
+        assert out == capsys.readouterr().out + "0 True\n"
 
     def test_cli_module_is_not_an_entry_point(self):
         # numpy is loaded before cli.py's body runs, too late for the BLAS default
