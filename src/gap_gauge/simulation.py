@@ -21,6 +21,15 @@ results are bit-identical to running ``derive_trial_stream``, ``sample_*``
 and ``compute_gaps`` per trial. The reference the engine is tested against
 is a transcription in ``tests/oracles.py`` that draws each uniform with
 ``Generator.uniform``, one trial at a time.
+
+The engine computes each Philox block of a trial at most once. Rejection
+runs in passes over a block of trials: a pass gives each pending trial as
+many attempts as the acceptance seen so far makes likely to suffice, and
+the unused doubles of a pending trial's last block carry into its next
+pass. ``sweep`` feeds all of its grid points' trials through the same
+engine as one sequence, so a block of trials can span points; each trial
+still reads only its own point's stream, and a sweep holds one point's
+errors at a time.
 """
 
 from __future__ import annotations
@@ -60,9 +69,11 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-#: Trials per block of the vectorized engine. A block's temporaries are a few
-#: dozen arrays of this length, so memory stays bounded whatever the trial
-#: count; results never depend on it.
+#: Trials per block of the vectorized engine, and about the most attempts one
+#: rejection pass computes. A block's temporaries are a few dozen arrays of
+#: this length, so memory stays bounded whatever the trial count or the
+#: length of a sweep's grid, whose points share blocks; results never depend
+#: on it.
 _BLOCK = 4096
 
 #: Most trials one run may have: its errors array takes 800 MB, its
@@ -389,45 +400,82 @@ def _philox4x64(counter, k0, k1) -> list[np.ndarray]:
     return [c0, c1, c2, c3]
 
 
-def _stream_doubles(k0: np.ndarray, k1: np.ndarray, first: int, count: int) -> np.ndarray:
-    """Doubles ``first .. first+count-1`` of each trial's stream, shape (count, n).
+def _stream_doubles(k0: np.ndarray, k1: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Doubles ``4*start .. 4*stop-1`` of each trial's stream, shape (4 (stop - start), n).
 
-    ``np.random.Philox`` fills its buffer from counter 1 upwards, so double j
-    is word ``j % 4`` of the block at counter ``j // 4 + 1``, turned into a
+    ``np.random.Philox`` fills its buffer from counter 1 upwards, so doubles
+    4b .. 4b+3 are the words of the block at counter b + 1, each turned into a
     double the way ``Generator.random`` does it: ``(word >> 11) * 2**-53``.
     """
-    counters = np.arange(first // 4 + 1, (first + count - 1) // 4 + 2, dtype=np.uint64)
-    words = np.stack(_philox4x64(counters[:, None], k0, k1), axis=1)
-    words = words.reshape(-1, k0.size)[first % 4:first % 4 + count]
-    return (words >> _U64(11)) * (1.0 / 9007199254740992.0)
+    counters = np.arange(start + 1, stop + 1, dtype=np.uint64)
+    words = _philox4x64(counters[:, None], k0, k1)
+    doubles = np.empty((counters.size, 4, k0.size))
+    for j, word in enumerate(words):
+        word >>= _U64(11)
+        np.multiply(word, 1.0 / 9007199254740992.0, out=doubles[:, j])
+    return doubles.reshape(-1, k0.size)
+
+
+#: log of the chance, 5%, that a pending trial is left pending by a pass sized
+#: from the acceptance seen so far.
+_LOG_MISS = math.log(0.05)
+
+
+def _pass_attempts(pending: int, accepted: int, attempts: int, left: int) -> int:
+    """Attempts per pending trial in the next rejection pass.
+
+    ``accepted`` of the ``attempts`` consumed so far were accepted, so at the
+    observed acceptance a all but 5% of the ``pending`` trials find theirs
+    within ceil(log 0.05 / log(1 - a)) attempts. A pass never covers more
+    than about ``_BLOCK`` attempts in all, nor more than the ``left`` in the
+    budget.
+    """
+    m = _BLOCK // pending
+    if accepted:
+        a = accepted / attempts
+        m = 1 if a == 1.0 else min(m, math.ceil(_LOG_MISS / math.log1p(-a)))
+    return max(1, min(m, left))
 
 
 def _block_errors(
-    config: SamplerConfig, seed: int, start: int, stop: int
-) -> tuple[np.ndarray, int]:
-    """Errors of trials [start, stop) and the attempts they consumed.
+    config: SamplerConfig, k0: np.ndarray, k1: np.ndarray, eps_b1, eps_b2
+) -> tuple[np.ndarray | None, int, int | None]:
+    """Errors of the trials keyed ``k0``, ``k1``, the attempts they consumed, and
+    the position of the first trial that ran out of its rejection budget.
+
+    ``eps_b1`` and ``eps_b2`` are the budgets, one for all trials or an array
+    of one per trial. When a trial runs out, the errors are None; otherwise
+    the position is None.
 
     Attempt k + 1 of ``sample_constrained`` reads doubles ``7k .. 7k+6`` of
     its trial's stream. Each rejection pass gives every pending trial the
-    next m attempts at once and keeps the first that is accepted; m grows as
-    trials leave, so a pass never covers more than about ``_BLOCK`` attempts
-    and the last stragglers do not cost one pass per attempt.
+    next m attempts at once (``_pass_attempts``) and keeps the first that is
+    accepted. An attempt can straddle two blocks of four doubles: the doubles
+    of a pending trial's last block that its pass did not use are carried
+    into the next pass, so no block of any trial is computed twice.
     """
-    k0, k1 = _trial_key(seed, np.arange(start, stop, dtype=np.uint64))
+    n = k0.size
     if config.mode != "constrained":
-        cells, attempts = _stream_doubles(k0, k1, 0, 6), stop - start
+        cells, attempts = _stream_doubles(k0, k1, 0, 2)[:6], n
     else:
-        cells = np.empty((6, stop - start))
-        pending = np.arange(stop - start)
+        cells = np.empty((6, n))
+        budgets = np.empty((2, n))
+        budgets[0], budgets[1] = eps_b1, eps_b2
+        pending = np.arange(n)
+        carry = np.empty((0, n))
         attempts = tried = 0
         while pending.size:
             if tried == config.max_rejections:
-                raise RejectionBudgetExhausted(
-                    config.max_rejections, trial_index=start + int(pending[0])
-                )
-            m = min(max(1, _BLOCK // pending.size), config.max_rejections - tried)
-            u = _stream_doubles(k0, k1, 7 * tried, 7 * m).reshape(m, 7, -1).swapaxes(0, 1)
-            drawn = _constrained_cells(u, config.eps_b1, config.eps_b2)
+                return None, attempts, int(pending[0])
+            m = _pass_attempts(
+                pending.size, n - pending.size, attempts, config.max_rejections - tried
+            )
+            # the carry holds doubles 7 tried onwards, to the end of their block
+            fresh = _stream_doubles(k0, k1, -(-7 * tried // 4), -(-7 * (tried + m) // 4))
+            u = np.concatenate((carry, fresh)) if carry.size else fresh
+            carry = u[7 * m:]
+            u = u[:7 * m].reshape(m, 7, -1).swapaxes(0, 1)
+            drawn = _constrained_cells(u, budgets[0], budgets[1])
             ok = _accepted(drawn)
             first, accepted = ok.argmax(axis=0), ok.any(axis=0)
             done = np.flatnonzero(accepted)
@@ -435,13 +483,14 @@ def _block_errors(
             attempts += int(np.where(accepted, first + 1, m).sum())
             left = ~accepted
             pending, k0, k1 = pending[left], k0[left], k1[left]
+            budgets, carry = budgets[:, left], carry[:, left]
             tried += m
     a0, b0, c0, a1, b1, c1 = cells
     gaps = gap_terms(
         SliceRates(config.p0, config.r0, a0, b0, c0),
         SliceRates(config.p1, config.r1, a1, b1, c1),
     )
-    return gaps[4], attempts
+    return gaps[4], attempts, None
 
 
 def run_monte_carlo(
@@ -452,11 +501,15 @@ def run_monte_carlo(
 ) -> SimulationResult:
     """Run ``n_trials`` independent trials and aggregate the error distribution.
 
-    Trials run in one process, ``_BLOCK`` at a time. The rejection rate is
-    the fraction of constrained attempts discarded (0.0 for unconstrained
-    runs). When a trial exhausts its rejection budget, the error names the
-    earliest such trial. At most ``MAX_TRIALS`` trials run and at most
-    ``MAX_BINS`` bins are counted, both checked before anything is allocated.
+    Trials run in one process, ``_BLOCK`` at a time, and no Philox block of a
+    trial is computed twice: a constrained trial still pending after a
+    rejection pass carries its last block's unused doubles into the next,
+    and each pass is sized from the acceptance seen so far in the block
+    (``_pass_attempts``). The rejection rate is the fraction of constrained
+    attempts discarded (0.0 for unconstrained runs). When a trial exhausts
+    its rejection budget, the error names the earliest such trial. At most
+    ``MAX_TRIALS`` trials run and at most ``MAX_BINS`` bins are counted,
+    both checked before anything is allocated.
     """
     _require_instance(config, "config", SamplerConfig)
     seed = _require_u64(seed, "seed")
@@ -467,7 +520,11 @@ def run_monte_carlo(
     attempts = 0
     for start in range(0, n_trials, _BLOCK):
         stop = min(start + _BLOCK, n_trials)
-        errors[start:stop], tries = _block_errors(config, seed, start, stop)
+        keys = _trial_key(seed, np.arange(start, stop, dtype=np.uint64))
+        block, tries, exhausted = _block_errors(config, *keys, config.eps_b1, config.eps_b2)
+        if exhausted is not None:
+            raise RejectionBudgetExhausted(config.max_rejections, start + exhausted)
+        errors[start:stop] = block
         attempts += tries
     rejection_rate = (attempts - n_trials) / attempts
     return SimulationResult(
@@ -506,8 +563,17 @@ def sweep(
 
     Grid point k runs with master seed ``derive_point_seed(seed, k)``, so
     points are mutually independent yet the whole sweep is reproducible from
-    the single master seed. A point that runs out of its rejection budget
-    raises :class:`RejectionBudgetExhausted` naming its trial and grid value.
+    the single master seed. Each point's p95 and bounds equal those of
+    ``run_monte_carlo`` at its value and seed, but the points are not run
+    one by one: their trials form one sequence, point by point, that runs
+    through ``run_monte_carlo``'s engine ``_BLOCK`` at a time, each trial
+    with its own point's stream and budgets. A block can thus hold the end
+    of one point and the start of the next, and short points share
+    rejection passes. One errors array is refilled for each point in turn,
+    so memory does not grow with the grid. A trial that runs out of its
+    rejection budget raises :class:`RejectionBudgetExhausted` naming its
+    trial and grid value, the first such trial in (point, trial) order.
+    ``n_trials`` is checked before anything is allocated.
     """
     _require_instance(base, "base", SamplerConfig)
     if varied not in ("eps_b1", "eps_b2"):
@@ -520,23 +586,33 @@ def sweep(
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValidationError("grid values must be strictly increasing")
     seed = _require_u64(seed, "seed")
+    n_trials = _require_count(n_trials, "n_trials", MAX_TRIALS)
 
+    seeds = np.array([derive_point_seed(seed, k) for k in range(len(grid))], dtype=np.uint64)
+    values = np.array(grid)
+    eps = {"eps_b1": base.eps_b1, "eps_b2": base.eps_b2}
+    errors = np.empty(n_trials)
     points = []
-    for k, value in enumerate(grid):
-        config = replace(base, **{varied: value})
-        try:
-            result = run_monte_carlo(config, n_trials, derive_point_seed(seed, k))
-        except RejectionBudgetExhausted as err:
-            raise RejectionBudgetExhausted(
-                err.max_rejections, err.trial_index, f"{varied} = {value!r}"
-            ) from None
-        points.append(
-            SweepPoint(
-                grid_value=value,
-                p95=result.p95,
-                bound_a=result.bounds.bound_A,
-                bound_combined_stated=result.bounds.bound_combined_stated,
-                bound_combined_proof=result.bounds.bound_combined_proof,
-            )
+    total = len(grid) * n_trials
+    for start in range(0, total, _BLOCK):
+        stop = min(start + _BLOCK, total)
+        point, trial = np.divmod(np.arange(start, stop, dtype=np.uint64), _U64(n_trials))
+        block, _, exhausted = _block_errors(
+            base, *_trial_key(seeds[point], trial), **{**eps, varied: values[point]}
         )
+        if exhausted is not None:
+            k, i = divmod(start + exhausted, n_trials)
+            raise RejectionBudgetExhausted(base.max_rejections, i, f"{varied} = {grid[k]!r}")
+        for k in range(start // n_trials, (stop - 1) // n_trials + 1):
+            lo, hi = max(start, k * n_trials), min(stop, (k + 1) * n_trials)
+            errors[lo - k * n_trials:hi - k * n_trials] = block[lo - start:hi - start]
+            if hi == (k + 1) * n_trials:
+                bounds = config_bounds(replace(base, **{varied: grid[k]}))
+                points.append(SweepPoint(
+                    grid_value=grid[k],
+                    p95=percentile(errors, 0.95),
+                    bound_a=bounds.bound_A,
+                    bound_combined_stated=bounds.bound_combined_stated,
+                    bound_combined_proof=bounds.bound_combined_proof,
+                ))
     return tuple(points)

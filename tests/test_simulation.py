@@ -1,6 +1,7 @@
 import hashlib
 import itertools
-from dataclasses import replace
+import tracemalloc
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from gap_gauge import (
     Histogram,
     RejectionBudgetExhausted,
     SamplerConfig,
+    SweepPoint,
     ValidationError,
     compute_gaps,
     config_bounds,
@@ -575,6 +577,46 @@ class TestRunMonteCarlo:
             assert str(err.value) == f"bins must be a positive integer, got {count!r}"
 
 
+@pytest.fixture
+def philox_lanes(monkeypatch):
+    """Every (counter, k0, k1) lane the engine computes, one array per kernel call."""
+    lanes = []
+    kernel = simulation._philox4x64
+
+    def recording(counter, k0, k1):
+        lanes.append(np.stack([a.ravel() for a in np.broadcast_arrays(counter, k0, k1)], axis=1))
+        return kernel(counter, k0, k1)
+
+    monkeypatch.setattr(simulation, "_philox4x64", recording)
+    return lanes
+
+
+def assert_no_lane_repeats(lanes):
+    table = np.concatenate(lanes)
+    assert np.unique(table, axis=0).shape[0] == table.shape[0]
+
+
+class TestBlockCarry:
+    def test_no_block_computed_twice_in_a_run(self, philox_lanes):
+        # graph3_base's budgets, across block boundaries
+        result = run_monte_carlo(constrained(), n_trials=2 * simulation._BLOCK + 17, seed=43)
+        assert result.rejection_rate > 0.0
+        assert len(philox_lanes) > 2
+        assert_no_lane_repeats(philox_lanes)
+
+    @pytest.mark.parametrize("varied", ["eps_b1", "eps_b2"])
+    def test_no_block_computed_twice_in_a_sweep(self, philox_lanes, varied):
+        # 3,001 trials a point: every block but the first holds two points
+        sweep(constrained(), varied, [k / 10 for k in range(11)], n_trials=3001, seed=42)
+        assert_no_lane_repeats(philox_lanes)
+
+    def test_graph3_base_lanes(self, philox_lanes):
+        # the engine that recomputed straddled blocks and sized passes by the
+        # pending count alone took 352,699 lanes here
+        run_monte_carlo(constrained(), n_trials=50_000, seed=43)
+        assert sum(lane.shape[0] for lane in philox_lanes) <= 0.75 * 352_699
+
+
 class TestConfigBounds:
     def test_unconstrained_uses_vacuous_eps(self):
         report = config_bounds(unconstrained())
@@ -609,6 +651,14 @@ class TestSweep:
         with pytest.raises(ValidationError, match="grid"):
             sweep(constrained(), "eps_b2", [0.0, 1.5], n_trials=10, seed=1)
 
+    def test_rejects_more_than_max_trials_before_allocating(self, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("an array was allocated")
+
+        monkeypatch.setattr(simulation.np, "empty", no_allocation)
+        with pytest.raises(ValidationError, match=f"at most {simulation.MAX_TRIALS}"):
+            sweep(constrained(), "eps_b2", [0.0, 0.1], n_trials=simulation.MAX_TRIALS + 1, seed=1)
+
     def test_point_metadata_and_determinism(self):
         grid = [0.0, 0.1, 0.2]
         one = sweep(constrained(), "eps_b2", grid, n_trials=200, seed=42)
@@ -618,24 +668,75 @@ class TestSweep:
 
     def test_points_use_decoupled_seeds(self):
         # point k of a sweep along either axis is a direct run at grid value k
-        # with the derived per-point seed, bit for bit
-        base, grid = constrained(), [0.0, 0.1, 0.3]
-        for varied in ("eps_b1", "eps_b2"):
-            points = sweep(base, varied, grid, n_trials=150, seed=7)
-            assert len(points) == len(grid)
-            for k, (point, value) in enumerate(zip(points, grid)):
+        # with the derived per-point seed, bit for bit, whether the engine's
+        # blocks hold part of a point, one point or several
+        base = constrained()
+        cases = itertools.product(
+            ("eps_b1", "eps_b2"),
+            (1, 2000, 3001, simulation._BLOCK + 17),
+            ([0.3], [0.0, 1.0], [k / 10 for k in range(11)]),
+        )
+        for varied, n_trials, grid in cases:
+            points = sweep(base, varied, grid, n_trials=n_trials, seed=7)
+            expected = []
+            for k, value in enumerate(grid):
                 direct = run_monte_carlo(
-                    replace(base, **{varied: value}), 150, derive_point_seed(7, k)
+                    replace(base, **{varied: value}), n_trials, derive_point_seed(7, k)
                 )
                 bounds = direct.bounds
-                assert point.grid_value == value
-                assert [float.hex(x) for x in (
-                    point.p95, point.bound_a, point.bound_combined_stated,
-                    point.bound_combined_proof,
-                )] == [float.hex(x) for x in (
-                    direct.p95, bounds.bound_A, bounds.bound_combined_stated,
-                    bounds.bound_combined_proof,
-                )]
+                expected.append(SweepPoint(
+                    grid_value=value,
+                    p95=direct.p95,
+                    bound_a=bounds.bound_A,
+                    bound_combined_stated=bounds.bound_combined_stated,
+                    bound_combined_proof=bounds.bound_combined_proof,
+                ))
+            assert [[float.hex(v) for v in astuple(point)] for point in points] == [
+                [float.hex(v) for v in astuple(point)] for point in expected
+            ], (varied, n_trials, grid)
+
+    @pytest.mark.parametrize("max_rejections, seed, point, trial", [
+        # point 0 runs out at its trial 439, point 1 at its trial 0, in one block
+        (5, 42, 0, 439),
+        # point 0 completes and point 1 runs out at its trial 30, in the block
+        # that holds all of point 0
+        (20, 2, 1, 30),
+    ])
+    def test_exhaustion_in_a_block_spanning_points(self, max_rejections, seed, point, trial):
+        config, grid, n_trials = constrained(max_rejections=max_rejections), [0.0, 1.0], 3000
+        # the first block holds both points and the trial that runs out
+        assert point * n_trials + trial < simulation._BLOCK < 2 * n_trials
+        for k, value in enumerate(grid):
+            try:
+                run_monte_carlo(replace(config, eps_b2=value), n_trials, derive_point_seed(seed, k))
+            except RejectionBudgetExhausted as err:
+                assert (k, err.trial_index) == (point, trial)
+                break
+        else:
+            pytest.fail("no point ran out of its budget")
+        with pytest.raises(RejectionBudgetExhausted) as err:
+            sweep(config, "eps_b2", grid, n_trials=n_trials, seed=seed)
+        assert str(err.value) == (
+            f"no valid sample after {max_rejections} attempts at trial {trial} "
+            f"of eps_b2 = {grid[point]!r}"
+        )
+        assert (err.value.trial_index, err.value.point) == (trial, f"eps_b2 = {grid[point]!r}")
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        # one errors array is refilled point by point, so eleven points peak
+        # within one point's errors array of two. A block's temporaries peak
+        # where acceptance is lowest, at eps_b2 = 1.0, so both grids hold it.
+        n_trials = 20_000
+        sweep(constrained(), "eps_b2", [0.0, 0.1], n_trials=50, seed=1)
+        peaks = []
+        for grid in ([0.9, 1.0], [k / 10 for k in range(11)]):
+            tracemalloc.start()
+            try:
+                sweep(constrained(), "eps_b2", grid, n_trials=n_trials, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 8 * n_trials, peaks
 
     def test_bounds_columns_track_grid(self):
         for point in sweep(constrained(), "eps_b2", [0.0, 0.3], n_trials=50, seed=3):
