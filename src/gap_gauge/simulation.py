@@ -8,15 +8,17 @@ Reproducibility contract: trial i of a run with master seed s consumes the
 dedicated stream ``derive_trial_stream(s, i)`` and nothing else, so results
 are independent of execution order and identical runs are bit-identical.
 
-``run_monte_carlo`` does not build those streams one by one. Philox is
-counter-based, so double j of trial i is a pure function of (s, i, j): the
-engine below takes a whole block's keys from ``_trial_key``, the function
-that keys ``derive_trial_stream``, and computes the doubles with numpy
-array arithmetic. A constrained attempt's seven doubles become its six cells
-through ``_constrained_cells`` and are kept by ``_accepted``, the one map
-and the one test that ``sample_constrained`` applies to its own stream's
-doubles. The errors come from :func:`model.gap_terms`, the one gap formula
-that ``compute_gaps`` wraps, applied to whole arrays of trials. So its
+``run_monte_carlo`` and ``sweep`` do not build those streams one by one.
+Both drive one engine loop, ``_points``: a run is its one-point case, and a
+sweep's grid points are its points. Philox is counter-based, so double j of
+trial i is a pure function of (s, i, j): the loop takes a whole block's keys
+from ``_trial_key``, the function that keys ``derive_trial_stream``, and
+``_block_errors`` computes the doubles with numpy array arithmetic. A
+constrained attempt's seven doubles become its six cells through
+``_constrained_cells`` and are kept by ``_accepted``, the one map and the one
+test that ``sample_constrained`` applies to its own stream's doubles. The
+errors come from :func:`model.gap_terms`, the one gap formula that
+``compute_gaps`` wraps, applied to whole arrays of trials. So the engine's
 results are bit-identical to running ``derive_trial_stream``, ``sample_*``
 and ``compute_gaps`` per trial. The reference the engine is tested against
 is a transcription in ``tests/oracles.py`` that draws each uniform with
@@ -26,10 +28,9 @@ The engine computes each Philox block of a trial at most once. Rejection
 runs in passes over a block of trials: a pass gives each pending trial as
 many attempts as the acceptance seen so far makes likely to suffice, and
 the unused doubles of a pending trial's last block carry into its next
-pass. ``sweep`` feeds all of its grid points' trials through the same
-engine as one sequence, so a block of trials can span points; each trial
-still reads only its own point's stream, and a sweep holds one point's
-errors at a time.
+pass. ``_points`` feeds all of its points' trials through the engine as
+one sequence, so a block of trials can span points; each trial still reads
+only its own point's stream, and one point's errors are held at a time.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def derive_trial_stream(seed: int, trial_index: int) -> np.random.Generator:
     The pair (seed, trial_index) is hashed through splitmix64 into a 128-bit
     Philox key: ``lo = mix(seed, index)``, ``hi = splitmix(lo)``. The one
     ``_trial_key`` derives it here and, for whole blocks of trials, in the
-    engine of ``run_monte_carlo``. Distinct pairs yield distinct keys, and
+    engine loop that ``run_monte_carlo`` and ``sweep`` share. Distinct pairs yield distinct keys, and
     Philox guarantees independent streams for distinct keys, so trials never
     share randomness and the mapping is stable across runs, platforms, and
     worker counts.
@@ -421,31 +422,33 @@ def _stream_doubles(k0: np.ndarray, k1: np.ndarray, start: int, stop: int) -> np
 _LOG_MISS = math.log(0.05)
 
 
-def _pass_attempts(pending: int, accepted: int, attempts: int, left: int) -> int:
+def _pass_attempts(pending: int, accepted: int, tries: np.ndarray, left: int) -> int:
     """Attempts per pending trial in the next rejection pass.
 
-    ``accepted`` of the ``attempts`` consumed so far were accepted, so at the
-    observed acceptance a all but 5% of the ``pending`` trials find theirs
-    within ceil(log 0.05 / log(1 - a)) attempts. A pass never covers more
-    than about ``_BLOCK`` attempts in all, nor more than the ``left`` in the
-    budget.
+    ``accepted`` of the ``tries.sum()`` attempts consumed so far were
+    accepted, so at the observed acceptance a all but 5% of the ``pending``
+    trials find theirs within ceil(log 0.05 / log(1 - a)) attempts. A pass
+    never covers more than about ``_BLOCK`` attempts in all, nor more than
+    the ``left`` in the budget.
     """
     m = _BLOCK // pending
     if accepted:
-        a = accepted / attempts
+        a = accepted / int(tries.sum())
         m = 1 if a == 1.0 else min(m, math.ceil(_LOG_MISS / math.log1p(-a)))
     return max(1, min(m, left))
 
 
 def _block_errors(
-    config: SamplerConfig, k0: np.ndarray, k1: np.ndarray, eps_b1, eps_b2
-) -> tuple[np.ndarray | None, int, int | None]:
-    """Errors of the trials keyed ``k0``, ``k1``, the attempts they consumed, and
-    the position of the first trial that ran out of its rejection budget.
+    config: SamplerConfig, k0: np.ndarray, k1: np.ndarray, budgets: np.ndarray
+) -> tuple[np.ndarray | None, np.ndarray | None, int | None]:
+    """Errors of the trials keyed ``k0``, ``k1``, the attempts each consumed, and
+    the position of the first trial that ran out of its rejection budget: the
+    engine that ``_points`` runs on each block of trials.
 
-    ``eps_b1`` and ``eps_b2`` are the budgets, one for all trials or an array
-    of one per trial. When a trial runs out, the errors are None; otherwise
-    the position is None.
+    ``budgets`` holds each trial's eps_b1 and eps_b2 as its two rows; an
+    unconstrained ``config`` reads neither, and each of its trials takes one
+    attempt. When a trial runs out, the errors and attempts are None;
+    otherwise the position is None.
 
     Attempt k + 1 of ``sample_constrained`` reads doubles ``7k .. 7k+6`` of
     its trial's stream. Each rejection pass gives every pending trial the
@@ -456,20 +459,17 @@ def _block_errors(
     """
     n = k0.size
     if config.mode != "constrained":
-        cells, attempts = _stream_doubles(k0, k1, 0, 2)[:6], n
+        cells, tries = _stream_doubles(k0, k1, 0, 2)[:6], np.broadcast_to(1, n)
     else:
         cells = np.empty((6, n))
-        budgets = np.empty((2, n))
-        budgets[0], budgets[1] = eps_b1, eps_b2
+        tries = np.zeros(n, dtype=np.int64)
         pending = np.arange(n)
         carry = np.empty((0, n))
-        attempts = tried = 0
+        tried = 0
         while pending.size:
             if tried == config.max_rejections:
-                return None, attempts, int(pending[0])
-            m = _pass_attempts(
-                pending.size, n - pending.size, attempts, config.max_rejections - tried
-            )
+                return None, None, int(pending[0])
+            m = _pass_attempts(pending.size, n - pending.size, tries, config.max_rejections - tried)
             # the carry holds doubles 7 tried onwards, to the end of their block
             fresh = _stream_doubles(k0, k1, -(-7 * tried // 4), -(-7 * (tried + m) // 4))
             u = np.concatenate((carry, fresh)) if carry.size else fresh
@@ -480,7 +480,7 @@ def _block_errors(
             first, accepted = ok.argmax(axis=0), ok.any(axis=0)
             done = np.flatnonzero(accepted)
             cells[:, pending[done]] = drawn[:, first[done], done]
-            attempts += int(np.where(accepted, first + 1, m).sum())
+            tries[pending] += np.where(accepted, first + 1, m)
             left = ~accepted
             pending, k0, k1 = pending[left], k0[left], k1[left]
             budgets, carry = budgets[:, left], carry[:, left]
@@ -490,7 +490,51 @@ def _block_errors(
         SliceRates(config.p0, config.r0, a0, b0, c0),
         SliceRates(config.p1, config.r1, a1, b1, c1),
     )
-    return gaps[4], attempts, None
+    return gaps[4], tries, None
+
+
+def _points(configs, seeds, n_trials, names):
+    """Run ``n_trials`` trials at each point and yield ``(k, errors, attempts)`` as
+    point k completes: its errors in trial order and the attempts they consumed.
+
+    Trial i of point k reads only ``derive_trial_stream(seeds[k], i)`` and
+    runs under ``configs[k]``; the configs differ in their budgets alone. The
+    (point, trial) pairs form one sequence, point by point, that runs through
+    ``_block_errors`` ``_BLOCK`` at a time, so a block can hold the end of one
+    point and the start of the next, and short points share rejection passes.
+    One errors array is refilled for each point in turn, valid until the next
+    point is asked for, so memory does not grow with the number of points.
+    The first trial in (point, trial) order that runs out of its rejection
+    budget raises :class:`RejectionBudgetExhausted` naming its index and
+    ``names[k]``.
+    """
+    seeds = np.array(seeds, dtype=np.uint64)
+    offsets = np.arange(len(configs), dtype=np.uint64) * _U64(n_trials)
+    # an unconstrained config's absent budgets become NaN, which no trial reads
+    budgets = np.array([(config.eps_b1, config.eps_b2) for config in configs], dtype=float).T
+    errors = np.empty(n_trials)
+    total, attempts = len(configs) * n_trials, 0
+    for start in range(0, total, _BLOCK):
+        stop = min(start + _BLOCK, total)
+        # the block holds a run of each point from ``first`` on, between ``cuts``;
+        # a run is keyed by repeating its point's seed, offset and budgets over it
+        first = start // n_trials
+        cuts = [start, *range((first + 1) * n_trials, stop, n_trials), stop]
+        runs = [hi - lo for lo, hi in zip(cuts, cuts[1:])]
+        points = slice(first, first + len(runs))
+        trials = np.arange(start, stop, dtype=np.uint64) - np.repeat(offsets[points], runs)
+        keys = _trial_key(np.repeat(seeds[points], runs), trials)
+        budget = np.repeat(budgets[:, points], runs, axis=1)
+        block, tries, exhausted = _block_errors(configs[0], *keys, budget)
+        if exhausted is not None:
+            k, i = divmod(start + exhausted, n_trials)
+            raise RejectionBudgetExhausted(configs[0].max_rejections, i, names[k])
+        for k, (lo, hi) in enumerate(zip(cuts, cuts[1:]), first):
+            errors[lo - k * n_trials:hi - k * n_trials] = block[lo - start:hi - start]
+            attempts += int(tries[lo - start:hi - start].sum())
+            if hi == (k + 1) * n_trials:
+                yield k, errors, attempts
+                attempts = 0
 
 
 def run_monte_carlo(
@@ -501,13 +545,12 @@ def run_monte_carlo(
 ) -> SimulationResult:
     """Run ``n_trials`` independent trials and aggregate the error distribution.
 
-    Trials run in one process, ``_BLOCK`` at a time, and no Philox block of a
-    trial is computed twice: a constrained trial still pending after a
-    rejection pass carries its last block's unused doubles into the next,
-    and each pass is sized from the acceptance seen so far in the block
-    (``_pass_attempts``). The rejection rate is the fraction of constrained
-    attempts discarded (0.0 for unconstrained runs). When a trial exhausts
-    its rejection budget, the error names the earliest such trial. At most
+    The run is the one-point case of the engine that ``sweep`` drives
+    (``_points``): trials run in one process, ``_BLOCK`` at a time, and no
+    Philox block of a trial is computed twice. The result keeps the engine's
+    errors array. The rejection rate is the fraction of constrained attempts
+    discarded (0.0 for unconstrained runs). When a trial exhausts its
+    rejection budget, the error names the earliest such trial. At most
     ``MAX_TRIALS`` trials run and at most ``MAX_BINS`` bins are counted,
     both checked before anything is allocated.
     """
@@ -516,24 +559,14 @@ def run_monte_carlo(
     n_trials = _require_count(n_trials, "n_trials", MAX_TRIALS)
     bins = _require_count(bins, "bins", MAX_BINS)
 
-    errors = np.empty(n_trials)
-    attempts = 0
-    for start in range(0, n_trials, _BLOCK):
-        stop = min(start + _BLOCK, n_trials)
-        keys = _trial_key(seed, np.arange(start, stop, dtype=np.uint64))
-        block, tries, exhausted = _block_errors(config, *keys, config.eps_b1, config.eps_b2)
-        if exhausted is not None:
-            raise RejectionBudgetExhausted(config.max_rejections, start + exhausted)
-        errors[start:stop] = block
-        attempts += tries
-    rejection_rate = (attempts - n_trials) / attempts
+    ((_, errors, attempts),) = _points([config], [seed], n_trials, [None])
     return SimulationResult(
         n_trials=n_trials,
         errors=errors,
         p95=percentile(errors, 0.95),
         histogram=_histogram(errors, bins),
         bounds=config_bounds(config),
-        rejection_rate=rejection_rate,
+        rejection_rate=(attempts - n_trials) / attempts,
         seed=seed,
     )
 
@@ -564,15 +597,16 @@ def sweep(
     Grid point k runs with master seed ``derive_point_seed(seed, k)``, so
     points are mutually independent yet the whole sweep is reproducible from
     the single master seed. Each point's p95 and bounds equal those of
-    ``run_monte_carlo`` at its value and seed, but the points are not run
-    one by one: their trials form one sequence, point by point, that runs
-    through ``run_monte_carlo``'s engine ``_BLOCK`` at a time, each trial
-    with its own point's stream and budgets. A block can thus hold the end
-    of one point and the start of the next, and short points share
-    rejection passes. One errors array is refilled for each point in turn,
-    so memory does not grow with the grid. A trial that runs out of its
-    rejection budget raises :class:`RejectionBudgetExhausted` naming its
-    trial and grid value, the first such trial in (point, trial) order.
+    ``run_monte_carlo`` at its value and seed, and both run the same engine
+    loop, ``_points``, of which a run is the one-point case. A sweep's
+    points are its points: their trials form one sequence, point by point,
+    that runs ``_BLOCK`` at a time, each trial with its own point's stream
+    and budgets. A block can thus hold the end of one point and the start of
+    the next, and short points share rejection passes. One errors array is
+    refilled for each point in turn, so memory does not grow with the grid.
+    A trial that runs out of its rejection budget raises
+    :class:`RejectionBudgetExhausted` naming its trial and grid value, the
+    first such trial in (point, trial) order.
     ``n_trials`` is checked before anything is allocated.
     """
     _require_instance(base, "base", SamplerConfig)
@@ -588,31 +622,16 @@ def sweep(
     seed = _require_u64(seed, "seed")
     n_trials = _require_count(n_trials, "n_trials", MAX_TRIALS)
 
-    seeds = np.array([derive_point_seed(seed, k) for k in range(len(grid))], dtype=np.uint64)
-    values = np.array(grid)
-    eps = {"eps_b1": base.eps_b1, "eps_b2": base.eps_b2}
-    errors = np.empty(n_trials)
+    configs = [replace(base, **{varied: value}) for value in grid]
+    seeds = [derive_point_seed(seed, k) for k in range(len(grid))]
     points = []
-    total = len(grid) * n_trials
-    for start in range(0, total, _BLOCK):
-        stop = min(start + _BLOCK, total)
-        point, trial = np.divmod(np.arange(start, stop, dtype=np.uint64), _U64(n_trials))
-        block, _, exhausted = _block_errors(
-            base, *_trial_key(seeds[point], trial), **{**eps, varied: values[point]}
-        )
-        if exhausted is not None:
-            k, i = divmod(start + exhausted, n_trials)
-            raise RejectionBudgetExhausted(base.max_rejections, i, f"{varied} = {grid[k]!r}")
-        for k in range(start // n_trials, (stop - 1) // n_trials + 1):
-            lo, hi = max(start, k * n_trials), min(stop, (k + 1) * n_trials)
-            errors[lo - k * n_trials:hi - k * n_trials] = block[lo - start:hi - start]
-            if hi == (k + 1) * n_trials:
-                bounds = config_bounds(replace(base, **{varied: grid[k]}))
-                points.append(SweepPoint(
-                    grid_value=grid[k],
-                    p95=percentile(errors, 0.95),
-                    bound_a=bounds.bound_A,
-                    bound_combined_stated=bounds.bound_combined_stated,
-                    bound_combined_proof=bounds.bound_combined_proof,
-                ))
+    for k, errors, _ in _points(configs, seeds, n_trials, [f"{varied} = {x!r}" for x in grid]):
+        bounds = config_bounds(configs[k])
+        points.append(SweepPoint(
+            grid_value=grid[k],
+            p95=percentile(errors, 0.95),
+            bound_a=bounds.bound_A,
+            bound_combined_stated=bounds.bound_combined_stated,
+            bound_combined_proof=bounds.bound_combined_proof,
+        ))
     return tuple(points)

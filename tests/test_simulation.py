@@ -617,6 +617,42 @@ class TestBlockCarry:
         assert sum(lane.shape[0] for lane in philox_lanes) <= 0.75 * 352_699
 
 
+class TestPoints:
+    """The engine loop that both ``run_monte_carlo`` and ``sweep`` drive, point by point,
+    against the scalar oracle."""
+
+    @pytest.mark.parametrize("varied", ["eps_b1", "eps_b2"])
+    def test_points_match_scalar_oracle(self, varied):
+        # three points overrun one block: the first block holds the end of point 1
+        # and the start of point 2, the second block the end of point 2
+        n_trials = simulation._BLOCK // 3 + 1
+        configs = [constrained(**{varied: value}) for value in (0.0, 0.1, 0.3)]
+        seeds = [derive_point_seed(11, k) for k in range(3)]
+        got = [
+            (k, errors.copy(), attempts)
+            for k, errors, attempts in simulation._points(configs, seeds, n_trials, [None] * 3)
+        ]
+        assert [k for k, _, _ in got] == [0, 1, 2]
+        for k, errors, attempts in got:
+            trials = [
+                constrained_trial(configs[k], derive_trial_stream(seeds[k], i))
+                for i in range(n_trials)
+            ]
+            assert errors.tobytes() == np.array([error for error, _ in trials]).tobytes(), k
+            assert type(attempts) is int
+            assert attempts == sum(tries for _, tries in trials), k
+
+    def test_one_unconstrained_point_takes_one_attempt_a_trial(self):
+        config, n_trials = unconstrained(), simulation._BLOCK + 17
+        ((k, errors, attempts),) = simulation._points([config], [5], n_trials, [None])
+        expected = [
+            compute_gaps(sample_unconstrained(config, derive_trial_stream(5, i))).error
+            for i in range(n_trials)
+        ]
+        assert (k, attempts) == (0, n_trials)
+        assert errors.tobytes() == np.array(expected).tobytes()
+
+
 class TestConfigBounds:
     def test_unconstrained_uses_vacuous_eps(self):
         report = config_bounds(unconstrained())
