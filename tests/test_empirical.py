@@ -685,6 +685,11 @@ class TestRecordDataset:
         with pytest.raises(ValidationError, match="rows"):
             RecordDataset(l=[0, 1], vhat=[0, 1], y=[0, 1], v=[1])
 
+    def test_rejects_a_column_of_rows(self):
+        with pytest.raises(ValidationError) as err:
+            RecordDataset(l=[[0, 1]], vhat=[0, 1], y=[0, 1])
+        assert str(err.value) == "l must be one-dimensional"
+
     def test_take_repeats_rows(self):
         data = parse_records(BASIC)
         sub = data.take([3, 3, 0])
@@ -1395,6 +1400,10 @@ class TestThreadedBootstrap:
             assert 0 < want[2] < 12
         for workers in (2, 3, 12):
             assert bootstrap_outcome(data, 12, workers) == want, workers
+
+    def test_cpus_without_an_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert empirical._cpus() == (os.cpu_count() or 1)
 
     def test_threads_under_frequent_switching(self, m1_joint, monkeypatch):
         data = sample_dataset(m1_joint, 3000, seed=4)

@@ -168,6 +168,11 @@ class TestSliceMarginals:
             SliceMarginals(pr_l1=pr_l1, vvhat0=vvhat0, vvhat1=self.UNIFORM)
         assert str(err.value) == message
 
+    def test_rejects_a_table_off_one(self):
+        with pytest.raises(ValidationError) as err:
+            SliceMarginals(pr_l1=0.5, vvhat0=(0.25, 0.25, 0.25, 0.2), vvhat1=self.UNIFORM)
+        assert str(err.value) == "vvhat0 must sum to 1 within 1e-09, got 0.95"
+
 
 class TestGapOps:
     def test_m1_outcome_rates_by_hand(self, m1_joint):
@@ -460,6 +465,16 @@ class TestConsistentMarginals:
         )
         with pytest.raises(InconsistentMarginals):
             consistent_marginals(model)
+
+    def test_rejects_recall_one(self):
+        # r = 1 leaves no v=1, vhat=1 mass, and so no vhat=1 mass, for p = 0.1
+        model = ReducedModel(
+            slice0=SliceParams(p=0.1, r=1.0, a=0.5, b=0.5, c=0.5, d=0.5),
+            slice1=SliceParams(p=0.1, r=0.1, a=0.5, b=0.5, c=0.5, d=0.5),
+        )
+        with pytest.raises(InconsistentMarginals) as err:
+            consistent_marginals(model)
+        assert str(err.value) == "slice 0: Pr[vhat=1 | l] = 0 cannot express p = 0.1"
 
 
 class TestMarginalIndependence:

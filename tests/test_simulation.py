@@ -247,6 +247,11 @@ class TestConstrainedSampler:
                     expected = constrained_attempt(oracle, eps_b1, eps_b2)
                     assert [float(x).hex() for x in cells] == [x.hex() for x in expected]
 
+    def test_rejects_an_unconstrained_config(self):
+        with pytest.raises(ValidationError) as err:
+            sample_constrained(unconstrained(), derive_trial_stream(1, 0))
+        assert str(err.value) == "sample_constrained needs a constrained config"
+
     @pytest.mark.parametrize("eps", [0.0, 0.2, 1.0])
     def test_consumes_seven_doubles_per_attempt(self, eps):
         # the engine reads attempt k + 1 at doubles 7k .. 7k+6
@@ -449,6 +454,11 @@ class TestRunMonteCarlo:
         assert np.array_equal(one.errors, two.errors)
         assert one.p95 == two.p95
         assert one.histogram == two.histogram
+
+    def test_results_differing_only_in_p95_are_unequal(self):
+        result = run_monte_carlo(unconstrained(), n_trials=100, seed=1)
+        other = replace(result, p95=np.nextafter(result.p95, 1.0))
+        assert result == replace(result) and result != other
 
     def test_seed_changes_errors(self):
         config = unconstrained()
