@@ -73,8 +73,8 @@ def _sweep(config: dict, varied: str, grid: str, trials: int, seed: int):
 
 
 def _joint(rng: random.Random, empty: tuple[int, ...] = ()) -> list[float]:
-    """16 random cell probabilities, each at least 1/56 of the mass but the ``empty``
-    cells, which are 0."""
+    """16 random cell probabilities, each over 1/70 of the mass but the ``empty`` cells,
+    which are 0."""
     cells = [0.0 if i in empty else 0.3 + rng.random() for i in range(16)]
     return [cell / sum(cells) for cell in cells]
 
@@ -116,6 +116,7 @@ def _estimate_family(rng: random.Random, v: bool) -> list:
     runs = []
     for i, cells in enumerate(joints):
         codes = sample_dataset(FullJoint(np.array(cells)), rng.randint(300, 900), _seed(rng)).codes
+        # the first dataset in every layout, each other one in half of them
         for layout in layouts[i % 2::2] if i else layouts:
             data = _records(codes, v, **layout)
             smoothing = rng.choice(("0", "0.1", "0.5"))
@@ -123,8 +124,8 @@ def _estimate_family(rng: random.Random, v: bool) -> list:
         data = _records(codes, v)
         for smoothing in ("0", "0.1", "0.5"):
             runs.append(_estimate(data, "--smoothing", smoothing, "--format", "csv", out=False))
-        for replicates, workers in (("20", "1"), ("20", "2")):
-            runs.append(_estimate(data, "--bootstrap", replicates, "--workers", workers,
+        for workers in ("1", "2"):
+            runs.append(_estimate(data, "--bootstrap", "20", "--workers", workers,
                                   "--smoothing", rng.choice(("0", "0.1", "0.5")), "--seed", "7"))
     codes = sample_dataset(FullJoint(np.array(joints[0])), 600, 5).codes
     ystar = [rng.randint(0, 1) for _ in codes]
@@ -143,7 +144,7 @@ def _analyze_family(rng: random.Random) -> list:
         slices = [{key: rng.random() for key in "prabc" + "d" * with_d} for _ in range(2)]
         model = {"reduced": {"slice0": slices[0], "slice1": slices[1]}}
         runs.append(_analyze(model, "--format", rng.choice(("json", "csv"))))
-    # no v=0, vhat=0 event: independence is null, and so is d
+    # (0, 1, 8, 9) empties v=0, vhat=0 in both slices: independence is null, and so is d
     for empty in ((), (), (0, 1, 8, 9), (7, 12), (1, 9)):
         model = {"joint": {"cells": _joint(rng, empty)}}
         for fmt, tol in (("json", None), ("csv", "0.25")):
@@ -161,7 +162,8 @@ def _constrained(eps_b1, eps_b2, max_rejections=None, rates=CLASSIFIER) -> dict:
 
 
 def corpus() -> dict[str, list]:
-    """Each family's runs, as (sampler config, argv without the config path and --out)."""
+    """Each family's runs, as (input, argv without the input path), ``OUT`` in the argv
+    standing for the output path."""
     rng = random.Random(2021)
     families = {}
 
