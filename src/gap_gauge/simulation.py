@@ -71,11 +71,14 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 #: Trials per block of the vectorized engine, and about the most attempts one
-#: rejection pass computes. A block's temporaries are a few dozen arrays of
-#: this length, so memory stays bounded whatever the trial count or the
-#: length of a sweep's grid, whose points share blocks; results never depend
-#: on it.
-_BLOCK = 4096
+#: rejection pass computes. A pass's Philox words and doubles peak at 64
+#: bytes a lane, two lanes a trial in a block's first pass, and the block
+#: keeps about 56 bytes a trial besides, so memory stays bounded whatever
+#: the trial count or the length of a sweep's grid, whose points share
+#: blocks. At 8192 a 5e4-trial ``graph3_base`` run peaks at about 2.2 MB
+#: under tracemalloc, errors array included, and makes 29 kernel calls where
+#: 4096 made 56. Results never depend on it.
+_BLOCK = 8192
 
 #: Most trials one run may have: its errors array takes 800 MB, its
 #: ``errors.csv`` about 2 GB.
@@ -195,9 +198,9 @@ def _uniform(low, high, u):
     return low + (high - low) * u
 
 
-def _constrained_cells(u: np.ndarray, eps_b1: float, eps_b2: float) -> np.ndarray:
-    """Cells a0, b0, c0, a1, b1, c1 of constrained attempts, stacked on a new first
-    axis; cells may land outside [0, 1].
+def _constrained_cells(u: np.ndarray, eps_b1, eps_b2):
+    """Cells a0, b0, c0, a1, b1, c1 of constrained attempts, one array at a time;
+    cells may land outside [0, 1].
 
     ``u`` holds each attempt's seven doubles on its first axis: one attempt's
     ``stream.random(7)``, or the engine's (7, m, n) block. Double j becomes
@@ -206,25 +209,35 @@ def _constrained_cells(u: np.ndarray, eps_b1: float, eps_b2: float) -> np.ndarra
     g-feasible range ([0, 1-g] for g >= 0, [-g, 1] otherwise); the diagonal
     residual for c0 uniform on [-eps_b1, eps_b1]; then the three translation
     residuals for a1, b1, c1 uniform on [-eps_b2, eps_b2], in that order.
+    Each cell is made when it is asked for, and what no later cell needs is
+    let go, so acceptance can be built one cell at a time without holding
+    all six.
     """
     g = _uniform(-1.0, 1.0, u[0])
     negative = g < 0.0
     lo = np.where(negative, -g, 0.0)
     hi = np.where(negative, 1.0, 1.0 - g)
     a0 = _uniform(lo, hi, u[1])
+    yield a0
     b0 = _uniform(lo, hi, u[2])
+    del lo, hi
+    yield b0
     c0 = b0 + _uniform(-eps_b1, eps_b1, u[3])
-    return np.stack((
-        a0, b0, c0,
-        a0 + g + _uniform(-eps_b2, eps_b2, u[4]),
-        b0 + g + _uniform(-eps_b2, eps_b2, u[5]),
-        c0 + g + _uniform(-eps_b2, eps_b2, u[6]),
-    ))
+    yield c0
+    yield a0 + g + _uniform(-eps_b2, eps_b2, u[4])
+    del a0
+    yield b0 + g + _uniform(-eps_b2, eps_b2, u[5])
+    del b0
+    yield c0 + g + _uniform(-eps_b2, eps_b2, u[6])
 
 
-def _accepted(cells: np.ndarray) -> np.ndarray:
-    """Whether each attempt of ``_constrained_cells`` has every cell in [0, 1]."""
-    return ((cells >= 0.0) & (cells <= 1.0)).all(axis=0)
+def _accepted(cells) -> np.ndarray:
+    """Whether each attempt of ``_constrained_cells`` has every cell in [0, 1],
+    taken one cell at a time."""
+    ok = True
+    for cell in cells:
+        ok = ok & (cell >= 0.0) & (cell <= 1.0)
+    return ok
 
 
 def sample_constrained(
@@ -245,7 +258,7 @@ def sample_constrained(
     if config.mode != "constrained":
         raise ValidationError("sample_constrained needs a constrained config")
     for attempt in range(1, config.max_rejections + 1):
-        cells = _constrained_cells(stream.random(7), config.eps_b1, config.eps_b2)
+        cells = tuple(_constrained_cells(stream.random(7), config.eps_b1, config.eps_b2))
         if _accepted(cells):
             return _model(config, cells), attempt
     raise RejectionBudgetExhausted(config.max_rejections)
@@ -340,81 +353,108 @@ class SimulationResult(_ValueEq):
 
 _U64 = np.uint64
 _LOW32 = _U64(0xFFFFFFFF)
-#: Philox4x64-10 multipliers and key increments (Salmon et al., SC'11).
-_PHILOX_M0 = 0xD2E7470EE14C6C93
-_PHILOX_M1 = 0xCA5A826395121157
-_PHILOX_W0 = _U64(0x9E3779B97F4A7C15)
-_PHILOX_W1 = _U64(0xBB67AE8584CAA73B)
+#: Philox4x64-10 multipliers (Salmon et al., SC'11), and the increments
+#: of its key words in each round r, r * W0 and r * W1 modulo 2**64.
+_PHILOX_M0 = _U64(0xD2E7470EE14C6C93)
+_PHILOX_M1 = _U64(0xCA5A826395121157)
+_PHILOX_W = [
+    (_U64(r * 0x9E3779B97F4A7C15 & _MASK64), _U64(r * 0xBB67AE8584CAA73B & _MASK64))
+    for r in range(10)
+]
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products ``m * x``.
+def _mulhi(m: np.uint64, x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """High 64-bit words of the 128-bit products ``m * x``, in ``scratch[1]``.
 
     numpy has no 128-bit integers, so the high word is assembled from the
     32-bit limbs of both factors: with ``u = m_hi*x_lo + (m_lo*x_lo >> 32)``
     and ``v = m_lo*x_hi + (u & LOW32)``, it is ``m_hi*x_hi + (u >> 32) +
-    (v >> 32)``. No partial sum can overflow 64 bits. The limb arrays are
-    updated in place, so a call allocates six arrays for its 15 operations.
+    (v >> 32)``. No partial sum can overflow 64 bits. Every operation writes
+    into ``scratch``, three words for each word of ``x``, and ``x`` is left
+    as it was, so the caller can then turn it into the low words in place.
     """
-    m_lo, m_hi = _U64(m & 0xFFFFFFFF), _U64(m >> 32)
-    x_lo, x_hi = x & _LOW32, x >> _U64(32)
-    u = x_lo * m_lo
-    u >>= _U64(32)
-    x_lo *= m_hi
-    u += x_lo
-    v = x_hi * m_lo
-    v += u & _LOW32
-    x_hi *= m_hi
-    u >>= _U64(32)
-    x_hi += u
-    v >>= _U64(32)
-    x_hi += v
-    return x_hi, x * _U64(m)
+    m_lo, m_hi = m & _LOW32, m >> _U64(32)
+    a, b, c = scratch
+    np.bitwise_and(x, _LOW32, out=a)
+    np.multiply(a, m_lo, out=b)
+    b >>= _U64(32)
+    a *= m_hi
+    a += b  # u
+    np.right_shift(x, _U64(32), out=b)
+    np.multiply(b, m_lo, out=c)
+    b *= m_hi
+    # c + u wraps modulo 2**64, and taking away u's high limb leaves v exactly
+    c += a
+    a >>= _U64(32)
+    b += a
+    a <<= _U64(32)
+    c -= a  # v
+    c >>= _U64(32)
+    b += c
+    return b
 
 
-def _philox4x64(counter, k0, k1) -> list[np.ndarray]:
-    """The four output words of Philox4x64-10 at counter ``(counter, 0, 0, 0)``.
+def _philox4x64(counter, k0, k1) -> np.ndarray:
+    """The words of Philox4x64-10 at counters ``(counter, 0, 0, 0)``: word j at
+    counter i of trial t is ``[j, i, t]`` of the uint64 array returned.
 
-    ``counter`` and the key words ``k0`` (low) and ``k1`` (high) are uint64
-    arrays that broadcast against each other, e.g. counters as a column and
-    one trial's key per column.
+    ``counter`` is a uint64 column of C counters and the key words ``k0``
+    (low) and ``k1`` (high) hold one trial's key each, uint64 arrays of n.
+    The rounds update the four words in place, each a contiguous (C, n)
+    array. Every multiply-high goes through one scratch array, and each
+    round's key words go through a row of it that no product is using then,
+    so a call allocates 24 bytes a lane beside the 32 of the words.
     """
-    zero = _U64(0)
-    c0, c1, c2, c3 = counter, zero, zero, zero
-    for r in range(10):
-        if r:
-            k0 = k0 + _PHILOX_W0
-            k1 = k1 + _PHILOX_W1
-        hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
-        if r < 2:
-            # the words grow to the broadcast shape of counter and key
-            c0, c2 = hi1 ^ c1 ^ k0, hi0 ^ c3 ^ k1
-        else:
-            # from round 2 every multiply-high word has that shape already
-            hi1 ^= c1
-            hi1 ^= k0
-            hi0 ^= c3
-            hi0 ^= k1
-            c0, c2 = hi1, hi0
-        c1, c3 = lo1, lo0
-    return [c0, c1, c2, c3]
+    words = np.empty((4, counter.shape[0], k0.size), dtype=np.uint64)
+    scratch = np.empty_like(words[:3])
+    key = scratch[0, 0]
+    c = list(words)
+    # rounds 0 and 1 start from three zero words: only what depends on the
+    # counter and the key is computed, on arrays of C or n words where it can be
+    w0, w1 = _PHILOX_W[1]
+    np.bitwise_xor(_mulhi(_PHILOX_M0, counter, scratch[:, :, :1]), k1, out=c[1])
+    np.bitwise_xor(_mulhi(_PHILOX_M1, c[1], scratch), np.add(k0, w0, out=key), out=c[0])
+    c[1] *= _PHILOX_M1
+    hi = _mulhi(_PHILOX_M0, k0, scratch[:, 0])
+    hi ^= np.add(k1, w1, out=key)
+    np.bitwise_xor(hi, counter * _PHILOX_M0, out=c[2])
+    np.multiply(k0, _PHILOX_M0, out=c[3])
+    for w0, w1 in _PHILOX_W[2:]:
+        x0, x1, x2, x3 = c
+        x3 ^= _mulhi(_PHILOX_M0, x0, scratch)
+        x3 ^= np.add(k1, w1, out=key)
+        x0 *= _PHILOX_M0
+        x1 ^= _mulhi(_PHILOX_M1, x2, scratch)
+        x1 ^= np.add(k0, w0, out=key)
+        x2 *= _PHILOX_M1
+        # eight rotations bring each word back to its own row
+        c = [x1, x2, x3, x0]
+    return words
 
 
-def _stream_doubles(k0: np.ndarray, k1: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Doubles ``4*start .. 4*stop-1`` of each trial's stream, shape (4 (stop - start), n).
+def _stream_doubles(
+    k0: np.ndarray, k1: np.ndarray, start: int, stop: int, carry: np.ndarray | None = None
+) -> np.ndarray:
+    """The rows of ``carry``, then doubles ``start .. stop-1`` of each trial's
+    stream, ``start`` a multiple of 4: shape (len(carry) + stop - start, n).
 
     ``np.random.Philox`` fills its buffer from counter 1 upwards, so doubles
     4b .. 4b+3 are the words of the block at counter b + 1, each turned into a
     double the way ``Generator.random`` does it: ``(word >> 11) * 2**-53``.
+    The doubles are written behind the carry, so joining the two copies
+    nothing, and the last block's words past ``stop`` are not kept.
     """
-    counters = np.arange(start + 1, stop + 1, dtype=np.uint64)
+    counters = np.arange(start // 4 + 1, -(-stop // 4) + 1, dtype=np.uint64)
     words = _philox4x64(counters[:, None], k0, k1)
-    doubles = np.empty((counters.size, 4, k0.size))
+    words >>= _U64(11)
+    lead = 0 if carry is None else len(carry)
+    u = np.empty((lead + stop - start, k0.size))
+    if carry is not None:
+        u[:lead] = carry
     for j, word in enumerate(words):
-        word >>= _U64(11)
-        np.multiply(word, 1.0 / 9007199254740992.0, out=doubles[:, j])
-    return doubles.reshape(-1, k0.size)
+        doubles = u[lead + j::4]
+        np.multiply(word[:len(doubles)], 1.0 / 9007199254740992.0, out=doubles)
+    return u
 
 
 #: log of the chance, 5%, that a pending trial is left pending by a pass sized
@@ -430,9 +470,9 @@ def _pass_attempts(pending: int, accepted: int, tries: np.ndarray, left: int) ->
     trials find theirs within ceil(log 0.05 / log(1 - a)) attempts. A pass
     never covers more than about ``_BLOCK`` attempts in all, nor more than
     the ``left`` in the budget. Passes so sized make more kernel calls than
-    passes that fill the block (56 against 44 on ``graph3_base`` at 5e4
-    trials, seed 43) but compute 26% fewer Philox lanes, which saves more
-    time than the extra calls cost.
+    passes that fill the block (29 against 25 on ``graph3_base`` at 5e4
+    trials, seed 43) but compute a third fewer Philox lanes (245,510 against
+    367,925), which saves more time than the extra calls cost.
     """
     m = _BLOCK // pending
     if accepted:
@@ -442,15 +482,15 @@ def _pass_attempts(pending: int, accepted: int, tries: np.ndarray, left: int) ->
 
 
 def _block_errors(
-    config: SamplerConfig, k0: np.ndarray, k1: np.ndarray, budgets: np.ndarray
+    config: SamplerConfig, k0: np.ndarray, k1: np.ndarray, budgets: np.ndarray | None
 ) -> tuple[np.ndarray | None, np.ndarray | None, int | None]:
     """Errors of the trials keyed ``k0``, ``k1``, the attempts each consumed, and
     the position of the first trial that ran out of its rejection budget: the
     engine that ``_points`` runs on each block of trials.
 
     ``budgets`` holds each trial's eps_b1 and eps_b2 as its two rows; an
-    unconstrained ``config`` reads neither, and each of its trials takes one
-    attempt. When a trial runs out, the errors and attempts are None;
+    unconstrained ``config`` takes None there, and each of its trials takes
+    one attempt. When a trial runs out, the errors and attempts are None;
     otherwise the position is None.
 
     Attempt k + 1 of ``sample_constrained`` reads doubles ``7k .. 7k+6`` of
@@ -458,42 +498,52 @@ def _block_errors(
     next m attempts at once (``_pass_attempts``) and keeps the first that is
     accepted. An attempt can straddle two blocks of four doubles: the doubles
     of a pending trial's last block that its pass did not use are carried
-    into the next pass, so no block of any trial is computed twice.
+    into the next pass, so no block of any trial is computed twice. A pass
+    computes the errors of the trials it accepts from their accepted
+    attempts' doubles, so the block keeps one double a trial for its results.
     """
     n = k0.size
     if config.mode != "constrained":
-        cells, tries = _stream_doubles(k0, k1, 0, 2)[:6], np.broadcast_to(1, n)
-    else:
-        cells = np.empty((6, n))
-        tries = np.zeros(n, dtype=np.int64)
-        pending = np.arange(n)
-        carry = np.empty((0, n))
-        tried = 0
-        while pending.size:
-            if tried == config.max_rejections:
-                return None, None, int(pending[0])
-            m = _pass_attempts(pending.size, n - pending.size, tries, config.max_rejections - tried)
-            # the carry holds doubles 7 tried onwards, to the end of their block
-            fresh = _stream_doubles(k0, k1, -(-7 * tried // 4), -(-7 * (tried + m) // 4))
-            u = np.concatenate((carry, fresh)) if carry.size else fresh
-            carry = u[7 * m:]
-            u = u[:7 * m].reshape(m, 7, -1).swapaxes(0, 1)
-            drawn = _constrained_cells(u, budgets[0], budgets[1])
-            ok = _accepted(drawn)
-            first, accepted = ok.argmax(axis=0), ok.any(axis=0)
-            done = np.flatnonzero(accepted)
-            cells[:, pending[done]] = drawn[:, first[done], done]
-            tries[pending] += np.where(accepted, first + 1, m)
-            left = ~accepted
-            pending, k0, k1 = pending[left], k0[left], k1[left]
-            budgets, carry = budgets[:, left], carry[:, left]
-            tried += m
+        return _errors(config, _stream_doubles(k0, k1, 0, 6)), np.broadcast_to(1, n), None
+    errors = np.empty(n)
+    tries = np.zeros(n, dtype=np.int64)
+    pending = np.arange(n)
+    carry = None
+    tried = 0
+    while pending.size:
+        if tried == config.max_rejections:
+            return None, None, int(pending[0])
+        m = _pass_attempts(pending.size, n - pending.size, tries, config.max_rejections - tried)
+        # the carry holds doubles 7 tried onwards, to the end of their block,
+        # and the pass computes the blocks from there to its last attempt's
+        start, stop = (4 * -(-7 * t // 4) for t in (tried, tried + m))
+        u = _stream_doubles(k0, k1, start, stop, carry)
+        attempts = u[:7 * m].reshape(m, 7, -1).swapaxes(0, 1)
+        ok = _accepted(_constrained_cells(attempts, budgets[0], budgets[1]))
+        first, accepted = ok.argmax(axis=0), ok.any(axis=0)
+        done = np.flatnonzero(accepted)
+        # the accepted attempts' cells are made again, from their doubles alone
+        drawn = _constrained_cells(attempts[:, first[done], done], *budgets[:, done])
+        errors[pending[done]] = _errors(config, drawn)
+        tries[pending] += np.where(accepted, first + 1, m)
+        left = ~accepted
+        pending, k0, k1, budgets = pending[left], k0[left], k1[left], budgets[:, left]
+        carry = u[7 * m:, left]
+        tried += m
+        # the pass's arrays go before the next pass's kernel runs
+        del u, attempts, ok, first
+    return errors, tries, None
+
+
+def _errors(config: SamplerConfig, cells) -> np.ndarray:
+    """The errors of trial models of ``config``'s classifier with outcome rates
+    ``cells`` (a0, b0, c0, a1, b1, c1, arrays of one shape)."""
     a0, b0, c0, a1, b1, c1 = cells
     gaps = gap_terms(
         SliceRates(config.p0, config.r0, a0, b0, c0),
         SliceRates(config.p1, config.r1, a1, b1, c1),
     )
-    return gaps[4], tries, None
+    return gaps[4]
 
 
 def _points(configs, seeds, n_trials, names):
@@ -513,8 +563,9 @@ def _points(configs, seeds, n_trials, names):
     """
     seeds = np.array(seeds, dtype=np.uint64)
     offsets = np.arange(len(configs), dtype=np.uint64) * _U64(n_trials)
-    # an unconstrained config's absent budgets become NaN, which no trial reads
-    budgets = np.array([(config.eps_b1, config.eps_b2) for config in configs], dtype=float).T
+    budgets = None
+    if configs[0].mode == "constrained":
+        budgets = np.array([(config.eps_b1, config.eps_b2) for config in configs]).T
     errors = np.empty(n_trials)
     total, attempts = len(configs) * n_trials, 0
     for start in range(0, total, _BLOCK):
@@ -525,9 +576,11 @@ def _points(configs, seeds, n_trials, names):
         cuts = [start, *range((first + 1) * n_trials, stop, n_trials), stop]
         runs = [hi - lo for lo, hi in zip(cuts, cuts[1:])]
         points = slice(first, first + len(runs))
-        trials = np.arange(start, stop, dtype=np.uint64) - np.repeat(offsets[points], runs)
-        keys = _trial_key(np.repeat(seeds[points], runs), trials)
-        budget = np.repeat(budgets[:, points], runs, axis=1)
+        keys = _trial_key(
+            np.repeat(seeds[points], runs),
+            np.arange(start, stop, dtype=np.uint64) - np.repeat(offsets[points], runs),
+        )
+        budget = None if budgets is None else np.repeat(budgets[:, points], runs, axis=1)
         block, tries, exhausted = _block_errors(configs[0], *keys, budget)
         if exhausted is not None:
             k, i = divmod(start + exhausted, n_trials)
@@ -538,6 +591,8 @@ def _points(configs, seeds, n_trials, names):
             if hi == (k + 1) * n_trials:
                 yield k, errors, attempts
                 attempts = 0
+        # the block's results go before the next block's keys are derived
+        del block, tries
 
 
 def run_monte_carlo(

@@ -140,11 +140,26 @@ class TestEntryPoint:
         assert out == "2\n"
 
     def test_freezes_the_imported_heap(self):
+        # the import runs with the collector paused: no generation-0 pass
         out = child(
-            "import gap_gauge.__main__, gc\n"
-            "print(gc.isenabled(), gc.get_freeze_count() > 0)\n"
+            "import gc\n"
+            "before = gc.get_stats()[0]['collections']\n"
+            "import gap_gauge.__main__\n"
+            "print(gc.get_stats()[0]['collections'] - before, gc.isenabled(),"
+            " gc.get_freeze_count() > 0)\n"
         )
-        assert out == "True True\n"
+        assert out == "0 True True\n"
+
+    def test_collector_is_back_when_the_import_fails(self):
+        out = child(
+            "import gc, sys\n"
+            "sys.modules['gap_gauge.cli'] = None\n"
+            "try:\n"
+            "    import gap_gauge.__main__\n"
+            "except ImportError:\n"
+            "    print(gc.isenabled())\n"
+        )
+        assert out == "True\n"
 
     def test_library_import_freezes_nothing(self):
         out = child("import gap_gauge.cli, gc\nprint(gc.get_freeze_count())\n")

@@ -627,6 +627,26 @@ class TestBlockCarry:
         assert sum(lane.shape[0] for lane in philox_lanes) <= 0.75 * 352_699
 
 
+class TestBlockMemory:
+    #: The tracemalloc peaks of 5e4-trial runs at seed 43, errors array included,
+    #: with 4096-trial blocks whose temporaries took about 100 bytes a Philox
+    #: lane. Twice as large a block with those temporaries peaks at 4.03 and
+    #: 2.44 MB; a block may grow only as far as leaner temporaries pay for it.
+    PEAKS = {"graph3_base": 2.23e6, "graphA_classifier": 1.42e6}
+
+    @pytest.mark.parametrize("name", sorted(PEAKS))
+    def test_peak_stays_near_the_4096_trial_block(self, name):
+        config = load_sampler_config(ROOT / "configs" / f"{name}.json")
+        run_monte_carlo(config, n_trials=100, seed=43)
+        tracemalloc.start()
+        try:
+            run_monte_carlo(config, n_trials=50_000, seed=43)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * self.PEAKS[name], peak
+
+
 class TestPoints:
     """The engine loop that both ``run_monte_carlo`` and ``sweep`` drive, point by point,
     against the scalar oracle."""
@@ -749,8 +769,10 @@ class TestSweep:
         (20, 2, 1, 30),
     ])
     def test_exhaustion_in_a_block_spanning_points(self, max_rejections, seed, point, trial):
-        config, grid, n_trials = constrained(max_rejections=max_rejections), [0.0, 1.0], 3000
-        # the first block holds both points and the trial that runs out
+        config, grid = constrained(max_rejections=max_rejections), [0.0, 1.0]
+        # the first block holds both points and the trial that runs out, and
+        # ends inside point 1
+        n_trials = 5 * simulation._BLOCK // 8
         assert point * n_trials + trial < simulation._BLOCK < 2 * n_trials
         for k, value in enumerate(grid):
             try:
