@@ -12,8 +12,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 mkdir -p results
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
-# GAPGAUGE_SEED would replace the default seed, and with it every result
-unset GAPGAUGE_SEED
 gap_gauge() { python3 -m gap_gauge "$@"; }
 
 for gamma in 005 010 020; do

@@ -26,7 +26,7 @@ import sys
 import time
 
 from . import __version__
-from .bounds import independence_diagnostics, bound_report, structure_params
+from .bounds import bound_report_from_params, independence_diagnostics, structure_params
 from .errors import GapGaugeError, ValidationError, ZeroMassCondition
 from .files import (
     atomic_paths,
@@ -44,8 +44,6 @@ from .model import FullJoint, _require_real, _require_u64, compute_gaps, reduce
 from .simulation import SamplerConfig, run_monte_carlo, sweep
 
 __all__ = ["main", "parse_grid"]
-
-_DEFAULT_SEED = 42
 
 #: Most points a ``--grid`` may have: a step of 1e-4 across [0, 1].
 GRID_MAX_POINTS = 10_001
@@ -137,10 +135,11 @@ def _cmd_analyze(args, digest) -> list:
             pass
     else:
         reduced = model
+    params = structure_params(reduced)
     return _report(args, {
         "gap": compute_gaps(reduced),
-        "structure": structure_params(reduced),
-        "bounds": bound_report(reduced),
+        "structure": params,
+        "bounds": bound_report_from_params(params),
         "independence": independence,
     })
 
@@ -187,8 +186,7 @@ def _cmd_estimate(args, digest) -> list:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--seed", type=int, default=None,
-        help="64-bit master seed (default 42; GAPGAUGE_SEED overrides the default)",
+        "--seed", type=int, default=42, help="64-bit master seed (default 42)",
     )
     common.add_argument(
         "--workers", type=int, default=1,
@@ -256,23 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        seed = args.seed
-    else:
-        env = os.environ.get("GAPGAUGE_SEED")
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError:
-                raise ValidationError(
-                    f"GAPGAUGE_SEED must be an integer, got {env!r}"
-                ) from None
-        else:
-            seed = _DEFAULT_SEED
-    return _require_u64(seed, "seed")
-
-
 def _run(args) -> None:
     """Run the command; with ``--out``, commit its outputs and manifest together.
 
@@ -316,7 +297,7 @@ def main(argv=None) -> int:
     try:
         if args.workers < 1:
             raise ValidationError(f"--workers must be at least 1, got {args.workers}")
-        args.seed = _resolve_seed(args)
+        args.seed = _require_u64(args.seed, "seed")
         _run(args)
         return 0
     except (GapGaugeError, OSError) as exc:

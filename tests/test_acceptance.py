@@ -8,7 +8,6 @@ extra FINDING lines.
 """
 
 import json
-import os
 import subprocess
 import sys
 import time
@@ -424,7 +423,6 @@ def test_criterion_10_cli_determinism(tmp_path):
     records_path = tmp_path / "records.csv"
     rows = zip(records.l, records.v, records.vhat, records.y)
     records_path.write_text("l,v,vhat,y\n" + "".join(f"{l},{v},{vh},{y}\n" for l, v, vh, y in rows))
-    env = {k: v for k, v in os.environ.items() if k != "GAPGAUGE_SEED"}
 
     def run_once(tag: str, workers: int) -> dict[str, bytes]:
         prefix = tmp_path / tag
@@ -435,7 +433,7 @@ def test_criterion_10_cli_determinism(tmp_path):
              "--out", str(tmp_path / (tag + ".estimate.json")), *common],
         ]
         for cmd in cmds:
-            proc = subprocess.run([sys.executable, "-m", "gap_gauge", *cmd], capture_output=True, env=env)
+            proc = subprocess.run([sys.executable, "-m", "gap_gauge", *cmd], capture_output=True)
             assert proc.returncode == 0, proc.stderr.decode()
         return {
             suffix: (tmp_path / (tag + suffix)).read_bytes()

@@ -57,11 +57,6 @@ def field_column(out: str) -> list[str]:
 NOT_UTF8 = b"\xff\xfe\x00not utf-8\n"
 
 
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv("GAPGAUGE_SEED", raising=False)
-
-
 @pytest.fixture
 def m1_model_file(tmp_path):
     path = tmp_path / "m1.json"
@@ -507,63 +502,40 @@ class TestSimulate:
             "config.json", "run.errors.csv", "run.hist.csv", "run.manifest.json", "run.summary.json",
         ]
 
-    def test_env_seed_used_when_no_flag(
-        self, capsys, monkeypatch, constrained_config_file, tmp_path
+    @pytest.mark.parametrize("value", ["7", ""])
+    def test_seed_environment_variable_is_ignored(
+        self, capsys, monkeypatch, constrained_config_file, m1_model_file, tmp_path, value
     ):
-        monkeypatch.setenv("GAPGAUGE_SEED", "7")
-        run(
-            capsys, "simulate", constrained_config_file,
-            "--trials", "100", "--out", str(tmp_path / "env"),
-        )
-        summary = json.loads((tmp_path / "env.summary.json").read_text())
-        assert summary["seed"] == 7
+        monkeypatch.delenv("GAPGAUGE_SEED", raising=False)
+        analyzed = run(capsys, "analyze", m1_model_file)
+        assert analyzed[0] == 0
+        flag = str(tmp_path / "flag")
+        run(capsys, "simulate", constrained_config_file, "--trials", "100", "--seed", "42", "--out", flag)
+        monkeypatch.setenv("GAPGAUGE_SEED", value)
+        assert run(capsys, "analyze", m1_model_file) == analyzed
+        env = str(tmp_path / "env")
+        assert run(capsys, "simulate", constrained_config_file, "--trials", "100", "--out", env)[0] == 0
+        for suffix in (".summary.json", ".errors.csv", ".hist.csv"):
+            assert Path(env + suffix).read_bytes() == Path(flag + suffix).read_bytes()
 
-    def test_seed_flag_beats_env(
-        self, capsys, monkeypatch, constrained_config_file, tmp_path
-    ):
-        monkeypatch.setenv("GAPGAUGE_SEED", "7")
-        run(
-            capsys, "simulate", constrained_config_file,
-            "--trials", "100", "--seed", "9", "--out", str(tmp_path / "flag"),
-        )
-        summary = json.loads((tmp_path / "flag.summary.json").read_text())
-        assert summary["seed"] == 9
-
-    def test_bad_env_seed_exits_2(
-        self, capsys, monkeypatch, constrained_config_file, tmp_path
-    ):
-        monkeypatch.setenv("GAPGAUGE_SEED", "many")
-        code, _, err = run(
-            capsys, "simulate", constrained_config_file,
-            "--trials", "100", "--out", str(tmp_path / "x"),
-        )
-        assert code == 2
-        assert "GAPGAUGE_SEED" in err
-
-    def test_largest_env_seed_accepted(
-        self, capsys, monkeypatch, constrained_config_file, tmp_path
-    ):
-        monkeypatch.setenv("GAPGAUGE_SEED", str(2**64 - 1))
+    def test_largest_seed_accepted(self, capsys, constrained_config_file, tmp_path):
         code, _, _ = run(
             capsys, "simulate", constrained_config_file,
-            "--trials", "20", "--out", str(tmp_path / "top"),
+            "--trials", "20", "--seed", str(2**64 - 1), "--out", str(tmp_path / "top"),
         )
         assert code == 0
         summary = json.loads((tmp_path / "top.summary.json").read_text())
         assert summary["seed"] == 2**64 - 1
 
-    @pytest.mark.parametrize("value", [str(2**64), "-1", "true", ""])
-    def test_env_seed_outside_contract_exits_2(
-        self, capsys, monkeypatch, constrained_config_file, tmp_path, value
-    ):
-        monkeypatch.setenv("GAPGAUGE_SEED", value)
+    @pytest.mark.parametrize("value", [str(2**64), "-1"])
+    def test_seed_outside_contract_exits_2(self, capsys, constrained_config_file, tmp_path, value):
         code, out, err = run(
             capsys, "simulate", constrained_config_file,
-            "--trials", "20", "--out", str(tmp_path / "x"),
+            "--trials", "20", "--seed", value, "--out", str(tmp_path / "x"),
         )
-        assert code == 2
-        assert err.startswith("gap-gauge: ") and "Traceback" not in err
-        assert "seed" in err.lower()
+        assert (code, out) == (2, "")
+        assert err.startswith("gap-gauge: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert "seed" in err
         assert list(tmp_path.glob("x*")) == []
 
     @pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**20])
