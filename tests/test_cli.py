@@ -502,7 +502,7 @@ class TestSimulate:
             "config.json", "run.errors.csv", "run.hist.csv", "run.manifest.json", "run.summary.json",
         ]
 
-    @pytest.mark.parametrize("value", ["7", ""])
+    @pytest.mark.parametrize("value", ["7", "", "many", "-1", str(2**64)])
     def test_seed_environment_variable_is_ignored(
         self, capsys, monkeypatch, constrained_config_file, m1_model_file, tmp_path, value
     ):
